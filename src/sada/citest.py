@@ -8,10 +8,11 @@ studying the framework with testing error switched off.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc, ndtr
 
 from .graph import Dag
 from .synth import SampleMatrix
@@ -104,9 +105,10 @@ class PartialCorrelationOracle(CiOracle):
         self._m = data.m
         self._n = data.n
         sd = data.values.std(axis=0)
-        self._constant = sd <= 0
+        self._constant = (sd <= 0).tolist()
+        # nested lists: the per-query arithmetic runs on Python floats
         with np.errstate(invalid="ignore", divide="ignore"):
-            self._corr = np.corrcoef(data.values, rowvar=False)
+            self._corr = np.corrcoef(data.values, rowvar=False).tolist()
         self._cache: dict = {}
 
     def query(self, u, v, z=()) -> CiVerdict:
@@ -124,28 +126,58 @@ class PartialCorrelationOracle(CiOracle):
         for w in (u, v) + zt:
             if self._constant[w]:
                 raise SingularConditioningError(f"column {w} is constant")
-        if zt:
+        c = self._corr
+        if len(zt) > 2:
             idx = (u, v) + zt
-            sub = self._corr[np.ix_(idx, idx)]
             try:
-                prec = np.linalg.inv(sub)
+                prec = np.linalg.inv([[c[i][j] for j in idx] for i in idx])
             except np.linalg.LinAlgError:
                 raise SingularConditioningError(
                     "conditioning covariance is singular") from None
-            denom = prec[0, 0] * prec[1, 1]
+            denom = float(prec[0, 0] * prec[1, 1])
             if denom <= 0:
                 raise SingularConditioningError("conditioning covariance is singular")
-            r = float(-prec[0, 1] / np.sqrt(denom))
+            r = -float(prec[0, 1]) / math.sqrt(denom)
+        elif zt:
+            r = _closed_partial_corr(c, u, v, zt)
         else:
-            r = float(self._corr[u, v])
-        if not np.isfinite(r) or abs(r) > 1 + 1e-6:
+            r = c[u][v]
+        if not math.isfinite(r) or abs(r) > 1 + 1e-6:
             raise SingularConditioningError("partial correlation is not identifiable")
         r = min(max(r, -1 + 1e-15), 1 - 1e-15)
-        stat = np.sqrt(eff) * np.arctanh(r)
-        p = float(2 * stats.norm.sf(abs(stat)))
+        stat = math.sqrt(eff) * math.atanh(r)
+        # exactly the normal survival function, without the distribution-object overhead
+        p = float(2 * ndtr(-abs(stat)))
         verdict = CiVerdict(p > self.alpha_level, p)
         self._cache[key] = verdict
         return verdict
+
+
+def _closed_partial_corr(c, u, v, zt) -> float:
+    """Partial correlation of u and v given one or two variables, eliminating
+    each conditioning variable in turn from the correlation entries (a Schur
+    complement scaled by the pivot, so nothing is divided before the end).
+    Raises SingularConditioningError when the conditioning set is collinear
+    (a pivot is not positive) or the conditional covariance of u and v is
+    singular, the cases in which the matrix inverse breaks down."""
+    w = zt[0]
+    cu, cv, cw = c[u], c[v], c[w]
+    a = cw[w]
+    uu = cu[u] * a - cu[w] * cu[w]
+    vv = cv[v] * a - cv[w] * cv[w]
+    uv = cu[v] * a - cu[w] * cv[w]
+    if len(zt) == 2:
+        x = zt[1]
+        xx = c[x][x] * a - cw[x] * cw[x]
+        if xx <= 0:
+            raise SingularConditioningError("conditioning covariance is singular")
+        ux = cu[x] * a - cu[w] * cw[x]
+        vx = cv[x] * a - cv[w] * cw[x]
+        uu, vv, uv = uu * xx - ux * ux, vv * xx - vx * vx, uv * xx - ux * vx
+    denom = uu * vv
+    if denom <= uv * uv:
+        raise SingularConditioningError("conditioning covariance is singular")
+    return uv / math.sqrt(denom)
 
 
 class GSquaredOracle(CiOracle):
@@ -187,7 +219,7 @@ class GSquaredOracle(CiOracle):
         if dof == 0:
             verdict = CiVerdict(True, 1.0)
         else:
-            p = float(stats.chi2.sf(max(g2, 0.0), dof))
+            p = float(chdtrc(dof, max(g2, 0.0)))
             verdict = CiVerdict(p > self.alpha_level, p)
         self._cache[key] = verdict
         return verdict
@@ -220,7 +252,7 @@ def g2_p_value(a, b, num_states: int) -> float:
     g2, dof = _g2_from_tables(table)
     if dof == 0:
         return 1.0
-    return float(stats.chi2.sf(g2, dof))
+    return float(chdtrc(dof, g2))
 
 
 class ExactCiOracle(CiOracle):
@@ -267,6 +299,9 @@ class ExactCiOracle(CiOracle):
         if u == v:
             raise CiError("need two distinct variables")
         zstar = self._ancestor_pool(u, v, candidates)
+        # nothing in the pool separates unless its whole ancestor part does
+        if not self.graph._d_separated_bits(u, v, zstar):
+            return None
         pool = []
         while zstar:
             pool.append((zstar & -zstar).bit_length() - 1)

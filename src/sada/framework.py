@@ -101,12 +101,7 @@ def _sample_seed_pair(oracle, ordered_vars, max_cond, rng):
     everyone = set(ordered_vars)
     for idx in order[:budget]:
         u, v = pairs[int(idx)]
-        cands = everyone - {u, v}
-        # separable() first: a cheap reject for oracles that can decide
-        # existence without scanning subsets (queries are cached otherwise)
-        if not oracle.separable(u, v, cands, max_cond):
-            continue
-        sep = oracle.find_separator(u, v, cands, max_cond)
+        sep = oracle.find_separator(u, v, everyone - {u, v}, max_cond)
         if sep is not None:
             return u, v, sep
     return None

@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .citest import g2_p_value
 from .graph import Dag
@@ -188,7 +188,7 @@ def solve_lingam(data: SampleMatrix, variables, prune_alpha: float = 0.05) -> Ed
         var = s2 * np.diag(gram_inv)
         with np.errstate(divide="ignore", invalid="ignore"):
             wald = np.where(var > 0, beta * beta / var, np.inf)
-        p = stats.chi2.sf(wald, 1)
+        p = chdtrc(1, wald)
         for j, pred in enumerate(preds):
             if p[j] < prune_alpha:
                 result.add(vs[pred], vs[child], 1.0 - float(p[j]))

@@ -8,6 +8,7 @@ random conditional probability tables with a probability floor.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +139,8 @@ def save_samples(sm: SampleMatrix, path) -> None:
 
 def load_samples(path, num_states: int | None = None) -> SampleMatrix:
     """Read a sample CSV; a table whose cells are all integers is discrete
-    (num_states defaults to max value + 1), anything else is continuous."""
+    (num_states defaults to max value + 1), anything else is continuous.
+    Non-numeric and non-finite (nan, inf) cells raise SampleFormatError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -161,8 +163,10 @@ def load_samples(path, num_states: int | None = None) -> SampleMatrix:
                     x = float(cell)
                 except ValueError:
                     raise SampleFormatError(f"non-numeric cell {cell!r}", line_no) from None
+                if not math.isfinite(x):
+                    raise SampleFormatError(f"non-finite cell {cell!r}", line_no)
                 parsed.append(x)
-                if all_int and (not np.isfinite(x) or x != int(x)):
+                if all_int and x != int(x):
                     all_int = False
             rows.append(parsed)
     if not rows:

@@ -1,18 +1,29 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
+
+import sada.citest
+import sada.solvers
 
 from sada.graph import Dag, generate_random_dag
+from sada.solvers import solve_lingam
 from sada.synth import SampleMatrix, generate_discrete, generate_linear_nongaussian, sample_from_cpts
 from sada.citest import (
     CiError,
+    CiVerdict,
     ExactCiOracle,
     GSquaredOracle,
     InsufficientSamplesError,
     PartialCorrelationOracle,
     SingularConditioningError,
     UnreliableTestError,
+    _g2_from_tables,
     ci_exact,
     ci_g2,
     ci_partial_correlation,
@@ -265,3 +276,157 @@ class TestFindSeparatorDispatch:
             ]), "discrete", num_states=3)
         o2 = GSquaredOracle(free)
         assert find_separator(o2, 0, 1, {2}) == frozenset()
+
+
+class InverseFisherZ:
+    """Reference Fisher-z test: matrix inverse for every |z| and
+    scipy.stats.norm.sf for the p-value."""
+
+    def __init__(self, data, alpha_level=0.05):
+        self.alpha_level = alpha_level
+        self._m = data.m
+        self._constant = data.values.std(axis=0) <= 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            self._corr = np.corrcoef(data.values, rowvar=False)
+
+    def query(self, u, v, z=()):
+        zt = tuple(sorted(z))
+        eff = self._m - len(zt) - 3
+        if eff < 1:
+            raise InsufficientSamplesError("too few samples")
+        if any(self._constant[w] for w in (u, v) + zt):
+            raise SingularConditioningError("constant column")
+        if zt:
+            idx = (u, v) + zt
+            try:
+                prec = np.linalg.inv(self._corr[np.ix_(idx, idx)])
+            except np.linalg.LinAlgError:
+                raise SingularConditioningError("singular") from None
+            denom = prec[0, 0] * prec[1, 1]
+            if denom <= 0:
+                raise SingularConditioningError("singular")
+            r = float(-prec[0, 1] / np.sqrt(denom))
+        else:
+            r = float(self._corr[u, v])
+        if not np.isfinite(r) or abs(r) > 1 + 1e-6:
+            raise SingularConditioningError("not identifiable")
+        r = min(max(r, -1 + 1e-15), 1 - 1e-15)
+        p = float(2 * stats.norm.sf(abs(np.sqrt(eff) * np.arctanh(r))))
+        return CiVerdict(p > self.alpha_level, p)
+
+
+def _outcome(oracle, u, v, z):
+    try:
+        return oracle.query(u, v, z)
+    except CiError as exc:
+        return type(exc)
+
+
+def _random_queries(n, count, rng):
+    for _ in range(count):
+        size = int(rng.integers(0, 4))
+        picked = [int(w) for w in rng.choice(n, size=size + 2, replace=False)]
+        yield picked[0], picked[1], tuple(picked[2:])
+
+
+def _scipy_stats_chdtrc(df, x):
+    return stats.chi2.sf(x, df)
+
+
+class TestScipyStatsEquivalence:
+    """The oracles and solvers evaluate p-values with scipy.special ufuncs and
+    closed-form partial correlations; these pin them to the scipy.stats and
+    matrix-inverse formulas they replace."""
+
+    def test_fisher_z_matches_inverse_reference(self):
+        rng = np.random.default_rng(31)
+        sizes = {0: 0, 1: 0, 2: 0, 3: 0}
+        for s in range(6):
+            g = generate_random_dag(14, 1.25, seed=s)
+            sm = generate_linear_nongaussian(g, m=60, seed=100 + s)
+            fast, ref = PartialCorrelationOracle(sm), InverseFisherZ(sm)
+            for u, v, z in _random_queries(sm.n, 400, rng):
+                got, want = fast.query(u, v, z), ref.query(u, v, z)
+                assert got.independent == want.independent
+                assert got.p_value == pytest.approx(want.p_value, rel=0, abs=1e-12)
+                sizes[len(z)] += 1
+        assert min(sizes.values()) > 400
+
+    def test_fisher_z_degenerate_columns(self):
+        # columns 0, 4, 5, 6 are x, a copy, 2x and -x; 2 and 8 are w and 4w;
+        # 7 is constant. Power-of-two multiples keep the correlations exact.
+        rng = np.random.default_rng(8)
+        x, y, w, t = rng.random((4, 300))
+        cols = [x, y, w, t, x.copy(), 2.0 * x, -x, np.full(300, 0.5), 4.0 * w]
+        family = {0: "x", 4: "x", 5: "x", 6: "x", 2: "w", 8: "w"}
+        sm = SampleMatrix(np.column_stack(cols), "continuous")
+        fast, ref = PartialCorrelationOracle(sm), InverseFisherZ(sm)
+        raised_collinear = 0
+        for size in range(4):
+            for z in itertools.combinations(range(sm.n), size):
+                for u, v in itertools.combinations(range(sm.n), 2):
+                    if u in z or v in z:
+                        continue
+                    got, want = _outcome(fast, u, v, z), _outcome(ref, u, v, z)
+                    if isinstance(want, type):
+                        # singular for the inverse is singular here too
+                        assert got is want, (u, v, z)
+                        raised_collinear += 7 not in (u, v) + z
+                        continue
+                    tags = [family[c] for c in (u, v) + z if c in family]
+                    if z and len(set(tags)) < len(tags) and size <= 2:
+                        # an exactly collinear set always raises; the inverse
+                        # misses some of these when the rounded correlation
+                        # matrix is off symmetric by an ulp
+                        assert got is SingularConditioningError, (u, v, z)
+                        continue
+                    assert got.independent == want.independent, (u, v, z)
+                    assert got.p_value == pytest.approx(want.p_value, rel=0, abs=1e-12)
+        assert raised_collinear > 500
+
+    def test_g2_oracle_matches_chi2_sf_exactly(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        # m = 1000 decides |z| <= 2 for k = 3 and refuses |z| = 3
+        sm = generate_discrete(generate_random_dag(10, 1.25, seed=3), m=1000, seed=4)
+        queries = list(_random_queries(sm.n, 300, rng))
+        fast = [_outcome(GSquaredOracle(sm), u, v, z) for u, v, z in queries]
+        monkeypatch.setattr(sada.citest, "chdtrc", _scipy_stats_chdtrc)
+        ref = [_outcome(GSquaredOracle(sm), u, v, z) for u, v, z in queries]
+        assert fast == ref
+        decided = {len(z) for (_, _, z), got in zip(queries, fast) if isinstance(got, CiVerdict)}
+        assert decided == {0, 1, 2}
+        assert UnreliableTestError in fast
+
+    def test_g2_p_value_matches_chi2_sf_exactly(self):
+        rng = np.random.default_rng(12)
+        for k in (2, 3, 4):
+            for _ in range(40):
+                a = rng.integers(0, k, 80)
+                b = (a + rng.integers(0, 2, 80)) % k if rng.random() < 0.5 else rng.integers(0, k, 80)
+                table = np.bincount(b + k * a, minlength=k * k).reshape(1, k, k)
+                g2, dof = _g2_from_tables(table)
+                want = 1.0 if dof == 0 else float(stats.chi2.sf(g2, dof))
+                assert sada.citest.g2_p_value(a, b, k) == want
+        assert sada.citest.g2_p_value(np.zeros(10, dtype=int), np.arange(10) % 3, 3) == 1.0
+
+    def test_lingam_wald_p_values_match_chi2_sf_exactly(self, monkeypatch):
+        runs = []
+        for s in range(4):
+            g = generate_random_dag(8, 1.5, seed=s)
+            runs.append(generate_linear_nongaussian(g, m=60, seed=50 + s))
+        fast = [solve_lingam(sm, range(sm.n)) for sm in runs]
+        monkeypatch.setattr(sada.solvers, "chdtrc", _scipy_stats_chdtrc)
+        ref = [solve_lingam(sm, range(sm.n)) for sm in runs]
+        assert fast == ref
+        assert all(len(es) > 0 for es in fast)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs over half a second to import; sada needs only
+    # scipy.special, so a fresh interpreter must not pull it in
+    src = Path(sada.citest.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sada, sys; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -125,6 +125,19 @@ class TestDiscover:
         assert g.n == 9
         assert sorted(g.edges) == sorted((u, v) for u, v, _ in stdout_report["edges"])
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_fails_with_line(self, data_file, tmp_path, cell, capsys):
+        lines = data_file.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[2] = cell
+        lines[5] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run("discover", "--data", bad, "--seed", 1) == 1
+        captured = capsys.readouterr()
+        assert "line 6" in captured.err
+        assert captured.out == ""
+
     def test_oracle_ci_requires_truth(self, data_file, capsys):
         assert run("discover", "--data", data_file, "--oracle-ci") == 1
         assert "--truth" in capsys.readouterr().err

@@ -147,6 +147,9 @@ class TestCsv:
             ("v0,v1\n", 2),
             ("v0,v1\n1.0\n", 2),
             ("v0,v1\n1.0,x\n", 2),
+            ("v0,v1\n0.5,1.5\n0.25,nan\n1.0,2.0\n", 3),
+            ("v0,v1\n0.5,inf\n", 2),
+            ("v0,v1\n1,-inf\n", 2),
         ]
         for text, line_no in cases:
             p = tmp_path / "bad.csv"
