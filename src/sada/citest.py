@@ -271,15 +271,24 @@ class ExactCiOracle(CiOracle):
         return CiVerdict(sep, 1.0 if sep else 0.0)
 
     def _ancestor_pool(self, u, v, candidates):
-        u, v = int(u), int(v)
-        cands = self._checked_candidates(u, v, candidates)
+        """The candidates that are ancestors of u or v, as a bitset built in
+        one pass; ids are checked one by one only once the pass meets a bad
+        one, so bad input raises what the checked scan raises."""
         g = self.graph
-        for w in (u, v, *cands):
-            g._check_id(w)
-        anc = g._ancestor_bits()
+        n = g.n
         pool_bits = 0
-        for w in cands:
+        for w in candidates:
+            w = int(w)
+            if not 0 <= w < n:
+                self._checked_candidates(u, v, candidates)
+                for x in (u, v, w):
+                    g._check_id(x)
             pool_bits |= 1 << w
+        if (0 <= u < n and (pool_bits >> u) & 1) or (0 <= v < n and (pool_bits >> v) & 1):
+            raise CiError("candidate pool must exclude the queried pair")
+        g._check_id(u)
+        g._check_id(v)
+        anc = g._ancestor_bits()
         return pool_bits & (anc[u] | anc[v])
 
     def separable(self, u, v, candidates, max_cond=3) -> bool:

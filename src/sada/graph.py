@@ -55,11 +55,13 @@ class CausalCut:
 class Dag:
     """Immutable DAG over variables 0..n-1 with bitset-backed queries.
 
-    Ancestor and descendant closures are Python ints used as bitsets; they are
-    built lazily and shared by every d-separation query on the instance.
+    Parent and child sets are also kept as Python ints used as bitsets, and
+    so are the ancestor and descendant closures, which are built lazily and
+    shared by every d-separation query on the instance.
     """
 
-    __slots__ = ("n", "edges", "_parents", "_children", "_anc", "_desc", "_dsep_cache")
+    __slots__ = ("n", "edges", "_parents", "_children", "_pa_bits", "_ch_bits",
+                 "_anc", "_desc", "_dsep_cache")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -85,6 +87,8 @@ class Dag:
         self.edges = frozenset(edge_list)
         self._parents = tuple(tuple(sorted(p)) for p in parents)
         self._children = tuple(tuple(sorted(c)) for c in children)
+        self._pa_bits = [sum(1 << p for p in ps) for ps in parents]
+        self._ch_bits = [sum(1 << c for c in cs) for cs in children]
         self._anc = None
         self._desc = None
         self._dsep_cache = {}
@@ -156,7 +160,9 @@ class Dag:
         return bool((self._descendant_bits()[u] >> v) & 1)
 
     def d_separated(self, u: VariableId, v: VariableId, z) -> bool:
-        """Bayes-ball reachability on the trail graph.
+        """Bayes-ball reachability on the trail graph, confined to the
+        ancestral set An({u, v} | z) and run on bitset frontiers, so a query
+        costs time in the size of that set rather than in n.
 
         A path is blocked when some non-collider on it is in z, or some
         collider has neither itself nor any descendant in z.
@@ -183,6 +189,7 @@ class Dag:
         if cached is not None:
             return cached
         anc = self._ancestor_bits()
+        pa, ch = self._pa_bits, self._ch_bits
         open_colliders = z_bits  # nodes whose conditioning opens a collider
         rest = z_bits
         while rest:
@@ -191,63 +198,38 @@ class Dag:
             # every ancestor of a conditioned node has a conditioned descendant
             open_colliders |= anc[w]
         target = 1 << v
-        # direction encodes how the ball arrived: from a child (up) or parent (down)
+        # an active trail never leaves An({u, v} | z): its colliders are open,
+        # so in z | An(z), and every other node heads a directed segment
+        # ending at u, at v or at a collider
+        inside = anc[u] | anc[v] | open_colliders | (1 << u) | target
+        free = ~z_bits
+        # the two ball frontiers: reached from a child (up), from a parent (down)
         up, down = 1 << u, 0
         seen_up, seen_down = up, 0
-        stack = [(u, True)]
-        connected = False
-        while stack:
-            x, from_child = stack.pop()
-            x_in_z = (z_bits >> x) & 1
-            if from_child:
-                if x_in_z:
-                    continue
-                for p in self._parents[x]:
-                    b = 1 << p
-                    if b & target:
-                        connected = True
-                        break
-                    if not seen_up & b:
-                        seen_up |= b
-                        stack.append((p, True))
-                if connected:
-                    break
-                for c in self._children[x]:
-                    b = 1 << c
-                    if b & target:
-                        connected = True
-                        break
-                    if not seen_down & b:
-                        seen_down |= b
-                        stack.append((c, False))
-                if connected:
-                    break
-            else:
-                if (open_colliders >> x) & 1:
-                    for p in self._parents[x]:
-                        b = 1 << p
-                        if b & target:
-                            connected = True
-                            break
-                        if not seen_up & b:
-                            seen_up |= b
-                            stack.append((p, True))
-                    if connected:
-                        break
-                if not x_in_z:
-                    for c in self._children[x]:
-                        b = 1 << c
-                        if b & target:
-                            connected = True
-                            break
-                        if not seen_down & b:
-                            seen_down |= b
-                            stack.append((c, False))
-                    if connected:
-                        break
-        result = not connected
-        self._dsep_cache[key] = result
-        return result
+        while up or down:
+            to_parents = to_children = 0
+            # parents get the ball from non-conditioned nodes it reached from
+            # a child and from open colliders; children get it from every
+            # non-conditioned node
+            rest = (up & free) | (down & open_colliders)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                to_parents |= pa[low.bit_length() - 1]
+            rest = (up | down) & free
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                to_children |= ch[low.bit_length() - 1]
+            if (to_parents | to_children) & target:
+                self._dsep_cache[key] = False
+                return False
+            up = to_parents & inside & ~seen_up
+            down = to_children & inside & ~seen_down
+            seen_up |= up
+            seen_down |= down
+        self._dsep_cache[key] = True
+        return True
 
     def _check_id(self, v: int):
         if not (0 <= v < self.n):

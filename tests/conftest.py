@@ -47,3 +47,10 @@ def random_small_dags(count=24, max_n=7, seed=20240817):
                     edges.append((u, v))
         out.append(Dag(n, edges))
     return out
+
+
+def relabelled(g, rng):
+    """The same graph under a random permutation of the ids, so that the
+    identity is no longer a topological order."""
+    perm = rng.permutation(g.n)
+    return Dag(g.n, [(int(perm[a]), int(perm[b])) for a, b in g.edges])

@@ -64,6 +64,44 @@ def brute_force_d_separated(g, u, v, z):
     return True
 
 
+def moral_d_separated(g, u, v, z):
+    """d-separation by the ancestral moral graph (Lauritzen et al., Networks
+    1990): keep only An({u, v} | z), marry every pair of parents sharing a
+    child, drop directions, delete z, and ask whether u still reaches v."""
+    z = set(z)
+    parents = defaultdict(set)
+    for a, b in g.edges:
+        parents[b].add(a)
+    keep = {u, v} | z
+    stack = list(keep)
+    while stack:
+        for p in parents[stack.pop()]:
+            if p not in keep:
+                keep.add(p)
+                stack.append(p)
+    adj = defaultdict(set)
+    for x in keep:
+        # keep is ancestral, so every parent of a kept node is kept
+        family = sorted(parents[x])
+        for p in family:
+            adj[p].add(x)
+            adj[x].add(p)
+        for a, b in itertools.combinations(family, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    seen = {u}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        if x == v:
+            return False
+        for y in adj[x]:
+            if y not in seen and y not in z:
+                seen.add(y)
+                stack.append(y)
+    return True
+
+
 def closure_by_squaring(g):
     """Boolean transitive closure via repeated matrix squaring."""
     import numpy as np

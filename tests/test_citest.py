@@ -11,7 +11,7 @@ from scipy import stats
 import sada.citest
 import sada.solvers
 
-from sada.graph import Dag, generate_random_dag
+from sada.graph import Dag, GraphError, generate_random_dag
 from sada.solvers import solve_lingam
 from sada.synth import SampleMatrix, generate_discrete, generate_linear_nongaussian, sample_from_cpts
 from sada.citest import (
@@ -227,6 +227,21 @@ class TestExactOracle:
         assert o.find_separator(6, 1, {2, 3}) == {2, 3}
         assert o.separable(6, 1, {2, 3})
         assert not o.separable(6, 1, {3}, max_cond=None)
+
+    @pytest.mark.parametrize("u, v, pool, error", [
+        (0, 2, {1, 7}, GraphError),
+        (0, 2, [-1], GraphError),
+        (0, 9, {1}, GraphError),
+        (-1, 2, (), GraphError),
+        (0, 2, {0, 7}, CiError),
+        (-1, 2, {2}, CiError),
+    ])
+    def test_bad_pool_raises(self, chain3, u, v, pool, error):
+        o = ExactCiOracle(chain3)
+        for search in (o.find_separator, o.separable):
+            with pytest.raises(error) as info:
+                search(u, v, pool)
+            assert info.type is error
 
     def test_matches_bruteforce_scan(self):
         # the ancestor-restricted search must return the very same subset the

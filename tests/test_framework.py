@@ -7,7 +7,9 @@ from sada.framework import (
     FrameworkError,
     SadaConfig,
     SubproblemRecord,
+    _decode_pair,
     _grow_from_seed,
+    _pair_row_starts,
     find_causal_cut,
     merge_results,
     remove_conflicts_and_redundancy,
@@ -17,7 +19,7 @@ from sada.graph import CausalCut, Dag, generate_random_dag
 from sada.solvers import EdgeSet, make_oracle_solver, solve_lingam
 from sada.synth import generate_linear_nongaussian
 
-from conftest import NINE_NODE_EDGES, TableOracle
+from conftest import NINE_NODE_EDGES, TableOracle, relabelled
 from property_suites import check_merge_invariants
 
 
@@ -90,6 +92,14 @@ class TestGrowFromSeed:
         assert v1 == {0}
         assert cut == set()
         assert v2 == {1, 2}
+
+
+class TestPairDecode:
+    @pytest.mark.parametrize("n", [3, 4, 7, 30])
+    def test_enumerates_row_major_pairs(self, n):
+        starts = _pair_row_starts(n)
+        decoded = [_decode_pair(k, starts) for k in range(n * (n - 1) // 2)]
+        assert decoded == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 class TestFindCausalCut:
@@ -244,6 +254,13 @@ class TestRunSada:
             cfg = SadaConfig(theta=10, max_cond=None, seed=1000 + seed)
             run = OracleRun(g, cfg)
             assert run.result.pairs() == frozenset(g.edges), f"dag seed {seed}"
+
+    def test_exact_oracle_recovery_relabelled_n300(self):
+        g = relabelled(generate_random_dag(300, 1.25, seed=300), np.random.default_rng(301))
+        assert g.topological_order() != list(range(300))
+        cfg = SadaConfig(theta=10, max_cond=None, seed=302)
+        out = run_sada(None, range(300), cfg, make_oracle_solver(g), ExactCiOracle(g))
+        assert out.pairs() == frozenset(g.edges)
 
     def test_complete_graph_falls_back_to_full_solve(self):
         edges = [(u, v) for v in range(12) for u in range(v)]

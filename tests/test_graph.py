@@ -14,11 +14,12 @@ from sada.graph import (
     save_dag,
 )
 
-from conftest import random_small_dags
+from conftest import random_small_dags, relabelled
 from oracles import (
     brute_force_d_separated,
     closure_by_squaring,
     expected_edge_count,
+    moral_d_separated,
 )
 
 
@@ -191,6 +192,47 @@ class TestDSeparation:
                     continue
                 assert nine_node.d_separated(u, v, z) == brute_force_d_separated(
                     nine_node, u, v, z)
+
+
+class TestDSeparationAtScale:
+    """The confined Bayes ball against the ancestral moral graph, on larger
+    relabelled graphs than path enumeration can handle."""
+
+    @pytest.mark.parametrize("n", [30, 120])
+    def test_agrees_with_ancestral_moral_graph(self, n):
+        rng = np.random.default_rng(1990 + n)
+        through_collider = {True: 0, False: 0}
+        for d in (1.25, 2.0):
+            g = relabelled(generate_random_dag(n, d, seed=rng), rng)
+            assert g.topological_order() != list(range(n))
+            queries = []
+            for _ in range(150):
+                u, v = (int(x) for x in rng.choice(n, 2, replace=False))
+                others = [w for w in range(n) if w not in (u, v)]
+                k = int(rng.integers(0, 7))
+                queries.append((u, v, [int(x) for x in rng.choice(others, k, replace=False)]))
+            # a parent of a collider against its co-parent or a node outside
+            # the collider's descendants, given a strict descendant of the
+            # collider and possibly more: the collider opens only through z
+            colliders = [c for c in range(n) if len(g.parents(c)) >= 2 and g.descendants(c)]
+            for j in range(100):
+                c = colliders[int(rng.integers(len(colliders)))]
+                u, v = (int(x) for x in rng.choice(g.parents(c), 2, replace=False))
+                if j % 2:
+                    v = int(rng.choice([w for w in range(n)
+                                        if w not in (u, c) and w not in g.descendants(c)]))
+                below = sorted(g.descendants(c) - {u, v})
+                z = {below[int(rng.integers(len(below)))]}
+                others = [w for w in range(n) if w not in (u, v) and w not in z]
+                z.update(int(x) for x in rng.choice(others, int(rng.integers(0, 6)), replace=False))
+                queries.append((u, v, sorted(z)))
+            for i, (u, v, z) in enumerate(queries):
+                got = g.d_separated(u, v, z)
+                assert got == moral_d_separated(g, u, v, z), (n, d, u, v, z)
+                if i >= 150:
+                    through_collider[got] += 1
+        # the collider queries exercise both verdicts
+        assert through_collider[True] and through_collider[False]
 
 
 class TestEdgeListFormat:
