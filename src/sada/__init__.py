@@ -7,156 +7,4 @@ cleanup. Error bounds for the whole pipeline live in `bounds`, benchmark
 plumbing in `bench`, and a command-line front end in `cli`.
 """
 
-from .graph import (
-    CausalCut,
-    CycleError,
-    Dag,
-    EdgeListParseError,
-    GraphError,
-    generate_random_dag,
-    load_dag,
-    save_dag,
-)
-from .synth import (
-    SampleFormatError,
-    SampleMatrix,
-    SynthError,
-    generate_discrete,
-    generate_linear_nongaussian,
-    load_samples,
-    save_samples,
-)
-from .citest import (
-    CiError,
-    CiOracle,
-    CiVerdict,
-    ExactCiOracle,
-    GSquaredOracle,
-    InsufficientSamplesError,
-    PartialCorrelationOracle,
-    SingularConditioningError,
-    UnreliableTestError,
-    ci_exact,
-    ci_g2,
-    ci_partial_correlation,
-    find_separator,
-    g2_p_value,
-)
-from .solvers import (
-    Edge,
-    EdgeSet,
-    RankDeficientError,
-    SolverError,
-    make_oracle_solver,
-    oracle_solver,
-    solve_discrete_anm,
-    solve_lingam,
-)
-from .framework import (
-    CutRecord,
-    FrameworkError,
-    SadaConfig,
-    SubproblemRecord,
-    find_causal_cut,
-    merge_results,
-    remove_conflicts_and_redundancy,
-    run_sada,
-)
-from .bounds import (
-    BoundsError,
-    ErrorModel,
-    UndefinedModelError,
-    bounds_report,
-    conflict_removed_bound,
-    cut_error_bound,
-    cut_error_posterior,
-    expected_cut_error,
-    merge_counts,
-    merge_delta_threshold,
-    merge_gamma_threshold,
-    merge_precision_condition,
-    min_delta_for_recall,
-    redundancy_removed_bound,
-)
-from .bench import (
-    BenchError,
-    ExperimentGrid,
-    Metrics,
-    cut_error_ratio,
-    run_experiment,
-    score,
-    write_rows_csv,
-    write_summary_json,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BenchError",
-    "BoundsError",
-    "CausalCut",
-    "CiError",
-    "CiOracle",
-    "CiVerdict",
-    "CutRecord",
-    "CycleError",
-    "Dag",
-    "Edge",
-    "EdgeListParseError",
-    "EdgeSet",
-    "ErrorModel",
-    "ExactCiOracle",
-    "ExperimentGrid",
-    "FrameworkError",
-    "GSquaredOracle",
-    "GraphError",
-    "InsufficientSamplesError",
-    "Metrics",
-    "PartialCorrelationOracle",
-    "RankDeficientError",
-    "SadaConfig",
-    "SampleFormatError",
-    "SampleMatrix",
-    "SingularConditioningError",
-    "SolverError",
-    "SubproblemRecord",
-    "SynthError",
-    "UndefinedModelError",
-    "UnreliableTestError",
-    "bounds_report",
-    "ci_exact",
-    "ci_g2",
-    "ci_partial_correlation",
-    "conflict_removed_bound",
-    "cut_error_bound",
-    "cut_error_posterior",
-    "cut_error_ratio",
-    "expected_cut_error",
-    "find_causal_cut",
-    "find_separator",
-    "g2_p_value",
-    "generate_discrete",
-    "generate_linear_nongaussian",
-    "generate_random_dag",
-    "load_dag",
-    "load_samples",
-    "make_oracle_solver",
-    "merge_counts",
-    "merge_delta_threshold",
-    "merge_gamma_threshold",
-    "merge_precision_condition",
-    "merge_results",
-    "min_delta_for_recall",
-    "oracle_solver",
-    "redundancy_removed_bound",
-    "remove_conflicts_and_redundancy",
-    "run_experiment",
-    "run_sada",
-    "save_dag",
-    "save_samples",
-    "score",
-    "solve_discrete_anm",
-    "solve_lingam",
-    "write_rows_csv",
-    "write_summary_json",
-]

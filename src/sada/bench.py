@@ -54,14 +54,12 @@ def score(g_hat: EdgeSet, g_true: Dag) -> Metrics:
 
 def cut_error_ratio(cuts, g_true: Dag) -> float:
     """Fraction of true edges severed by any accepted cut: the endpoints
-    landed on opposite sides, so no subproblem ever sees both. Accepts the
-    driver's trace records or bare cuts."""
+    landed on opposite sides, so no subproblem ever sees both."""
     true_edges = g_true.edges
     if not true_edges:
         return 0.0
     severed = set()
-    for rec in cuts:
-        cut = rec.cut if hasattr(rec, "cut") else rec
+    for cut in cuts:
         for u, v in true_edges:
             if (u in cut.left and v in cut.right) or (u in cut.right and v in cut.left):
                 severed.add((u, v))
@@ -124,13 +122,12 @@ CSV_COLUMNS = ("model", "n", "m", "d", "w", "replicate", "method",
 
 
 def _subproblem_scores(log, g_true):
-    """(size, recall, precision) per solver invocation, against the true
-    subgraph induced on the subproblem's variables."""
+    """(size, recall, precision) per (variables, edges) solver invocation,
+    against the true subgraph induced on the subproblem's variables."""
     out = []
-    for rec in log:
-        vs = rec.variables
+    for vs, edges in log:
         true_sub = {(u, v) for u, v in g_true.edges if u in vs and v in vs}
-        got = rec.edges.pairs()
+        got = edges.pairs()
         correct = len(got & true_sub)
         recall = correct / len(true_sub) if true_sub else 1.0
         precision = correct / len(got) if got else 0.0
@@ -179,11 +176,16 @@ def _run_replicate(task):
         return rows, subs
 
     trace, log = [], []
+
+    def logged_solver(data, variables):
+        edges = solver(data, variables)
+        log.append((variables, edges))
+        return edges
+
     start = time.perf_counter()
     try:
-        edges = run_sada(data, range(n), cfg, solver, oracle,
-                         rng=np.random.default_rng(s_run),
-                         trace=trace, subproblem_log=log)
+        edges = run_sada(data, range(n), cfg, logged_solver, oracle,
+                         rng=np.random.default_rng(s_run), trace=trace)
         wall = (time.perf_counter() - start) * 1000.0
         metrics = score(edges, g_true)
         metrics = Metrics(metrics.recall, metrics.precision, metrics.f1,

@@ -322,21 +322,3 @@ class ExactCiOracle(CiOracle):
                     return frozenset(sub)
         return None
 
-
-def ci_partial_correlation(data, u, v, z=(), alpha_level=0.05) -> CiVerdict:
-    """One-off convenience; build a PartialCorrelationOracle for repeated use."""
-    return PartialCorrelationOracle(data, alpha_level).query(u, v, z)
-
-
-def ci_g2(data, u, v, z=(), alpha_level=0.05) -> CiVerdict:
-    """One-off convenience; build a GSquaredOracle for repeated use."""
-    return GSquaredOracle(data, alpha_level).query(u, v, z)
-
-
-def ci_exact(g, u, v, z=()) -> CiVerdict:
-    return ExactCiOracle(g).query(u, v, z)
-
-
-def find_separator(oracle: CiOracle, u, v, candidates, max_cond=3):
-    """Dispatch to the oracle's search so exact oracles keep their fast path."""
-    return oracle.find_separator(u, v, candidates, max_cond)

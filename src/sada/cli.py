@@ -213,11 +213,11 @@ def _cmd_discover(args):
         }
     if args.trace:
         report["cuts"] = [
-            {"variables": sorted(rec.variables),
-             "left": sorted(rec.cut.left),
-             "cut": sorted(rec.cut.cut_set),
-             "right": sorted(rec.cut.right)}
-            for rec in trace
+            {"variables": sorted(cut.left | cut.cut_set | cut.right),
+             "left": sorted(cut.left),
+             "cut": sorted(cut.cut_set),
+             "right": sorted(cut.right)}
+            for cut in trace
         ]
     text = json.dumps(report, indent=2)
     if args.out:

@@ -8,7 +8,7 @@ redundant direct edges.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -44,20 +44,6 @@ class SadaConfig:
             raise FrameworkError(f"max_cond must be None or an integer >= 0, got {self.max_cond}")
         if not (0.0 < self.alpha_level < 1.0):
             raise FrameworkError(f"alpha_level must lie in (0, 1), got {self.alpha_level}")
-
-
-class CutRecord(NamedTuple):
-    """One accepted cut together with the variable set it partitioned."""
-
-    variables: frozenset
-    cut: CausalCut
-
-
-class SubproblemRecord(NamedTuple):
-    """One solver invocation: the variables handed over and the edges returned."""
-
-    variables: frozenset
-    edges: EdgeSet
 
 
 def _grow_from_seed(oracle, ordered_vars, u, v, seed_separator, max_cond):
@@ -230,7 +216,7 @@ def merge_results(g1: EdgeSet, g2: EdgeSet, oracle, max_cond=3) -> EdgeSet:
 
 
 def run_sada(data, variables, cfg: SadaConfig, solver, oracle, rng=None,
-             trace=None, subproblem_log=None) -> EdgeSet:
+             trace=None) -> EdgeSet:
     """Recursive split-and-merge driver.
 
     Solves `variables` directly once it is no bigger than cfg.theta or no cut
@@ -238,8 +224,8 @@ def run_sada(data, variables, cfg: SadaConfig, solver, oracle, rng=None,
     the cut set) and merges the partial results.  `solver` is called as
     solver(data, variable_set) and must return an EdgeSet.
 
-    Optional hooks: `trace` (a list) receives a CutRecord per accepted cut,
-    `subproblem_log` (a list) a SubproblemRecord per solver invocation.
+    `trace` (a list), when given, receives every accepted CausalCut; the
+    variables a cut partitioned are left | cut_set | right.
     """
     vs = sorted(int(w) for w in variables)
     if not vs:
@@ -252,27 +238,16 @@ def run_sada(data, variables, cfg: SadaConfig, solver, oracle, rng=None,
         raise FrameworkError(f"variable id {vs[-1]} out of range for {data.n} columns")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    return _run(data, vs, cfg, solver, oracle, rng, trace, subproblem_log)
+    return _run(data, vs, cfg, solver, oracle, rng, trace)
 
 
-def _solve_leaf(data, vs, solver, subproblem_log):
-    edges = solver(data, set(vs))
-    if subproblem_log is not None:
-        subproblem_log.append(SubproblemRecord(frozenset(vs), edges))
-    return edges
-
-
-def _run(data, vs, cfg, solver, oracle, rng, trace, subproblem_log):
-    if len(vs) <= cfg.theta:
-        return _solve_leaf(data, vs, solver, subproblem_log)
-    cut = find_causal_cut(oracle, vs, cfg, rng=rng)
+def _run(data, vs, cfg, solver, oracle, rng, trace):
+    cut = None if len(vs) <= cfg.theta else find_causal_cut(oracle, vs, cfg, rng=rng)
     if cut is None:
-        return _solve_leaf(data, vs, solver, subproblem_log)
+        return solver(data, set(vs))
     if trace is not None:
-        trace.append(CutRecord(frozenset(vs), cut))
+        trace.append(cut)
     rng1, rng2 = rng.spawn(2)
-    left = sorted(cut.left | cut.cut_set)
-    right = sorted(cut.right | cut.cut_set)
-    g1 = _run(data, left, cfg, solver, oracle, rng1, trace, subproblem_log)
-    g2 = _run(data, right, cfg, solver, oracle, rng2, trace, subproblem_log)
+    g1 = _run(data, sorted(cut.left | cut.cut_set), cfg, solver, oracle, rng1, trace)
+    g2 = _run(data, sorted(cut.right | cut.cut_set), cfg, solver, oracle, rng2, trace)
     return merge_results(g1, g2, oracle, max_cond=cfg.max_cond)

@@ -63,8 +63,9 @@ def check_ci_size(num_queries=1000, m=400, alpha=0.05, slack=0.03, seed=414243):
 
 def check_merge_invariants(num_cases=10000, seed=987123):
     """Conflict/redundancy cleanup on randomized edge sets: output is always
-    acyclic and a subset of the input; with an always-dependent oracle an
-    acyclic input passes through untouched, and significances are preserved."""
+    acyclic and a subset of the input, a second cleanup leaves it unchanged;
+    with an always-dependent oracle an acyclic input passes through untouched,
+    and significances are preserved."""
     rng = np.random.default_rng(seed)
     dependent = _AlwaysDependent()
     cases = 0
@@ -83,6 +84,8 @@ def check_merge_invariants(num_cases=10000, seed=987123):
         out = remove_conflicts_and_redundancy(edges, oracle, max_cond=3)
         Dag(n, out.pairs())  # raises CycleError on any cycle
         assert out.pairs() <= edges.pairs()
+        assert remove_conflicts_and_redundancy(out, oracle, max_cond=3) == out, \
+            "a second cleanup changed the output"
         for e in out:
             assert e.significance == edges.significance(e.parent, e.child)
         if oracle is dependent:

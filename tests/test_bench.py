@@ -16,7 +16,7 @@ from sada.bench import (
     write_summary_json,
 )
 from sada.citest import ExactCiOracle
-from sada.framework import CutRecord, SadaConfig, run_sada
+from sada.framework import SadaConfig, run_sada
 from sada.graph import CausalCut, Dag
 from sada.solvers import EdgeSet, make_oracle_solver
 
@@ -86,12 +86,6 @@ class TestCutErrorRatio:
         bad = CausalCut(frozenset({0}), frozenset(), frozenset({1, 2, 3}))
         worse = CausalCut(frozenset({0, 2}), frozenset(), frozenset({1, 3}))
         assert cut_error_ratio([bad, worse], g) == 1.0
-
-    def test_accepts_trace_records(self):
-        g = Dag(4, [(0, 1), (2, 3)])
-        rec = CutRecord(frozenset(range(4)),
-                        CausalCut(frozenset({0}), frozenset(), frozenset({1, 2, 3})))
-        assert cut_error_ratio([rec], g) == 0.5
 
     def test_edgeless_truth(self):
         cut = CausalCut(frozenset({0}), frozenset(), frozenset({1}))

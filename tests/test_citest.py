@@ -24,10 +24,6 @@ from sada.citest import (
     SingularConditioningError,
     UnreliableTestError,
     _g2_from_tables,
-    ci_exact,
-    ci_g2,
-    ci_partial_correlation,
-    find_separator,
 )
 
 from conftest import random_small_dags
@@ -126,11 +122,6 @@ class TestPartialCorrelation:
         with pytest.raises(CiError):
             PartialCorrelationOracle(disc)
 
-    def test_convenience_wrapper(self):
-        rng = np.random.default_rng(4)
-        data = SampleMatrix(rng.random((400, 2)), "continuous")
-        assert ci_partial_correlation(data, 0, 1) == PartialCorrelationOracle(data).query(0, 1)
-
 
 class TestGSquared:
     def test_edgeless_acceptance_rate(self):
@@ -198,10 +189,6 @@ class TestGSquared:
         with pytest.raises(CiError):
             GSquaredOracle(cont)
 
-    def test_convenience_wrapper(self):
-        sm = generate_discrete(CHAIN, m=2000, seed=9)
-        assert ci_g2(sm, 0, 1) == GSquaredOracle(sm).query(0, 1)
-
 
 class TestExactOracle:
     def test_verdicts_and_p_values(self, chain3):
@@ -210,7 +197,6 @@ class TestExactOracle:
         sep = o.query(0, 2, (1,))
         assert (dep.independent, dep.p_value) == (False, 0.0)
         assert (sep.independent, sep.p_value) == (True, 1.0)
-        assert ci_exact(chain3, 0, 2, (1,)) == sep
 
     def test_collider_separator_is_empty_set(self):
         o = ExactCiOracle(VSTRUCT)
@@ -268,14 +254,14 @@ class TestFindSeparatorDispatch:
     def test_statistical_chain(self):
         sm = generate_linear_nongaussian(CHAIN, m=2000, seed=21)
         o = PartialCorrelationOracle(sm)
-        assert find_separator(o, 0, 2, {1}) == {1}
+        assert o.find_separator(0, 2, {1}) == {1}
 
     def test_candidate_pool_excludes_pair(self, chain3):
         with pytest.raises(CiError):
-            find_separator(ExactCiOracle(chain3), 0, 2, {0, 1})
+            ExactCiOracle(chain3).find_separator(0, 2, {0, 1})
 
     def test_cap_zero_only_empty_subset(self, chain3):
-        assert find_separator(ExactCiOracle(chain3), 0, 2, {1}, max_cond=0) is None
+        assert ExactCiOracle(chain3).find_separator(0, 2, {1}, max_cond=0) is None
 
     def test_unreliable_subsets_are_skipped(self):
         # m=100 makes |z|=1 unreliable for k=3, so only the empty set is
@@ -283,14 +269,14 @@ class TestFindSeparatorDispatch:
         rng = np.random.default_rng(2)
         sm = sample_from_cpts(CHAIN, _copy_chain_cpts(peak=0.9), 3, m=100, rng=rng)
         o = GSquaredOracle(sm)
-        assert find_separator(o, 0, 2, {1}) is None
+        assert o.find_separator(0, 2, {1}) is None
         # an unlinked pair still separates through the decidable empty set
         free = SampleMatrix(
             np.column_stack([
                 rng.integers(0, 3, 100), rng.integers(0, 3, 100), rng.integers(0, 3, 100),
             ]), "discrete", num_states=3)
         o2 = GSquaredOracle(free)
-        assert find_separator(o2, 0, 1, {2}) == frozenset()
+        assert o2.find_separator(0, 1, {2}) == frozenset()
 
 
 class InverseFisherZ:
@@ -438,10 +424,11 @@ class TestScipyStatsEquivalence:
 
 def test_import_does_not_load_scipy_stats():
     # scipy.stats costs over half a second to import; sada needs only
-    # scipy.special, so a fresh interpreter must not pull it in
+    # scipy.special, so a fresh interpreter must not pull it in. sada.cli
+    # imports every other module of the package.
     src = Path(sada.citest.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
-        [sys.executable, "-c", "import sada, sys; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", "import sada.cli, sys; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

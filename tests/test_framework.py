@@ -3,10 +3,8 @@ import pytest
 
 from sada.citest import ExactCiOracle, PartialCorrelationOracle
 from sada.framework import (
-    CutRecord,
     FrameworkError,
     SadaConfig,
-    SubproblemRecord,
     _decode_pair,
     _grow_from_seed,
     _pair_row_starts,
@@ -210,16 +208,20 @@ class TestMerge:
 
 
 class OracleRun:
-    """Bundle of one exact-oracle run's output and hooks."""
+    """Bundle of one exact-oracle run's output, its accepted cuts, and the
+    variable set of every solver call."""
 
     def __init__(self, g, cfg, vars_=None):
         self.trace = []
-        self.log = []
-        solver = make_oracle_solver(g)
-        oracle = ExactCiOracle(g)
+        self.leaves = []
+        oracle_solver = make_oracle_solver(g)
+
+        def solver(data, variables):
+            self.leaves.append(frozenset(variables))
+            return oracle_solver(data, variables)
+
         vs = range(g.n) if vars_ is None else vars_
-        self.result = run_sada(None, vs, cfg, solver, oracle,
-                               trace=self.trace, subproblem_log=self.log)
+        self.result = run_sada(None, vs, cfg, solver, ExactCiOracle(g), trace=self.trace)
 
 
 class TestRunSada:
@@ -228,25 +230,28 @@ class TestRunSada:
         run = OracleRun(nine_node, cfg)
         assert run.result.pairs() == frozenset(NINE_NODE_EDGES)
         assert run.trace == []
-        assert run.log == [SubproblemRecord(frozenset(range(9)), run.result)]
+        assert run.leaves == [frozenset(range(9))]
 
     def test_recursive_run_recovers_truth(self, nine_node):
         cfg = SadaConfig(theta=4, max_cond=None, seed=3)
         run = OracleRun(nine_node, cfg)
         assert run.result.pairs() == frozenset(NINE_NODE_EDGES)
         assert len(run.trace) >= 1
-        for rec in run.trace:
-            assert isinstance(rec, CutRecord)
-            assert rec.cut.left and rec.cut.right
-            assert rec.cut.left | rec.cut.cut_set | rec.cut.right == rec.variables
+        # each cut partitions the root or a subproblem of an earlier cut
+        subproblems = {frozenset(range(9))}
+        for cut in run.trace:
+            assert isinstance(cut, CausalCut)
+            assert cut.left and cut.right
+            assert cut.left | cut.cut_set | cut.right in subproblems
+            subproblems |= {cut.left | cut.cut_set, cut.right | cut.cut_set}
 
     def test_subproblem_shrinkage(self, nine_node):
         cfg = SadaConfig(theta=4, max_cond=None, seed=3)
         run = OracleRun(nine_node, cfg)
-        for rec in run.trace:
-            parent = len(rec.variables)
-            assert len(rec.cut.left | rec.cut.cut_set) < parent
-            assert len(rec.cut.right | rec.cut.cut_set) < parent
+        for cut in run.trace:
+            parent = len(cut.left | cut.cut_set | cut.right)
+            assert len(cut.left | cut.cut_set) < parent
+            assert len(cut.right | cut.cut_set) < parent
 
     def test_exact_oracle_recovery_smoke(self):
         for seed in range(5):
@@ -269,7 +274,7 @@ class TestRunSada:
         run = OracleRun(g, cfg)
         assert run.result.pairs() == frozenset(edges)
         assert run.trace == []
-        assert [len(r.variables) for r in run.log] == [12]
+        assert [len(vs) for vs in run.leaves] == [12]
 
     def test_output_acyclic_and_in_range(self, nine_node):
         for seed in range(6):
@@ -284,7 +289,7 @@ class TestRunSada:
         b = OracleRun(nine_node, cfg)
         assert a.result == b.result
         assert a.trace == b.trace
-        assert a.log == b.log
+        assert a.leaves == b.leaves
 
     def test_variable_subset_run(self, nine_node):
         cfg = SadaConfig(theta=2, max_cond=None, seed=8)
