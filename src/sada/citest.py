@@ -92,6 +92,12 @@ def _checked_ids(n: int, u: int, v: int, z) -> tuple:
     return zt
 
 
+# A conditional variance at or below this fraction of the variable's own
+# variance is rounding noise of an exactly or nearly collinear set, not a
+# property of the data: Fisher-z refuses it as singular.
+PIVOT_TOL = 1e-10
+
+
 class PartialCorrelationOracle(CiOracle):
     """Fisher-z test of the partial correlation, from one precomputed
     correlation matrix; suited to the linear continuous model."""
@@ -106,9 +112,10 @@ class PartialCorrelationOracle(CiOracle):
         self._n = data.n
         sd = data.values.std(axis=0)
         self._constant = (sd <= 0).tolist()
-        # nested lists: the per-query arithmetic runs on Python floats
         with np.errstate(invalid="ignore", divide="ignore"):
-            self._corr = np.corrcoef(data.values, rowvar=False).tolist()
+            self._corr_array = np.corrcoef(data.values, rowvar=False)
+        # nested lists: the per-query arithmetic runs on Python floats
+        self._corr = self._corr_array.tolist()
         self._cache: dict = {}
 
     def query(self, u, v, z=()) -> CiVerdict:
@@ -128,16 +135,18 @@ class PartialCorrelationOracle(CiOracle):
                 raise SingularConditioningError(f"column {w} is constant")
         c = self._corr
         if len(zt) > 2:
-            idx = (u, v) + zt
+            idx = np.array((u, v) + zt)
             try:
-                prec = np.linalg.inv([[c[i][j] for j in idx] for i in idx])
+                prec = np.linalg.inv(self._corr_array[idx[:, None], idx])
             except np.linalg.LinAlgError:
                 raise SingularConditioningError(
                     "conditioning covariance is singular") from None
-            denom = float(prec[0, 0] * prec[1, 1])
-            if denom <= 0:
+            # 1 / d[j] is the variance of idx[j] given all the others: its
+            # pivot when eliminated last, relative to the unit diagonal
+            d = prec.diagonal().tolist()
+            if not (min(d) > 0 and max(d) * PIVOT_TOL < 1):
                 raise SingularConditioningError("conditioning covariance is singular")
-            r = -float(prec[0, 1]) / math.sqrt(denom)
+            r = -float(prec[0, 1]) / math.sqrt(d[0] * d[1])
         elif zt:
             r = _closed_partial_corr(c, u, v, zt)
         else:
@@ -157,27 +166,76 @@ def _closed_partial_corr(c, u, v, zt) -> float:
     """Partial correlation of u and v given one or two variables, eliminating
     each conditioning variable in turn from the correlation entries (a Schur
     complement scaled by the pivot, so nothing is divided before the end).
-    Raises SingularConditioningError when the conditioning set is collinear
-    (a pivot is not positive) or the conditional covariance of u and v is
-    singular, the cases in which the matrix inverse breaks down."""
+    Raises SingularConditioningError when a pivot, in the order zt, u, v, is
+    not above PIVOT_TOL times its diagonal entry (1 in a correlation matrix):
+    the set is collinear, or the conditional covariance of u and v is
+    singular, up to rounding."""
     w = zt[0]
     cu, cv, cw = c[u], c[v], c[w]
     a = cw[w]
     uu = cu[u] * a - cu[w] * cu[w]
     vv = cv[v] * a - cv[w] * cv[w]
     uv = cu[v] * a - cu[w] * cv[w]
+    # the entries are scaled by the product of the pivots so far; so is tol
+    tol = PIVOT_TOL * a
     if len(zt) == 2:
         x = zt[1]
         xx = c[x][x] * a - cw[x] * cw[x]
-        if xx <= 0:
+        if not xx > tol:
             raise SingularConditioningError("conditioning covariance is singular")
         ux = cu[x] * a - cu[w] * cw[x]
         vx = cv[x] * a - cv[w] * cw[x]
         uu, vv, uv = uu * xx - ux * ux, vv * xx - vx * vx, uv * xx - ux * vx
-    denom = uu * vv
-    if denom <= uv * uv:
+        tol *= xx
+    if not (uu > tol and uu * vv - uv * uv > tol * uu):
         raise SingularConditioningError("conditioning covariance is singular")
-    return uv / math.sqrt(denom)
+    return uv / math.sqrt(uu * vv)
+
+
+class G2Kernel:
+    """G2 and its degrees of freedom over stacked (stratum, k, k) count tables
+    of at most m samples, for every stratum at once:
+
+        G2 = 2 * [sum of x log x over the cells - the same over the row
+                  marginals - the same over the column marginals + the
+                  same over the stratum totals],
+
+    with x log x read from a table of m + 1 entries. One matrix product
+    spreads each stratum's cells into cells, row and column marginals and
+    total; the dof sums (nonzero rows - 1) * (nonzero columns - 1) over the
+    non-empty strata, so empty strata and zero marginals add nothing."""
+
+    __slots__ = ("_xlogx", "_spread", "_sign", "_free")
+
+    def __init__(self, num_states: int, m: int):
+        k = int(num_states)
+        x = np.arange(m + 1, dtype=float)
+        self._xlogx = x * np.log(np.maximum(x, 1.0))
+        eye, ones = np.eye(k, dtype=np.int64), np.ones((k, 1), dtype=np.int64)
+        # columns: the k * k cells, the k row marginals, the k column
+        # marginals and the total, for the cell index row * k + column
+        self._spread = np.hstack((np.eye(k * k, dtype=np.int64), np.kron(eye, ones),
+                                  np.kron(ones, eye), np.ones((k * k, 1), dtype=np.int64)))
+        self._sign = np.concatenate((np.ones(k * k), -np.ones(2 * k), [1.0]))
+        # nonzero rows - [stratum non-empty], nonzero columns - [stratum non-empty]
+        free = np.zeros((k * k + 2 * k + 1, 2), dtype=np.int64)
+        free[k * k:k * k + k, 0] = 1
+        free[k * k + k:-1, 1] = 1
+        free[-1] = -1
+        self._free = free
+
+    def __call__(self, tables) -> tuple:
+        """(G2, dof) of the (stratum, k, k) count tables."""
+        spread = tables.reshape(len(tables), -1) @ self._spread
+        g2 = 2.0 * float((self._xlogx[spread] @ self._sign).sum())
+        free = (spread > 0) @ self._free
+        return max(g2, 0.0), int(free[:, 0] @ free[:, 1])
+
+    def p_value(self, tables) -> float:
+        """chi2 survival of G2; a degenerate table (dof 0) carries no evidence
+        against independence."""
+        g2, dof = self(tables)
+        return 1.0 if dof == 0 else float(chdtrc(dof, g2))
 
 
 class GSquaredOracle(CiOracle):
@@ -190,10 +248,12 @@ class GSquaredOracle(CiOracle):
         if not (0 < alpha_level < 1):
             raise CiError(f"alpha must lie in (0, 1), got {alpha_level}")
         self.alpha_level = alpha_level
-        self._vals = data.values
+        # one contiguous code array per column
+        self._cols = np.ascontiguousarray(data.values.T)
         self._m = data.m
         self._n = data.n
         self._k = int(data.num_states)
+        self._g2 = G2Kernel(self._k, self._m)
         self._cache: dict = {}
 
     def query(self, u, v, z=()) -> CiVerdict:
@@ -209,50 +269,28 @@ class GSquaredOracle(CiOracle):
         if self._m < 10 * nominal_dof:
             raise UnreliableTestError(
                 f"m={self._m} below 10*dof={10 * nominal_dof} for |z|={len(zt)}")
-        code = self._vals[:, v] + k * self._vals[:, u]
+        cols = self._cols
+        code = cols[v] + k * cols[u]
         base = k * k
         for w in zt:
-            code = code + base * self._vals[:, w]
+            code += base * cols[w]
             base *= k
-        tables = np.bincount(code, minlength=base).reshape(-1, k, k)
-        g2, dof = _g2_from_tables(tables)
-        if dof == 0:
-            verdict = CiVerdict(True, 1.0)
-        else:
-            p = float(chdtrc(dof, max(g2, 0.0)))
-            verdict = CiVerdict(p > self.alpha_level, p)
+        p = self._g2.p_value(np.bincount(code, minlength=base).reshape(-1, k, k))
+        verdict = CiVerdict(p > self.alpha_level, p)
         self._cache[key] = verdict
         return verdict
 
 
-def _g2_from_tables(tables) -> tuple:
-    """G2 and degrees of freedom over stacked (stratum, k, k) count tables.
-    Empty strata contribute nothing; zero row or column marginals shrink the
-    dof; cells with zero counts contribute zero to the statistic."""
-    g2 = 0.0
-    dof = 0
-    for table in tables:
-        total = table.sum()
-        if total == 0:
-            continue
-        rows = table.sum(axis=1)
-        cols = table.sum(axis=0)
-        dof += max(int((rows > 0).sum()) - 1, 0) * max(int((cols > 0).sum()) - 1, 0)
-        expected = np.outer(rows, cols) / total
-        mask = table > 0
-        g2 += 2.0 * float((table[mask] * np.log(table[mask] / expected[mask])).sum())
-    return max(g2, 0.0), dof
-
-
 def g2_p_value(a, b, num_states: int) -> float:
-    """Marginal G2 independence p-value for two coded integer columns; a
-    degenerate table (dof 0) carries no evidence against independence."""
+    """Marginal G2 independence p-value for two coded integer columns of equal
+    length; a degenerate table (dof 0) carries no evidence against
+    independence."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 1 or b.ndim != 1 or len(a) != len(b):
+        raise CiError(f"need two 1-D columns of equal length, got shapes {a.shape} and {b.shape}")
     k = int(num_states)
-    table = np.bincount(np.asarray(b) + k * np.asarray(a), minlength=k * k).reshape(1, k, k)
-    g2, dof = _g2_from_tables(table)
-    if dof == 0:
-        return 1.0
-    return float(chdtrc(dof, g2))
+    table = np.bincount(b + k * a, minlength=k * k).reshape(1, k, k)
+    return G2Kernel(k, len(a)).p_value(table)
 
 
 class ExactCiOracle(CiOracle):

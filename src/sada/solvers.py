@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import chdtrc
 
-from .citest import g2_p_value
+from .citest import G2Kernel
 from .graph import Dag
 from .synth import SampleMatrix
 
@@ -202,6 +202,11 @@ def solve_discrete_anm(data: SampleMatrix, variables, alpha: float = 0.05) -> Ed
     test (y - f(x)) mod k against x with G2. A direction is emitted only when
     its residual test accepts and the reverse one rejects; ambiguity emits
     nothing, and cycles are left for the merge stage to resolve.
+
+    Both directions of a pair come from one joint count table: the (x,
+    residual) table is each row of the (x, y) table rotated left by that
+    row's mode (the first maximum), and the (y, residual) table is the same
+    rotation of the transposed table.
     """
     if data.kind != "discrete":
         raise SolverError("additive-noise solver needs discrete samples")
@@ -211,23 +216,27 @@ def solve_discrete_anm(data: SampleMatrix, variables, alpha: float = 0.05) -> Ed
     if len(vs) < 2:
         return EdgeSet()
     k = int(data.num_states)
+    g2 = G2Kernel(k, data.m)
     cols = {v: data.values[:, v] for v in vs}
     usable = [v for v in vs if cols[v].min() != cols[v].max()]
-    forward_p = {}
-    for x_var in usable:
-        for y_var in usable:
-            if x_var == y_var:
-                continue
-            x, y = cols[x_var], cols[y_var]
-            table = np.bincount(y + k * x, minlength=k * k).reshape(k, k)
-            mode = table.argmax(axis=1)
-            resid = (y - mode[x]) % k
-            forward_p[(x_var, y_var)] = g2_p_value(x, resid, k)
+    # indices into the flat (x, y) table: its k rows, then the k rows of the
+    # transposed table; rotate[row, mode] is that row rotated left by mode
+    cells = np.arange(k * k).reshape(k, k)
+    rows = np.concatenate((cells, cells.T))
+    shift = np.arange(k)
+    rank = np.arange(2 * k)
+    rotate = rows[rank[:, None, None], (shift[:, None] + shift) % k]
     result = EdgeSet()
-    for (x_var, y_var), p_fwd in forward_p.items():
-        p_bwd = forward_p[(y_var, x_var)]
-        if p_fwd > alpha and p_bwd <= alpha:
-            result.add(x_var, y_var, p_fwd)
+    for i, a in enumerate(usable):
+        for b in usable[i + 1:]:
+            joint = np.bincount(cols[b] + k * cols[a], minlength=k * k)
+            modes = joint[rows].argmax(axis=1)
+            resid = joint[rotate[rank, modes]].reshape(2, k, k)
+            p_ab, p_ba = g2.p_value(resid[:1]), g2.p_value(resid[1:])
+            if p_ab > alpha and p_ba <= alpha:
+                result.add(a, b, p_ab)
+            elif p_ba > alpha and p_ab <= alpha:
+                result.add(b, a, p_ba)
     return result
 
 

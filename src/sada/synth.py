@@ -44,6 +44,24 @@ class SampleMatrix:
         if self.kind == "discrete":
             if self.num_states is None or self.num_states < 2:
                 raise SynthError("discrete samples need num_states >= 2")
+            self._check_states()
+
+    def _check_states(self):
+        """Discrete states must be integers in [0, num_states): the count
+        tables index by them, so anything else would silently miscount."""
+        vals = self.values
+        if not np.issubdtype(vals.dtype, np.integer):
+            raise SynthError(f"discrete states must be integers, but column 0 "
+                             f"(like every column) has dtype {vals.dtype}")
+        if vals.size == 0:
+            return
+        lo, hi = vals.min(axis=0), vals.max(axis=0)
+        bad = np.flatnonzero((lo < 0) | (hi >= self.num_states))
+        if bad.size:
+            col = int(bad[0])
+            state = int(lo[col] if lo[col] < 0 else hi[col])
+            raise SynthError(f"column {col} holds state {state}, outside "
+                             f"[0, {self.num_states}) for num_states={self.num_states}")
 
     @property
     def m(self) -> int:
@@ -175,7 +193,5 @@ def load_samples(path, num_states: int | None = None) -> SampleMatrix:
     if all_int and np.all(values >= 0):
         ints = values.astype(np.int64)
         k = num_states if num_states is not None else int(ints.max()) + 1
-        if ints.max() >= k:
-            raise SynthError(f"state {int(ints.max())} out of range for num_states={k}")
         return SampleMatrix(ints, "discrete", num_states=max(k, 2))
     return SampleMatrix(values, "continuous")

@@ -189,3 +189,53 @@ def mc_merge_counts(e1, e2, ec, f1, f2, fc, R1, R2, r1, r2, trials, rng):
         return float(total.mean()), float(total.std(ddof=1) / math.sqrt(trials))
 
     return tally(e1, e2, ec, R1, R2), tally(f1, f2, fc, r1, r2)
+
+
+def g2_from_tables_reference(tables):
+    """G2 and degrees of freedom over stacked (stratum, k, k) count tables,
+    one stratum at a time from expected counts. Empty strata contribute
+    nothing; zero row or column marginals shrink the dof; cells with zero
+    counts contribute zero to the statistic."""
+    import numpy as np
+
+    g2 = 0.0
+    dof = 0
+    for table in tables:
+        total = table.sum()
+        if total == 0:
+            continue
+        rows = table.sum(axis=1)
+        cols = table.sum(axis=0)
+        dof += max(int((rows > 0).sum()) - 1, 0) * max(int((cols > 0).sum()) - 1, 0)
+        expected = np.outer(rows, cols) / total
+        mask = table > 0
+        g2 += 2.0 * float((table[mask] * np.log(table[mask] / expected[mask])).sum())
+    return max(g2, 0.0), dof
+
+
+def discrete_anm_four_pass(data, variables, alpha=0.05):
+    """The additive-noise solver pair by ordered pair: count the (x, y) table,
+    take each row's first mode, form the cyclic residual column and test it
+    against x with a fresh marginal G2 table."""
+    import numpy as np
+
+    from sada.citest import g2_p_value
+    from sada.solvers import EdgeSet
+
+    k = int(data.num_states)
+    vs = sorted({int(v) for v in variables})
+    cols = {v: data.values[:, v] for v in vs}
+    usable = [v for v in vs if cols[v].min() != cols[v].max()]
+    forward_p = {}
+    for x_var in usable:
+        for y_var in usable:
+            if x_var == y_var:
+                continue
+            x, y = cols[x_var], cols[y_var]
+            mode = np.bincount(y + k * x, minlength=k * k).reshape(k, k).argmax(axis=1)
+            forward_p[(x_var, y_var)] = g2_p_value(x, (y - mode[x]) % k, k)
+    result = EdgeSet()
+    for (x_var, y_var), p_fwd in forward_p.items():
+        if p_fwd > alpha and forward_p[(y_var, x_var)] <= alpha:
+            result.add(x_var, y_var, p_fwd)
+    return result

@@ -18,16 +18,17 @@ from sada.citest import (
     CiError,
     CiVerdict,
     ExactCiOracle,
+    G2Kernel,
     GSquaredOracle,
     InsufficientSamplesError,
     PartialCorrelationOracle,
     SingularConditioningError,
     UnreliableTestError,
-    _g2_from_tables,
+    g2_p_value,
 )
 
 from conftest import random_small_dags
-from oracles import exists_separator_brute
+from oracles import exists_separator_brute, g2_from_tables_reference
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
 VSTRUCT = Dag(3, [(0, 2), (1, 2)])
@@ -94,11 +95,17 @@ class TestPartialCorrelation:
             o.query(0, 1, (2, 3))
 
     def test_singular_conditioning(self):
+        # columns 2 to 4 repeat x exactly, or up to rounding (3x, x + 1):
+        # every conditioning set holding two of them, or x and one of them,
+        # is collinear, at any |z|
         rng = np.random.default_rng(0)
-        x, y = rng.random(500), rng.random(500)
-        data = SampleMatrix(np.column_stack([x, y, x.copy()]), "continuous")
-        with pytest.raises(SingularConditioningError):
-            PartialCorrelationOracle(data).query(0, 1, (2,))
+        x, y, w, t = rng.random((4, 500))
+        data = SampleMatrix(np.column_stack([x, y, x.copy(), 3 * x, x + 1, w, t]), "continuous")
+        o = PartialCorrelationOracle(data)
+        for u, v, z in [(0, 1, (2,)), (1, 5, (0, 3)), (1, 5, (3, 4)), (5, 6, (0, 4)),
+                        (1, 5, (0, 3, 6)), (1, 5, (2, 4, 6)), (1, 6, (0, 2, 3))]:
+            with pytest.raises(SingularConditioningError):
+                o.query(u, v, z)
 
     def test_constant_column(self):
         data = SampleMatrix(
@@ -188,6 +195,69 @@ class TestGSquared:
         cont = SampleMatrix(np.random.default_rng(0).random((10, 2)), "continuous")
         with pytest.raises(CiError):
             GSquaredOracle(cont)
+
+    def test_g2_p_value_rejects_mismatched_columns(self):
+        for a, b in [(np.array([1]), np.arange(9) % 3),
+                     (np.zeros((3, 3), dtype=int), np.arange(9) % 3),
+                     (np.arange(9) % 3, np.zeros((9, 1), dtype=int))]:
+            with pytest.raises(CiError):
+                g2_p_value(a, b, 3)
+
+
+class TestG2Kernel:
+    """The all-strata kernel against the per-stratum expected-count loop."""
+
+    @staticmethod
+    def _tables(rng, k, strata, m):
+        codes = rng.integers(0, k * k * strata, size=m)
+        tables = np.bincount(codes, minlength=k * k * strata).reshape(strata, k, k)
+        # empty strata, and zero row and column marginals in others
+        tables[rng.random(strata) < 0.25] = 0
+        for s in np.flatnonzero(rng.random(strata) < 0.3):
+            tables[s, rng.integers(0, k), :] = 0
+        for s in np.flatnonzero(rng.random(strata) < 0.3):
+            tables[s, :, rng.integers(0, k)] = 0
+        return tables
+
+    def test_matches_per_stratum_reference(self):
+        rng = np.random.default_rng(17)
+        cases = empty = shrunk = 0
+        for k in (2, 3, 4):
+            for z in (0, 1, 2):
+                for m in (5, 40, 300):
+                    kernel = G2Kernel(k, m)
+                    for _ in range(30):
+                        tables = self._tables(rng, k, k ** z, m)
+                        got_g2, got_dof = kernel(tables)
+                        want_g2, want_dof = g2_from_tables_reference(tables)
+                        assert got_dof == want_dof
+                        assert abs(got_g2 - want_g2) <= 1e-9
+                        want_p = float(stats.chi2.sf(want_g2, want_dof)) if want_dof else 1.0
+                        assert (kernel.p_value(tables) > 0.05) == (want_p > 0.05)
+                        cases += 1
+                        empty += bool((tables.sum(axis=(1, 2)) == 0).any())
+                        shrunk += want_dof < (k - 1) ** 2 * k ** z
+        assert cases == 810 and empty > 100 and shrunk > 300
+
+    def test_oracle_verdicts_match_reference(self):
+        # the oracle's verdicts are the reference statistic's, query by query
+        rng = np.random.default_rng(23)
+        for k, m in ((2, 400), (3, 1000), (4, 1800)):
+            sm = generate_discrete(generate_random_dag(8, 1.25, seed=k), m=m, num_states=k, seed=k)
+            o = GSquaredOracle(sm)
+            for u, v, z in _random_queries(sm.n, 200, rng):
+                z = z[:2]
+                code = sm.values[:, v] + k * sm.values[:, u]
+                for i, w in enumerate(z):
+                    code = code + k ** (i + 2) * sm.values[:, w]
+                tables = np.bincount(code, minlength=k ** (len(z) + 2)).reshape(-1, k, k)
+                g2, dof = g2_from_tables_reference(tables)
+                want = True if dof == 0 else float(stats.chi2.sf(g2, dof)) > o.alpha_level
+                try:
+                    got = o.query(u, v, z).independent
+                except UnreliableTestError:
+                    continue
+                assert got == want, (k, u, v, z)
 
 
 class TestExactOracle:
@@ -375,7 +445,7 @@ class TestScipyStatsEquivalence:
                         raised_collinear += 7 not in (u, v) + z
                         continue
                     tags = [family[c] for c in (u, v) + z if c in family]
-                    if z and len(set(tags)) < len(tags) and size <= 2:
+                    if z and len(set(tags)) < len(tags) and size <= 3:
                         # an exactly collinear set always raises; the inverse
                         # misses some of these when the rounded correlation
                         # matrix is off symmetric by an ulp
@@ -401,14 +471,15 @@ class TestScipyStatsEquivalence:
     def test_g2_p_value_matches_chi2_sf_exactly(self):
         rng = np.random.default_rng(12)
         for k in (2, 3, 4):
+            kernel = G2Kernel(k, 80)
             for _ in range(40):
                 a = rng.integers(0, k, 80)
                 b = (a + rng.integers(0, 2, 80)) % k if rng.random() < 0.5 else rng.integers(0, k, 80)
                 table = np.bincount(b + k * a, minlength=k * k).reshape(1, k, k)
-                g2, dof = _g2_from_tables(table)
+                g2, dof = kernel(table)
                 want = 1.0 if dof == 0 else float(stats.chi2.sf(g2, dof))
-                assert sada.citest.g2_p_value(a, b, k) == want
-        assert sada.citest.g2_p_value(np.zeros(10, dtype=int), np.arange(10) % 3, 3) == 1.0
+                assert g2_p_value(a, b, k) == want
+        assert g2_p_value(np.zeros(10, dtype=int), np.arange(10) % 3, 3) == 1.0
 
     def test_lingam_wald_p_values_match_chi2_sf_exactly(self, monkeypatch):
         runs = []

@@ -4,14 +4,52 @@ of `sada.framework.find_causal_cut` and `merge_results`. Its self-test runs
 both modes of every workload at tiny sizes and exits non-zero when a source
 change breaks one of them."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# The combined edge-set digests (`digest = ...` in `perfbench/run.py`'s
+# output) of the first three seed-2026 replicates of each workload, and of
+# the discrete flat baseline. A change that keeps edge sets unchanged at a
+# fixed seed keeps these.
+SEED_2026_DIGESTS = {
+    "continuous-n30": "2dbf98473c0af3ab",
+    "discrete-n60": "0ef84aff7a0b0dfa",
+    "oracle-n200": "b4aec831f32c4611",
+    "discrete-n60 baseline": "78137b5a5de2103b",
+}
+
+DIGEST_SCRIPT = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import bootstrap
+bootstrap.prepare()
+from measure import DIGEST_UNITS, combined_digest
+from workloads import (FULL, WORKLOADS, baseline_oracle, build_instance, digest,
+                       solve, solve_flat)
+
+out = {}
+for name, wl in WORKLOADS.items():
+    insts = [build_instance(wl, 2026, FULL, rep) for rep in range(DIGEST_UNITS)]
+    out[name] = combined_digest([digest(solve(inst, [])) for inst in insts], 0)
+    if wl.kind == "discrete":
+        flat = [digest(solve_flat(wl, inst, baseline_oracle(wl, inst))) for inst in insts]
+        out[name + " baseline"] = combined_digest(flat, 0)
+print(json.dumps(out))
+"""
+
 
 def test_benchmark_selftest_passes():
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
                           cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_seed_2026_edge_set_digests():
+    proc = subprocess.run([sys.executable, "-c", DIGEST_SCRIPT],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == SEED_2026_DIGESTS

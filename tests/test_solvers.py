@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sada.graph import Dag, generate_random_dag
-from sada.synth import SampleMatrix, generate_linear_nongaussian, sample_from_cpts
+from sada.synth import SampleMatrix, generate_discrete, generate_linear_nongaussian, sample_from_cpts
 from sada.solvers import (
     Edge,
     EdgeSet,
@@ -15,6 +15,7 @@ from sada.solvers import (
 )
 
 from conftest import NINE_NODE_EDGES
+from oracles import discrete_anm_four_pass
 
 PAIR = Dag(2, [(0, 1)])
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -183,6 +184,25 @@ class TestDiscreteAnm:
         sm = SampleMatrix(vals, "discrete", num_states=3)
         es = solve_discrete_anm(sm, {0, 1, 2})
         assert 2 not in es.variables()
+
+    def test_matches_four_pass_reference(self):
+        # small m makes tied row modes common; the last column is constant
+        ties = edges = 0
+        for s in range(12):
+            k = 2 + s % 3
+            g = generate_random_dag(7, 1.25, seed=s)
+            sm = generate_discrete(g, m=24 + 12 * (s % 4), num_states=k, seed=100 + s)
+            vals = np.column_stack([sm.values, np.full(sm.m, s % k, dtype=np.int64)])
+            data = SampleMatrix(vals, "discrete", num_states=k)
+            for alpha in (0.05, 0.3):
+                got = solve_discrete_anm(data, range(8), alpha)
+                assert got == discrete_anm_four_pass(data, range(8), alpha)
+                edges += len(got)
+            for a in range(7):
+                for b in range(7):
+                    joint = np.bincount(vals[:, b] + k * vals[:, a], minlength=k * k).reshape(k, k)
+                    ties += int((joint == joint.max(axis=1, keepdims=True)).sum(axis=1).max() > 1)
+        assert ties > 50 and edges > 50
 
     def test_small_variable_sets_empty(self):
         sm = anm_pair_samples(m=100, seed=0)

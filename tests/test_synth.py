@@ -163,3 +163,16 @@ class TestCsv:
             SampleMatrix(np.zeros((2, 2)), "weird")
         with pytest.raises(SynthError):
             SampleMatrix(np.zeros((2, 2), dtype=np.int64), "discrete")
+        # discrete states must be integers in [0, num_states); the message
+        # names the offending column
+        vals = generate_discrete(generate_random_dag(4, 1.0, seed=1), m=60, num_states=3, seed=2).values
+        high = vals.copy()
+        high[high[:, 2] == 0, 0] = 3
+        low = vals.copy()
+        low[5, 3] = -1
+        cases = [(high, "column 0"), (low, "column 3"),
+                 (vals.astype(float), "column 0"), (vals + 0.5, "column 0")]
+        for values, column in cases:
+            with pytest.raises(SynthError, match=column):
+                SampleMatrix(values, "discrete", num_states=3)
+        assert SampleMatrix(vals, "discrete", num_states=3).num_states == 3
