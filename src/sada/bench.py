@@ -196,6 +196,10 @@ def _run_replicate(task):
     except Exception as exc:
         rows.append(_error_row(base, "sada", (time.perf_counter() - start) * 1000.0, exc))
 
+    # the baseline's cleanup gets a fresh oracle: the one run_sada filled
+    # would answer from its cache and understate the baseline's time
+    if model == "discrete":
+        oracle = GSquaredOracle(data, alpha_level=cfg.alpha_level)
     start = time.perf_counter()
     try:
         if model == "continuous":

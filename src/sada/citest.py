@@ -302,6 +302,8 @@ class ExactCiOracle(CiOracle):
     def __init__(self, g: Dag, alpha_level: float = 0.05):
         self.alpha_level = alpha_level
         self.graph = g
+        # (frozenset pool, its bitset) of the last frozenset pool scanned
+        self._pool_memo = (frozenset(), 0)
 
     def query(self, u, v, z=()) -> CiVerdict:
         zt = _checked_ids(self.graph.n, u, v, z)
@@ -311,17 +313,23 @@ class ExactCiOracle(CiOracle):
     def _ancestor_pool(self, u, v, candidates):
         """The candidates that are ancestors of u or v, as a bitset built in
         one pass; ids are checked one by one only once the pass meets a bad
-        one, so bad input raises what the checked scan raises."""
+        one, so bad input raises what the checked scan raises.  The bitset of
+        a frozenset pool with every id in range is remembered, so a caller
+        that passes the same pool object again skips the pass."""
         g = self.graph
         n = g.n
-        pool_bits = 0
-        for w in candidates:
-            w = int(w)
-            if not 0 <= w < n:
-                self._checked_candidates(u, v, candidates)
-                for x in (u, v, w):
-                    g._check_id(x)
-            pool_bits |= 1 << w
+        memo_pool, pool_bits = self._pool_memo
+        if candidates is not memo_pool:
+            pool_bits = 0
+            for w in candidates:
+                w = int(w)
+                if not 0 <= w < n:
+                    self._checked_candidates(u, v, candidates)
+                    for x in (u, v, w):
+                        g._check_id(x)
+                pool_bits |= 1 << w
+            if type(candidates) is frozenset:
+                self._pool_memo = (candidates, pool_bits)
         if (0 <= u < n and (pool_bits >> u) & 1) or (0 <= v < n and (pool_bits >> v) & 1):
             raise CiError("candidate pool must exclude the queried pair")
         g._check_id(u)

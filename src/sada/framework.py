@@ -54,10 +54,12 @@ def _grow_from_seed(oracle, ordered_vars, u, v, seed_separator, max_cond):
     from every member of V1; the V1 test runs first, so a variable separable
     from both sides lands in V2.  The refinement pass re-tests each original
     cut member s against the current sides using the current cut set minus s.
+    The cut set is a frozenset rebuilt only when it changes, so every query
+    against one cut state receives the same pool object.
     """
     v1 = {u}
     v2 = {v}
-    cut = set(seed_separator)
+    cut = frozenset(seed_separator)
     for w in ordered_vars:
         if w == u or w == v or w in cut:
             continue
@@ -66,14 +68,14 @@ def _grow_from_seed(oracle, ordered_vars, u, v, seed_separator, max_cond):
         elif all(oracle.separable(w, b, cut, max_cond) for b in v2):
             v1.add(w)
         else:
-            cut.add(w)
+            cut = cut | {w}
     for s in sorted(cut):
         rest = cut - {s}
         if all(oracle.separable(s, a, rest, max_cond) for a in v1):
-            cut.remove(s)
+            cut = rest
             v2.add(s)
         elif all(oracle.separable(s, b, rest, max_cond) for b in v2):
-            cut.remove(s)
+            cut = rest
             v1.add(s)
     return v1, cut, v2
 
@@ -140,26 +142,56 @@ def find_causal_cut(oracle, variables, cfg: SadaConfig, rng=None):
     return best
 
 
-def _simple_path_interiors(children, source, target, max_edges):
-    """Interior variable sets of simple directed paths source -> target with
-    at least 2 and at most max_edges edges, deduplicated."""
-    interiors = []
+# longest detour p -> ... -> c, in edges, that can make a direct edge p -> c
+# redundant
+MAX_PATH_EDGES = 6
+
+
+def _distances_to(parents, target, limit):
+    """Fewest edges from each node to target over the current edges, by a
+    reverse breadth-first search; only nodes within `limit` edges appear."""
+    dist = {target: 0}
+    frontier = [target]
+    for d in range(1, limit + 1):
+        reached = []
+        for x in frontier:
+            for p in parents.get(x, ()):
+                if p not in dist:
+                    dist[p] = d
+                    reached.append(p)
+        if not reached:
+            break
+        frontier = reached
+    return dist
+
+
+def _simple_path_interiors(children, dist, source, target, max_edges):
+    """Yield the interior variable sets of simple directed paths
+    source -> target with at least 2 and at most max_edges edges,
+    deduplicated, in depth-first order.
+
+    dist[x] bounds the edges from x to target from below (it ignores the
+    simple-path rule); a node missing from dist is farther away than any
+    path may run.  A node is pushed only when the path so far, the step to
+    it and dist[it] fit in max_edges, so every branch that is cut could
+    never reach the target in time, and the yield order is that of the
+    unpruned search."""
     seen = set()
     stack = [(source, (source,))]
     while stack:
         node, path = stack.pop()
-        if len(path) - 1 >= max_edges:
-            continue
+        edges = len(path)  # edges of the path once it takes one more step
         for nxt in children.get(node, ()):
             if nxt == target:
-                if len(path) >= 2:
+                if edges >= 2:
                     inner = frozenset(path[1:])
                     if inner not in seen:
                         seen.add(inner)
-                        interiors.append(inner)
-            elif nxt not in path and nxt != source:
-                stack.append((nxt, path + (nxt,)))
-    return interiors
+                        yield inner
+            elif nxt not in path:
+                d = dist.get(nxt)
+                if d is not None and edges + d <= max_edges:
+                    stack.append((nxt, path + (nxt,)))
 
 
 def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond=3) -> EdgeSet:
@@ -167,44 +199,61 @@ def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond=3) -> EdgeS
 
     Conflict pass: accept edges one by one, dropping any edge whose child
     already reaches its parent through accepted edges (would close a cycle).
-    Reachability is maintained incrementally as a transitive closure.
+    Reachability is kept as a two-way transitive closure, reach[x] (what x
+    reaches) and back[x] (what reaches x), so accepting p -> c touches only
+    the rows of the nodes that reach p and of the nodes c reaches.
 
     Redundancy pass: for each surviving edge p -> c with a surviving longer
-    directed path p -> ... -> c (depth-limited to 6 edges), drop the edge if
-    the oracle finds a separator among some path's interior variables.
+    directed path p -> ... -> c of at most MAX_PATH_EDGES edges, drop the
+    edge if the oracle finds a separator among some path's interior
+    variables.  The interiors come lazily from a depth-first search that a
+    reverse breadth-first search from c prunes to the branches that can
+    still reach c, and the search stops at the first separating interior.
     """
     order = sorted(edges, key=lambda e: (-e.significance, e.parent, e.child))
     index = {w: i for i, w in enumerate(sorted({x for e in order for x in (e.parent, e.child)}))}
-    # reach[i] = bitset of nodes reachable from i via accepted edges, excluding i
+    # bitsets over the accepted edges, each excluding the node itself:
+    # reach[i] = nodes reachable from i, back[i] = nodes that reach i
     reach = [0] * len(index)
+    back = [0] * len(index)
     kept = []
     for e in order:
         p, c = index[e.parent], index[e.child]
         if (reach[c] >> p) & 1:
             continue
-        delta = (1 << c) | reach[c]
-        for x in range(len(reach)):
-            if x == p or (reach[x] >> p) & 1:
-                reach[x] |= delta
         kept.append(e)
+        sources = (1 << p) | back[p]
+        sinks = (1 << c) | reach[c]
+        rest = sources
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            reach[low.bit_length() - 1] |= sinks
+        rest = sinks
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            back[low.bit_length() - 1] |= sources
 
-    children = {}
+    children, parents = {}, {}
     for e in kept:
         children.setdefault(e.parent, set()).add(e.child)
-    surviving = []
-    for e in kept:
-        redundant = False
-        children[e.parent].discard(e.child)
-        for inner in _simple_path_interiors(children, e.parent, e.child, 6):
-            if oracle.find_separator(e.parent, e.child, inner, max_cond) is not None:
-                redundant = True
-                break
-        if not redundant:
-            children[e.parent].add(e.child)
-            surviving.append(e)
+        parents.setdefault(e.child, set()).add(e.parent)
     out = EdgeSet()
-    for e in surviving:
-        out.add(e.parent, e.child, e.significance)
+    for e in kept:
+        p, c = e.parent, e.child
+        children[p].discard(c)
+        parents[c].discard(p)
+        # a detour needs another edge out of p and another into c
+        if children[p] and parents[c]:
+            dist = _distances_to(parents, c, MAX_PATH_EDGES - 1)
+            interiors = _simple_path_interiors(children, dist, p, c, MAX_PATH_EDGES)
+            if any(oracle.find_separator(p, c, inner, max_cond) is not None
+                   for inner in interiors):
+                continue
+        children[p].add(c)
+        parents[c].add(p)
+        out.add(p, c, e.significance)
     return out
 
 

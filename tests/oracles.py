@@ -239,3 +239,65 @@ def discrete_anm_four_pass(data, variables, alpha=0.05):
         if p_fwd > alpha and forward_p[(y_var, x_var)] <= alpha:
             result.add(x_var, y_var, p_fwd)
     return result
+
+
+def simple_path_interiors_reference(children, source, target, max_edges):
+    """Interior variable sets of simple directed paths source -> target with
+    at least 2 and at most max_edges edges, deduplicated, from an unpruned
+    depth-first search over every simple path out of source."""
+    interiors = []
+    seen = set()
+    stack = [(source, (source,))]
+    while stack:
+        node, path = stack.pop()
+        if len(path) - 1 >= max_edges:
+            continue
+        for nxt in children.get(node, ()):
+            if nxt == target:
+                if len(path) >= 2:
+                    inner = frozenset(path[1:])
+                    if inner not in seen:
+                        seen.add(inner)
+                        interiors.append(inner)
+            elif nxt not in path and nxt != source:
+                stack.append((nxt, path + (nxt,)))
+    return interiors
+
+
+def remove_conflicts_and_redundancy_reference(edges, oracle, max_cond=3):
+    """The merge cleanup with a full reachability scan per accepted edge and
+    every path interior listed before the first separator search."""
+    from sada.solvers import EdgeSet
+
+    order = sorted(edges, key=lambda e: (-e.significance, e.parent, e.child))
+    index = {w: i for i, w in enumerate(sorted({x for e in order for x in (e.parent, e.child)}))}
+    reach = [0] * len(index)
+    kept = []
+    for e in order:
+        p, c = index[e.parent], index[e.child]
+        if (reach[c] >> p) & 1:
+            continue
+        delta = (1 << c) | reach[c]
+        for x in range(len(reach)):
+            if x == p or (reach[x] >> p) & 1:
+                reach[x] |= delta
+        kept.append(e)
+
+    children = {}
+    for e in kept:
+        children.setdefault(e.parent, set()).add(e.child)
+    surviving = []
+    for e in kept:
+        redundant = False
+        children[e.parent].discard(e.child)
+        for inner in simple_path_interiors_reference(children, e.parent, e.child, 6):
+            if oracle.find_separator(e.parent, e.child, inner, max_cond) is not None:
+                redundant = True
+                break
+        if not redundant:
+            children[e.parent].add(e.child)
+            surviving.append(e)
+    out = EdgeSet()
+    for e in surviving:
+        out.add(e.parent, e.child, e.significance)
+    return out

@@ -15,7 +15,8 @@ from sada.bench import (
     write_rows_csv,
     write_summary_json,
 )
-from sada.citest import ExactCiOracle
+import sada.bench
+from sada.citest import ExactCiOracle, GSquaredOracle
 from sada.framework import SadaConfig, run_sada
 from sada.graph import CausalCut, Dag
 from sada.solvers import EdgeSet, make_oracle_solver
@@ -180,6 +181,33 @@ class TestRunExperiment:
         assert len(rows) == 2
         assert all(row["error"] == "" for row in rows)
         assert summary["grid_points"][0]["model"] == "discrete"
+
+    def test_discrete_baseline_cleanup_starts_cold(self, monkeypatch):
+        # run_sada and the flat baseline's cleanup each get their own G2
+        # oracle, so the baseline's timed cleanup computes every verdict
+        built, cleaned = [], []
+
+        class CountingOracle(GSquaredOracle):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        cleanup = sada.bench.remove_conflicts_and_redundancy
+
+        def spy(edges, oracle, max_cond=3):
+            cleaned.append((oracle, len(oracle._cache)))
+            return cleanup(edges, oracle, max_cond=max_cond)
+
+        monkeypatch.setattr(sada.bench, "GSquaredOracle", CountingOracle)
+        monkeypatch.setattr(sada.bench, "remove_conflicts_and_redundancy", spy)
+        grid = ExperimentGrid(variable_sizes=(8,), sample_sizes=(600,),
+                              model="discrete", replicates=3)
+        rows, _ = run_experiment(grid, SadaConfig(theta=5, seed=0), seed=12)
+        assert all(row["error"] == "" for row in rows)
+        assert len(built) == 2 * grid.replicates
+        assert [oracle for oracle, _ in cleaned] == built[1::2]
+        assert [cached for _, cached in cleaned] == [0] * grid.replicates
+        assert all(len(oracle._cache) > 0 for oracle in built[0::2])
 
     def test_undersampled_baseline_fails_while_split_completes(self):
         # 25 samples cannot fit a 30-variable regression, but the split

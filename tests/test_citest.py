@@ -291,6 +291,9 @@ class TestExactOracle:
         (-1, 2, (), GraphError),
         (0, 2, {0, 7}, CiError),
         (-1, 2, {2}, CiError),
+        (0, 2, frozenset({1, 7}), GraphError),
+        (0, 2, frozenset({0, 7}), CiError),
+        (0, 9, frozenset({1}), GraphError),
     ])
     def test_bad_pool_raises(self, chain3, u, v, pool, error):
         o = ExactCiOracle(chain3)
@@ -298,6 +301,54 @@ class TestExactOracle:
             with pytest.raises(error) as info:
                 search(u, v, pool)
             assert info.type is error
+
+    def test_pool_memo_reused_across_pairs(self, nine_node):
+        # one frozenset pool object serves many pairs, as in the cut growth;
+        # every answer equals the one a fresh oracle gives for a plain list
+        o = ExactCiOracle(nine_node)
+        pool = frozenset({2, 3, 7})
+        for u in range(9):
+            for v in range(9):
+                if u == v or u in pool or v in pool:
+                    continue
+                fresh = ExactCiOracle(nine_node)
+                for cap in (0, 1, None):
+                    assert o.separable(u, v, pool, cap) == fresh.separable(u, v, list(pool), cap)
+                    assert o.find_separator(u, v, pool, cap) == \
+                        fresh.find_separator(u, v, list(pool), cap)
+                    assert o._pool_memo[0] is pool
+
+    def test_pool_memo_hit_still_checks_the_pair(self, nine_node):
+        o = ExactCiOracle(nine_node)
+        pool = frozenset({2, 3})
+        o.separable(6, 1, pool)
+        for u, v in ((2, 7), (0, 3), (3, 2)):
+            assert o._pool_memo[0] is pool
+            for search in (o.find_separator, o.separable):
+                with pytest.raises(CiError):
+                    search(u, v, pool)
+        for u, v in ((9, 1), (0, -1)):
+            for search in (o.find_separator, o.separable):
+                with pytest.raises(GraphError):
+                    search(u, v, pool)
+
+    def test_pool_out_of_range_is_never_remembered(self, chain3):
+        o = ExactCiOracle(chain3)
+        pool = frozenset({1, 7})
+        for _ in range(2):
+            with pytest.raises(GraphError) as info:
+                o.separable(0, 2, pool)
+            assert info.type is GraphError
+            assert o._pool_memo[0] is not pool
+
+    def test_equal_distinct_pools_agree(self, nine_node):
+        o = ExactCiOracle(nine_node)
+        a, b = frozenset([2, 3]), frozenset([3, 2])
+        assert a == b and a is not b
+        assert o.find_separator(6, 1, a) == o.find_separator(6, 1, b) == {2, 3}
+        assert o._pool_memo[0] is b
+        assert not o.separable(6, 1, frozenset([3]), None)
+        assert o.separable(6, 1, a) and o.separable(6, 1, b)
 
     def test_matches_bruteforce_scan(self):
         # the ancestor-restricted search must return the very same subset the

@@ -18,7 +18,8 @@ from sada.solvers import EdgeSet, make_oracle_solver, solve_lingam
 from sada.synth import generate_linear_nongaussian
 
 from conftest import NINE_NODE_EDGES, TableOracle, relabelled
-from property_suites import check_merge_invariants
+from oracles import remove_conflicts_and_redundancy_reference
+from property_suites import _AlwaysDependent, check_merge_invariants
 
 
 def edge_set(*triples):
@@ -207,6 +208,64 @@ class TestMerge:
         assert check_merge_invariants(num_cases=2000, seed=11) == 2000
 
 
+class RecordingOracle:
+    """Passes separator searches through to `inner` and records each call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def find_separator(self, u, v, candidates, max_cond=3):
+        self.calls.append((u, v, frozenset(candidates), max_cond))
+        return self.inner.find_separator(u, v, candidates, max_cond)
+
+
+def random_cleanup_case(rng, kind):
+    """A seeded edge set over n <= 40 nodes with cycles and reversed pairs,
+    and an oracle of the given kind: exact d-separation on a random DAG
+    whose edges all appear in the set, always dependent, or a random table
+    of single-variable separators."""
+    n = int(rng.integers(5, 41))
+    truth = generate_random_dag(n, float(rng.uniform(0.8, 2.5)), seed=rng)
+    edges = EdgeSet()
+    for u, v in truth.edges:
+        edges.add(u, v, float(rng.random()))
+    for _ in range(int(rng.integers(0, 2 * n))):
+        u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+        edges.add(u, v, float(rng.random()))
+    if kind == "exact":
+        oracle = ExactCiOracle(truth)
+    elif kind == "dependent":
+        oracle = _AlwaysDependent()
+    else:
+        oracle = TableOracle(independent=[
+            (u, v, (w,)) for u, v in edges.pairs() for w in range(n)
+            if w not in (u, v) and rng.random() < 0.1])
+    return edges, oracle
+
+
+CLEANUP_ORACLES = ("exact", "dependent", "table")
+
+
+class TestCleanupDifferential:
+    @pytest.mark.parametrize("max_cond", [3, None])
+    @pytest.mark.parametrize("kind", CLEANUP_ORACLES)
+    def test_matches_reference(self, kind, max_cond):
+        # same output and the very same separator searches, in order, as the
+        # unpruned cleanup with a full reachability scan
+        rng = np.random.default_rng([20261018, CLEANUP_ORACLES.index(kind), max_cond or 0])
+        removed = 0
+        for case in range(25):
+            edges, oracle = random_cleanup_case(rng, kind)
+            want_log, got_log = RecordingOracle(oracle), RecordingOracle(oracle)
+            want = remove_conflicts_and_redundancy_reference(edges, want_log, max_cond)
+            got = remove_conflicts_and_redundancy(edges, got_log, max_cond)
+            assert got == want, f"case {case}"
+            assert got_log.calls == want_log.calls, f"case {case}"
+            removed += len(edges) - len(got)
+        assert removed > 0
+
+
 class OracleRun:
     """Bundle of one exact-oracle run's output, its accepted cuts, and the
     variable set of every solver call."""
@@ -265,6 +324,13 @@ class TestRunSada:
         assert g.topological_order() != list(range(300))
         cfg = SadaConfig(theta=10, max_cond=None, seed=302)
         out = run_sada(None, range(300), cfg, make_oracle_solver(g), ExactCiOracle(g))
+        assert out.pairs() == frozenset(g.edges)
+
+    def test_exact_oracle_recovery_relabelled_n1000(self):
+        g = relabelled(generate_random_dag(1000, 1.25, seed=1000), np.random.default_rng(1001))
+        assert g.topological_order() != list(range(1000))
+        cfg = SadaConfig(theta=10, max_cond=None, seed=1002)
+        out = run_sada(None, range(1000), cfg, make_oracle_solver(g), ExactCiOracle(g))
         assert out.pairs() == frozenset(g.edges)
 
     def test_complete_graph_falls_back_to_full_solve(self):
