@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .citest import GSquaredOracle, PartialCorrelationOracle
-from .framework import remove_conflicts_and_redundancy, run_sada
+from .framework import clean_unmerged, remove_conflicts_and_redundancy, run_sada
 from .graph import Dag, generate_random_dag
 from .solvers import EdgeSet, solve_discrete_anm, solve_lingam
 from .synth import generate_discrete, generate_linear_nongaussian
@@ -67,6 +67,12 @@ def cut_error_ratio(cuts, g_true: Dag) -> float:
 
 
 _GRID_LISTS = ("variable_sizes", "sample_sizes", "in_degrees", "noise_weights")
+_GRID_COUNTS = ("variable_sizes", "sample_sizes")
+
+
+def _is_integer(x) -> bool:
+    """True for an integral number; False for a bool, which is not a count."""
+    return not isinstance(x, (bool, np.bool_)) and float(x).is_integer()
 
 
 @dataclass(frozen=True)
@@ -93,12 +99,14 @@ class ExperimentGrid:
                 raise BenchError(f"{name} must be nonempty")
             if any(x <= 0 for x in value):
                 raise BenchError(f"{name} entries must be positive, got {value}")
+            if name in _GRID_COUNTS and not all(_is_integer(x) for x in value):
+                raise BenchError(f"{name} entries must be integers, got {value}")
             set_(self, name, value)
-        if int(self.replicates) != self.replicates or self.replicates < 1:
+        if not _is_integer(self.replicates) or self.replicates < 1:
             raise BenchError(f"replicates must be a positive integer, got {self.replicates}")
         if self.model not in ("continuous", "discrete"):
             raise BenchError(f"model must be 'continuous' or 'discrete', got {self.model!r}")
-        if int(self.num_states) != self.num_states or self.num_states < 2:
+        if not _is_integer(self.num_states) or self.num_states < 2:
             raise BenchError(f"num_states must be an integer >= 2, got {self.num_states}")
 
     @classmethod
@@ -186,6 +194,8 @@ def _run_replicate(task):
     try:
         edges = run_sada(data, range(n), cfg, logged_solver, oracle,
                          rng=np.random.default_rng(s_run), trace=trace)
+        if model == "discrete":
+            edges = clean_unmerged(edges, trace, oracle, max_cond=cfg.max_cond)
         wall = (time.perf_counter() - start) * 1000.0
         metrics = score(edges, g_true)
         metrics = Metrics(metrics.recall, metrics.precision, metrics.f1,

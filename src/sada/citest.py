@@ -1,8 +1,8 @@
 """Conditional-independence oracles and conditioning-set search.
 
-Statistical oracles equate independence with p_value > alpha_level. The exact
-oracle answers from d-separation on a reference graph and is the tool for
-studying the framework with testing error switched off.
+Every oracle equates independence with p_value > alpha_level. The exact
+oracle's p-value is 1.0 or 0.0, from d-separation on a reference graph; it is
+the tool for studying the framework with testing error switched off.
 """
 
 from __future__ import annotations
@@ -41,24 +41,50 @@ class CiVerdict:
 
 
 class CiOracle:
-    """Interface consumed by the cut search and merge: query plus the two
-    separator helpers, which subclasses may specialize."""
+    """Interface consumed by the cut search and merge. The base class owns the
+    query path: `query` checks the ids, orders the pair and caches verdicts,
+    and `find_separator` is the one subset scan, over the pool `_pool`
+    returns. A subclass sets `_n` (the variable count) and `_cache` (a dict)
+    and supplies `_p_value`; it may narrow `_pool` and shortcut `separable`."""
 
     alpha_level: float = 0.05
 
     def query(self, u: int, v: int, z=()) -> CiVerdict:
+        """Independence of u and v given z, as p_value > alpha_level.
+        A bad id raises CiError; a test the oracle cannot decide raises one
+        of its subclasses."""
+        zt = _checked_ids(self._n, u, v, z)
+        if u > v:
+            u, v = v, u
+        key = (u, v, zt)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        p = self._p_value(u, v, zt)
+        verdict = self._cache[key] = CiVerdict(p > self.alpha_level, p)
+        return verdict
+
+    def _p_value(self, u: int, v: int, zt: tuple) -> float:
+        """p-value for checked ids, u < v and zt sorted."""
         raise NotImplementedError
+
+    def _pool(self, u, v, candidates):
+        """The candidates the scan draws subsets from, in ascending id order,
+        or None when no subset of them can separate u and v."""
+        return _checked_ids(self._n, u, v, candidates)
 
     def find_separator(self, u, v, candidates, max_cond=3):
         """First separating subset of the candidate pool, scanning cardinality
-        0..min(max_cond, |candidates|) in ascending-id lexicographic order.
+        0..min(max_cond, |pool|) in ascending-id lexicographic order.
         max_cond=None lifts the cap. Subsets the test cannot decide (unreliable,
         singular, too few samples) are skipped: independence needs affirmative
         evidence. Returns a frozenset, or None when nothing separates."""
-        cands = self._checked_candidates(u, v, candidates)
-        limit = len(cands) if max_cond is None else min(max_cond, len(cands))
+        pool = self._pool(u, v, candidates)
+        if pool is None:
+            return None
+        limit = len(pool) if max_cond is None else min(max_cond, len(pool))
         for size in range(limit + 1):
-            for sub in itertools.combinations(cands, size):
+            for sub in itertools.combinations(pool, size):
                 try:
                     verdict = self.query(u, v, sub)
                 except (UnreliableTestError, SingularConditioningError,
@@ -72,15 +98,10 @@ class CiOracle:
         """Whether some subset of the candidates (within the cap) separates."""
         return self.find_separator(u, v, candidates, max_cond) is not None
 
-    @staticmethod
-    def _checked_candidates(u, v, candidates):
-        cands = sorted({int(w) for w in candidates})
-        if u in cands or v in cands:
-            raise CiError("candidate pool must exclude the queried pair")
-        return cands
-
 
 def _checked_ids(n: int, u: int, v: int, z) -> tuple:
+    """The distinct ids of z in ascending order, once u and v are distinct
+    and every id lies in 0..n-1 and z holds neither u nor v."""
     if u == v:
         raise CiError("need two distinct variables")
     zt = tuple(sorted(set(z)))
@@ -118,14 +139,7 @@ class PartialCorrelationOracle(CiOracle):
         self._corr = self._corr_array.tolist()
         self._cache: dict = {}
 
-    def query(self, u, v, z=()) -> CiVerdict:
-        zt = _checked_ids(self._n, u, v, z)
-        if u > v:
-            u, v = v, u
-        key = (u, v, zt)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+    def _p_value(self, u, v, zt) -> float:
         eff = self._m - len(zt) - 3
         if eff < 1:
             raise InsufficientSamplesError(
@@ -156,10 +170,7 @@ class PartialCorrelationOracle(CiOracle):
         r = min(max(r, -1 + 1e-15), 1 - 1e-15)
         stat = math.sqrt(eff) * math.atanh(r)
         # exactly the normal survival function, without the distribution-object overhead
-        p = float(2 * ndtr(-abs(stat)))
-        verdict = CiVerdict(p > self.alpha_level, p)
-        self._cache[key] = verdict
-        return verdict
+        return float(2 * ndtr(-abs(stat)))
 
 
 def _closed_partial_corr(c, u, v, zt) -> float:
@@ -256,14 +267,7 @@ class GSquaredOracle(CiOracle):
         self._g2 = G2Kernel(self._k, self._m)
         self._cache: dict = {}
 
-    def query(self, u, v, z=()) -> CiVerdict:
-        zt = _checked_ids(self._n, u, v, z)
-        if u > v:
-            u, v = v, u
-        key = (u, v, zt)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+    def _p_value(self, u, v, zt) -> float:
         k = self._k
         nominal_dof = (k - 1) ** 2 * k ** len(zt)
         if self._m < 10 * nominal_dof:
@@ -275,10 +279,7 @@ class GSquaredOracle(CiOracle):
         for w in zt:
             code += base * cols[w]
             base *= k
-        p = self._g2.p_value(np.bincount(code, minlength=base).reshape(-1, k, k))
-        verdict = CiVerdict(p > self.alpha_level, p)
-        self._cache[key] = verdict
-        return verdict
+        return self._g2.p_value(np.bincount(code, minlength=base).reshape(-1, k, k))
 
 
 def g2_p_value(a, b, num_states: int) -> float:
@@ -294,77 +295,63 @@ def g2_p_value(a, b, num_states: int) -> float:
 
 
 class ExactCiOracle(CiOracle):
-    """d-separation on a known graph. Subset-separability collapses to one
-    query: some Z within a pool R separates u and v exactly when the pool's
-    restriction to ancestors of {u, v} does, so the ancestor part is all the
-    search ever needs to touch."""
+    """d-separation on a known graph, as p-value 1.0 (separated) or 0.0.
+    Some Z within a pool R separates u and v exactly when the pool's
+    restriction to ancestors of {u, v} does, so the scan's pool is that
+    ancestor part, and nothing when even all of it does not separate."""
 
-    def __init__(self, g: Dag, alpha_level: float = 0.05):
-        self.alpha_level = alpha_level
+    def __init__(self, g: Dag):
         self.graph = g
+        self._n = g.n
+        self._cache: dict = {}
         # (frozenset pool, its bitset) of the last frozenset pool scanned
         self._pool_memo = (frozenset(), 0)
 
-    def query(self, u, v, z=()) -> CiVerdict:
-        zt = _checked_ids(self.graph.n, u, v, z)
-        sep = self.graph.d_separated(u, v, zt)
-        return CiVerdict(sep, 1.0 if sep else 0.0)
+    def _p_value(self, u, v, zt) -> float:
+        z_bits = 0
+        for w in zt:
+            z_bits |= 1 << int(w)
+        return 1.0 if self.graph._d_separated_bits(int(u), int(v), z_bits) else 0.0
 
     def _ancestor_pool(self, u, v, candidates):
-        """The candidates that are ancestors of u or v, as a bitset built in
-        one pass; ids are checked one by one only once the pass meets a bad
-        one, so bad input raises what the checked scan raises.  The bitset of
-        a frozenset pool with every id in range is remembered, so a caller
-        that passes the same pool object again skips the pass."""
-        g = self.graph
-        n = g.n
+        """The candidates that are ancestors of u or v, as a bitset. The
+        bitset of a frozenset pool is remembered, so a caller that passes
+        the same pool object again skips the pass over it."""
+        n = self._n
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            _checked_ids(n, u, v, ())  # raises, naming the fault
         memo_pool, pool_bits = self._pool_memo
         if candidates is not memo_pool:
             pool_bits = 0
             for w in candidates:
                 w = int(w)
                 if not 0 <= w < n:
-                    self._checked_candidates(u, v, candidates)
-                    for x in (u, v, w):
-                        g._check_id(x)
+                    raise CiError(f"variable id {w} out of range for n={n}")
                 pool_bits |= 1 << w
             if type(candidates) is frozenset:
                 self._pool_memo = (candidates, pool_bits)
-        if (0 <= u < n and (pool_bits >> u) & 1) or (0 <= v < n and (pool_bits >> v) & 1):
-            raise CiError("candidate pool must exclude the queried pair")
-        g._check_id(u)
-        g._check_id(v)
-        anc = g._ancestor_bits()
+        if (pool_bits >> u) & 1 or (pool_bits >> v) & 1:
+            raise CiError("conditioning set must exclude the queried pair")
+        anc = self.graph._ancestor_bits()
         return pool_bits & (anc[u] | anc[v])
 
-    def separable(self, u, v, candidates, max_cond=3) -> bool:
-        u, v = int(u), int(v)
-        if u == v:
-            raise CiError("need two distinct variables")
-        zstar = self._ancestor_pool(u, v, candidates)
-        size = zstar.bit_count()
-        if max_cond is None or size <= max_cond:
-            return self.graph._d_separated_bits(u, v, zstar)
-        return self.find_separator(u, v, candidates, max_cond) is not None
-
-    def find_separator(self, u, v, candidates, max_cond=3):
+    def _pool(self, u, v, candidates):
         # any separating subset shrinks to its ancestor part without getting
-        # bigger or later in the scan order, so the first hit lives in the pool
+        # bigger or later in the scan order, so the first hit lives in it
         u, v = int(u), int(v)
-        if u == v:
-            raise CiError("need two distinct variables")
         zstar = self._ancestor_pool(u, v, candidates)
-        # nothing in the pool separates unless its whole ancestor part does
         if not self.graph._d_separated_bits(u, v, zstar):
             return None
         pool = []
         while zstar:
             pool.append((zstar & -zstar).bit_length() - 1)
             zstar &= zstar - 1
-        limit = len(pool) if max_cond is None else min(max_cond, len(pool))
-        for size in range(limit + 1):
-            for sub in itertools.combinations(pool, size):
-                if self.graph.d_separated(u, v, sub):
-                    return frozenset(sub)
-        return None
+        return pool
 
+    def separable(self, u, v, candidates, max_cond=3) -> bool:
+        # a pool within the cap is decided by its whole ancestor part
+        u, v = int(u), int(v)
+        zstar = self._ancestor_pool(u, v, candidates)
+        if max_cond is None or zstar.bit_count() <= max_cond:
+            return self.graph._d_separated_bits(u, v, zstar)
+        return super().separable(u, v, candidates, max_cond)

@@ -11,7 +11,7 @@ from .bench import ExperimentGrid, cut_error_ratio, run_experiment, score, \
     write_rows_csv, write_summary_json
 from .bounds import ErrorModel, bounds_report
 from .citest import ExactCiOracle, GSquaredOracle, PartialCorrelationOracle
-from .framework import SadaConfig, remove_conflicts_and_redundancy, run_sada
+from .framework import SadaConfig, clean_unmerged, run_sada
 from .graph import Dag, generate_random_dag, load_dag, save_dag
 from .solvers import make_oracle_solver, solve_discrete_anm, solve_lingam
 from .synth import generate_discrete, generate_linear_nongaussian, \
@@ -187,9 +187,7 @@ def _cmd_discover(args):
     trace = []
     edges = run_sada(data, range(data.n), cfg, solver, oracle, trace=trace)
     if solver_name == "anm":
-        # the cyclic-residual solver only claims acyclicity after merge
-        # cleanup, which a single-leaf run never reaches
-        edges = remove_conflicts_and_redundancy(edges, oracle, max_cond=cfg.max_cond)
+        edges = clean_unmerged(edges, trace, oracle, max_cond=cfg.max_cond)
 
     result = Dag(data.n, edges.pairs())
     report = {

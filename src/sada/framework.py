@@ -257,6 +257,17 @@ def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond=3) -> EdgeS
     return out
 
 
+def clean_unmerged(edges: EdgeSet, cuts, oracle, max_cond=3) -> EdgeSet:
+    """The final result of a run whose leaf solver may return cycles (the
+    discrete ANM solver). A run that accepted no cut returns its one leaf's
+    raw output, which no merge has cleaned, so it gets the conflict and
+    redundancy cleanup here; a merged root is clean already and is returned
+    as it is. `cuts` is the run's trace list of accepted cuts."""
+    if cuts:
+        return edges
+    return remove_conflicts_and_redundancy(edges, oracle, max_cond)
+
+
 def merge_results(g1: EdgeSet, g2: EdgeSet, oracle, max_cond=3) -> EdgeSet:
     """Union two partial results (duplicate pairs keep the larger
     significance), then remove conflicts and redundant direct edges."""

@@ -101,9 +101,6 @@ class Dag:
     def parents(self, v: VariableId) -> tuple:
         return self._parents[v]
 
-    def children(self, v: VariableId) -> tuple:
-        return self._children[v]
-
     def topological_order(self) -> list:
         """Kahn's algorithm; ties broken by smallest id, so the order is
         deterministic for a given edge set."""
@@ -144,20 +141,9 @@ class Dag:
             self._desc = desc
         return self._desc
 
-    def ancestors(self, v: VariableId) -> frozenset:
-        """Strict ancestors of v."""
-        return _bits_to_set(self._ancestor_bits()[v])
-
     def descendants(self, v: VariableId) -> frozenset:
         """Strict descendants of v."""
         return _bits_to_set(self._descendant_bits()[v])
-
-    def reachable(self, u: VariableId, v: VariableId) -> bool:
-        """True when a directed path of length >= 1 runs from u to v."""
-        u, v = int(u), int(v)
-        self._check_id(u)
-        self._check_id(v)
-        return bool((self._descendant_bits()[u] >> v) & 1)
 
     def d_separated(self, u: VariableId, v: VariableId, z) -> bool:
         """Bayes-ball reachability on the trail graph, confined to the

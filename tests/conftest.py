@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sada.citest import CiOracle, CiVerdict
+from sada.citest import CiOracle
 from sada.graph import Dag
 
 # 9-variable reference graph: two valid 3/3/3 causal cuts, a collider chain
@@ -23,15 +23,17 @@ def chain3():
 
 
 class TableOracle(CiOracle):
-    """Scripted CI verdicts: (u, v, z) triples listed in `independent` come
-    back independent, everything else dependent. Order of u, v is ignored."""
+    """Scripted CI verdicts over ids 0..n-1: (u, v, z) triples listed in
+    `independent` come back independent (p-value 1), everything else
+    dependent (p-value 0). Order of u, v is ignored."""
 
-    def __init__(self, independent=()):
-        self._table = {(min(u, v), max(u, v), frozenset(z)) for u, v, z in independent}
+    def __init__(self, independent=(), n=64):
+        self._n = n
+        self._cache = {}
+        self._table = {(min(u, v), max(u, v), tuple(sorted(set(z)))) for u, v, z in independent}
 
-    def query(self, u, v, z=()):
-        hit = (min(u, v), max(u, v), frozenset(z)) in self._table
-        return CiVerdict(hit, 1.0 if hit else 0.0)
+    def _p_value(self, u, v, zt):
+        return 1.0 if (u, v, zt) in self._table else 0.0
 
 
 def random_small_dags(count=24, max_n=7, seed=20240817):

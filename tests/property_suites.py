@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from sada.citest import CiOracle, CiVerdict, ExactCiOracle, PartialCorrelationOracle
+from sada.citest import CiOracle, ExactCiOracle, PartialCorrelationOracle
 from sada.framework import remove_conflicts_and_redundancy
 from sada.graph import Dag
 from sada.solvers import EdgeSet
@@ -16,8 +16,12 @@ from oracles import brute_force_d_separated
 
 
 class _AlwaysDependent(CiOracle):
-    def query(self, u, v, z=()):
-        return CiVerdict(False, 0.0)
+    def __init__(self, n=64):
+        self._n = n
+        self._cache = {}
+
+    def _p_value(self, u, v, zt):
+        return 0.0
 
 
 def _random_dag(rng, n, p):

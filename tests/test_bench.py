@@ -125,6 +125,12 @@ class TestExperimentGrid:
             ExperimentGrid(variable_sizes=())
         with pytest.raises(BenchError):
             ExperimentGrid(sample_sizes=(0,))
+        # sizes are counts: a fraction or a bool is refused, not truncated
+        for name, bad in (("variable_sizes", [10.5]), ("sample_sizes", [40.7]),
+                          ("variable_sizes", [True]), ("sample_sizes", [200, True]),
+                          ("replicates", True)):
+            with pytest.raises(BenchError, match=name):
+                ExperimentGrid.from_mapping({name: bad})
 
     def test_from_mapping(self):
         grid = ExperimentGrid.from_mapping(
@@ -208,6 +214,24 @@ class TestRunExperiment:
         assert [oracle for oracle, _ in cleaned] == built[1::2]
         assert [cached for _, cached in cleaned] == [0] * grid.replicates
         assert all(len(oracle._cache) > 0 for oracle in built[0::2])
+
+    def test_scored_single_leaf_result_is_acyclic(self, monkeypatch):
+        # n <= theta makes the run one ANM leaf, and this replicate's raw ANM
+        # output holds a cycle; bench must score the cleaned edge set that
+        # `sada discover` reports, so its edges form a DAG
+        scored = []
+        real_score = sada.bench.score
+
+        def spy(edges, truth):
+            scored.append(edges)
+            return real_score(edges, truth)
+
+        monkeypatch.setattr(sada.bench, "score", spy)
+        grid = ExperimentGrid(variable_sizes=(8,), sample_sizes=(600,),
+                              model="discrete", replicates=1)
+        rows, _ = run_experiment(grid, SadaConfig(theta=10, seed=0), seed=3)
+        assert rows[0]["method"] == "sada" and rows[0]["error"] == ""
+        Dag(8, scored[0].pairs())  # the constructor rejects a cycle
 
     def test_undersampled_baseline_fails_while_split_completes(self):
         # 25 samples cannot fit a 30-variable regression, but the split

@@ -11,7 +11,7 @@ from scipy import stats
 import sada.citest
 import sada.solvers
 
-from sada.graph import Dag, GraphError, generate_random_dag
+from sada.graph import Dag, generate_random_dag
 from sada.solvers import solve_lingam
 from sada.synth import SampleMatrix, generate_discrete, generate_linear_nongaussian, sample_from_cpts
 from sada.citest import (
@@ -86,7 +86,8 @@ class TestPartialCorrelation:
         sm = generate_linear_nongaussian(g, m=300, seed=3)
         o = PartialCorrelationOracle(sm)
         for u, v, z in [(0, 5, ()), (2, 7, (1,)), (3, 6, (0, 4))]:
-            assert o.query(u, v, z) == o.query(v, u, z)
+            # the repeat is the cached verdict
+            assert o.query(u, v, z) is o.query(v, u, z[::-1])
 
     def test_insufficient_samples(self):
         data = SampleMatrix(np.random.default_rng(0).random((5, 4)), "continuous")
@@ -189,7 +190,8 @@ class TestGSquared:
         sm = generate_discrete(g, m=2000, seed=6)
         o = GSquaredOracle(sm)
         for u, v, z in [(0, 3, ()), (1, 5, (2,)), (2, 4, ())]:
-            assert o.query(u, v, z) == o.query(v, u, z)
+            # the repeat is the cached verdict
+            assert o.query(u, v, z) is o.query(v, u, z[::-1])
 
     def test_kind_mismatch(self):
         cont = SampleMatrix(np.random.default_rng(0).random((10, 2)), "continuous")
@@ -260,6 +262,27 @@ class TestG2Kernel:
                 assert got == want, (k, u, v, z)
 
 
+def _chain_oracles(chain):
+    """One oracle of each kind over the same graph."""
+    return (ExactCiOracle(chain),
+            PartialCorrelationOracle(generate_linear_nongaussian(chain, m=200, seed=1)),
+            GSquaredOracle(generate_discrete(chain, m=300, seed=1)))
+
+
+def _first_separating_subset(oracle, u, v, pool, cap):
+    """The plain scan: every subset of the pool by size, then in ascending
+    id order, up to the cap; refused tests are skipped."""
+    pool = sorted(pool)
+    for size in range(len(pool) + 1 if cap is None else min(cap, len(pool)) + 1):
+        for sub in itertools.combinations(pool, size):
+            try:
+                if oracle.query(u, v, sub).independent:
+                    return frozenset(sub)
+            except (UnreliableTestError, SingularConditioningError, InsufficientSamplesError):
+                continue
+    return None
+
+
 class TestExactOracle:
     def test_verdicts_and_p_values(self, chain3):
         o = ExactCiOracle(chain3)
@@ -267,6 +290,8 @@ class TestExactOracle:
         sep = o.query(0, 2, (1,))
         assert (dep.independent, dep.p_value) == (False, 0.0)
         assert (sep.independent, sep.p_value) == (True, 1.0)
+        # a repeat, in either pair order, is the cached verdict
+        assert o.query(2, 0) is dep and o.query(2, 0, [1, 1]) is sep
 
     def test_collider_separator_is_empty_set(self):
         o = ExactCiOracle(VSTRUCT)
@@ -285,22 +310,26 @@ class TestExactOracle:
         assert not o.separable(6, 1, {3}, max_cond=None)
 
     @pytest.mark.parametrize("u, v, pool, error", [
-        (0, 2, {1, 7}, GraphError),
-        (0, 2, [-1], GraphError),
-        (0, 9, {1}, GraphError),
-        (-1, 2, (), GraphError),
+        (0, 2, {1, 7}, CiError),
+        (0, 2, [-1], CiError),
+        (0, 9, {1}, CiError),
+        (-1, 2, (), CiError),
         (0, 2, {0, 7}, CiError),
         (-1, 2, {2}, CiError),
-        (0, 2, frozenset({1, 7}), GraphError),
+        (0, 2, frozenset({1, 7}), CiError),
         (0, 2, frozenset({0, 7}), CiError),
-        (0, 9, frozenset({1}), GraphError),
+        (0, 9, frozenset({1}), CiError),
+        (1, 1, {2}, CiError),
     ])
     def test_bad_pool_raises(self, chain3, u, v, pool, error):
-        o = ExactCiOracle(chain3)
-        for search in (o.find_separator, o.separable):
-            with pytest.raises(error) as info:
-                search(u, v, pool)
-            assert info.type is error
+        # every oracle shares one check: both searches, and a query with the
+        # pool as its conditioning set, reject a bad id, u == v or a pool
+        # that holds the pair
+        for o in _chain_oracles(chain3):
+            for call in (o.find_separator, o.separable, o.query):
+                with pytest.raises(error) as info:
+                    call(u, v, pool)
+                assert info.type is error
 
     def test_pool_memo_reused_across_pairs(self, nine_node):
         # one frozenset pool object serves many pairs, as in the cut growth;
@@ -329,16 +358,16 @@ class TestExactOracle:
                     search(u, v, pool)
         for u, v in ((9, 1), (0, -1)):
             for search in (o.find_separator, o.separable):
-                with pytest.raises(GraphError):
+                with pytest.raises(CiError):
                     search(u, v, pool)
 
     def test_pool_out_of_range_is_never_remembered(self, chain3):
         o = ExactCiOracle(chain3)
         pool = frozenset({1, 7})
         for _ in range(2):
-            with pytest.raises(GraphError) as info:
+            with pytest.raises(CiError) as info:
                 o.separable(0, 2, pool)
-            assert info.type is GraphError
+            assert info.type is CiError
             assert o._pool_memo[0] is not pool
 
     def test_equal_distinct_pools_agree(self, nine_node):
@@ -352,10 +381,15 @@ class TestExactOracle:
 
     def test_matches_bruteforce_scan(self):
         # the ancestor-restricted search must return the very same subset the
-        # full candidate scan would, for every cap
+        # full candidate scan would, for every cap; the statistical oracles
+        # must return the first decided, separating subset of the pool; and
+        # for every oracle `separable` agrees with `find_separator`
         rng = np.random.default_rng(13)
-        for g in random_small_dags(16, seed=99):
+        for s, g in enumerate(random_small_dags(16, seed=99)):
             o = ExactCiOracle(g)
+            stats_oracles = (
+                PartialCorrelationOracle(generate_linear_nongaussian(g, m=60, seed=s)),
+                GSquaredOracle(generate_discrete(g, m=150, seed=s)))
             for _ in range(12):
                 u, v = rng.choice(g.n, size=2, replace=False)
                 u, v = int(u), int(v)
@@ -369,6 +403,10 @@ class TestExactOracle:
                     else:
                         assert got == frozenset(expect)
                     assert o.separable(u, v, pool, cap) == (expect is not None)
+                    for so in stats_oracles:
+                        got = so.find_separator(u, v, pool, cap)
+                        assert got == _first_separating_subset(so, u, v, pool, cap)
+                        assert so.separable(u, v, pool, cap) == (got is not None)
 
 
 class TestFindSeparatorDispatch:

@@ -107,19 +107,18 @@ class TestTopologicalOrder:
 
 
 class TestReachable:
+    """Directed reachability, read from the strict descendants."""
+
     def test_chain(self, chain3):
-        assert chain3.reachable(0, 2)
-        assert not chain3.reachable(2, 0)
-        assert not chain3.reachable(0, 0)
+        assert chain3.descendants(0) == {1, 2}
+        assert chain3.descendants(2) == frozenset()
+        assert 0 not in chain3.descendants(0)
 
     def test_matches_matrix_closure(self):
         for g in random_small_dags(20):
             closure = closure_by_squaring(g)
             for u in range(g.n):
-                for v in range(g.n):
-                    if u == v:
-                        continue
-                    assert g.reachable(u, v) == bool(closure[u, v])
+                assert g.descendants(u) == {v for v in range(g.n) if v != u and closure[u, v]}
 
 
 class TestDSeparation:
