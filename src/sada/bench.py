@@ -97,6 +97,8 @@ class ExperimentGrid:
             value = tuple(value)
             if not value:
                 raise BenchError(f"{name} must be nonempty")
+            if any(isinstance(x, (bool, np.bool_)) for x in value):
+                raise BenchError(f"{name} entries must be numbers, not bools, got {value}")
             if any(x <= 0 for x in value):
                 raise BenchError(f"{name} entries must be positive, got {value}")
             if name in _GRID_COUNTS and not all(_is_integer(x) for x in value):

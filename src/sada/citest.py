@@ -43,9 +43,11 @@ class CiVerdict:
 class CiOracle:
     """Interface consumed by the cut search and merge. The base class owns the
     query path: `query` checks the ids, orders the pair and caches verdicts,
-    and `find_separator` is the one subset scan, over the pool `_pool`
-    returns. A subclass sets `_n` (the variable count) and `_cache` (a dict)
-    and supplies `_p_value`; it may narrow `_pool` and shortcut `separable`."""
+    `find_separator` is the one subset scan, over the pool `_pool` returns,
+    and `separable` asks it whether u separates from every member of a
+    whole side. A subclass sets `_n` (the variable count) and `_cache` (a
+    dict) and supplies `_p_value`; it may narrow `_pool` and shortcut
+    `separable`, which must answer as its per-member scan would."""
 
     alpha_level: float = 0.05
 
@@ -94,9 +96,29 @@ class CiOracle:
                     return frozenset(sub)
         return None
 
-    def separable(self, u, v, candidates, max_cond=3) -> bool:
-        """Whether some subset of the candidates (within the cap) separates."""
-        return self.find_separator(u, v, candidates, max_cond) is not None
+    def separable(self, u, vs, candidates, max_cond=3) -> bool:
+        """Whether u separates from every variable in vs, each through some
+        subset of the candidates within the cap; True for an empty vs.
+        Every id is checked before the first search; the searches then run
+        in the iteration order of vs and stop at the first member that
+        fails."""
+        vs = list(vs)
+        _checked_side(self._n, u, vs, candidates)
+        return all(self.find_separator(u, v, candidates, max_cond) is not None
+                   for v in vs)
+
+
+def _checked_side(n: int, u: int, vs, candidates):
+    """Raise CiError unless u, every member of vs and every candidate lie in
+    0..n-1, no member of vs is u, and the candidates hold neither."""
+    pool = set(candidates)
+    for w in itertools.chain((u,), vs, pool):
+        if not (0 <= w < n):
+            raise CiError(f"variable id {w} out of range for n={n}")
+    if u in vs:
+        raise CiError("need two distinct variables")
+    if u in pool or not pool.isdisjoint(vs):
+        raise CiError("conditioning set must exclude the queried pair")
 
 
 def _checked_ids(n: int, u: int, v: int, z) -> tuple:
@@ -308,18 +330,18 @@ class ExactCiOracle(CiOracle):
         self._pool_memo = (frozenset(), 0)
 
     def _p_value(self, u, v, zt) -> float:
+        # uncached: `query` already keeps the verdict
         z_bits = 0
         for w in zt:
             z_bits |= 1 << int(w)
-        return 1.0 if self.graph._d_separated_bits(int(u), int(v), z_bits) else 0.0
+        return 0.0 if self.graph._connected_bits(int(u), 1 << int(v), z_bits) else 1.0
 
-    def _ancestor_pool(self, u, v, candidates):
-        """The candidates that are ancestors of u or v, as a bitset. The
-        bitset of a frozenset pool is remembered, so a caller that passes
-        the same pool object again skips the pass over it."""
+    def _pool_bits(self, side, candidates):
+        """The candidates as a bitset, once the ids in `side` and in the
+        candidates are valid and the candidates hold no member of `side`.
+        The bitset of a frozenset pool is remembered, so a caller that
+        passes the same pool object again skips the pass over it."""
         n = self._n
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            _checked_ids(n, u, v, ())  # raises, naming the fault
         memo_pool, pool_bits = self._pool_memo
         if candidates is not memo_pool:
             pool_bits = 0
@@ -330,16 +352,19 @@ class ExactCiOracle(CiOracle):
                 pool_bits |= 1 << w
             if type(candidates) is frozenset:
                 self._pool_memo = (candidates, pool_bits)
-        if (pool_bits >> u) & 1 or (pool_bits >> v) & 1:
+        if pool_bits & side:
             raise CiError("conditioning set must exclude the queried pair")
-        anc = self.graph._ancestor_bits()
-        return pool_bits & (anc[u] | anc[v])
+        return pool_bits
 
     def _pool(self, u, v, candidates):
         # any separating subset shrinks to its ancestor part without getting
         # bigger or later in the scan order, so the first hit lives in it
         u, v = int(u), int(v)
-        zstar = self._ancestor_pool(u, v, candidates)
+        n = self._n
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            _checked_ids(n, u, v, ())  # raises, naming the fault
+        anc = self.graph._ancestor_bits()
+        zstar = self._pool_bits((1 << u) | (1 << v), candidates) & (anc[u] | anc[v])
         if not self.graph._d_separated_bits(u, v, zstar):
             return None
         pool = []
@@ -348,10 +373,42 @@ class ExactCiOracle(CiOracle):
             zstar &= zstar - 1
         return pool
 
-    def separable(self, u, v, candidates, max_cond=3) -> bool:
-        # a pool within the cap is decided by its whole ancestor part
-        u, v = int(u), int(v)
-        zstar = self._ancestor_pool(u, v, candidates)
+    def separable(self, u, vs, candidates, max_cond=3) -> bool:
+        # The first member is tested on its own, since most failing sides
+        # fail there. The rest take one search over the moral graph of
+        # An({u} | rest | Z), Z = pool & An({u} | rest): a member it does not
+        # reach is separated by its own ancestor pool, whose moral graph is
+        # a subgraph of that one. Reached members, and unreached ones whose
+        # ancestor pool exceeds the cap, take the per-pair check.
+        u = int(u)
+        vs = [int(v) for v in vs]
+        _checked_side(self._n, u, vs, ())
+        pool_bits = self._pool_bits(sum(1 << v for v in vs) | (1 << u), candidates)
+        if not vs:
+            return True
+        anc = self.graph._ancestor_bits()
+        if not self._pair_separable(u, vs[0], pool_bits & (anc[u] | anc[vs[0]]),
+                                    candidates, max_cond):
+            return False
+        rest = vs[1:]
+        if not rest:
+            return True
+        targets, reach = 0, anc[u]
+        for v in rest:
+            targets |= 1 << v
+            reach |= anc[v]
+        reached = self.graph._connected_bits(u, targets, pool_bits & reach)
+        for v in rest:
+            zstar = pool_bits & (anc[u] | anc[v])
+            if ((reached >> v) & 1 or (max_cond is not None and zstar.bit_count() > max_cond)) \
+                    and not self._pair_separable(u, v, zstar, candidates, max_cond):
+                return False
+        return True
+
+    def _pair_separable(self, u, v, zstar, candidates, max_cond) -> bool:
+        """Whether some subset of the candidates within the cap separates u
+        and v, given zstar, their ancestor part: a pool within the cap is
+        decided by zstar itself, a larger one by the subset scan."""
         if max_cond is None or zstar.bit_count() <= max_cond:
             return self.graph._d_separated_bits(u, v, zstar)
-        return super().separable(u, v, candidates, max_cond)
+        return self.find_separator(u, v, candidates, max_cond) is not None

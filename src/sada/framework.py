@@ -63,18 +63,18 @@ def _grow_from_seed(oracle, ordered_vars, u, v, seed_separator, max_cond):
     for w in ordered_vars:
         if w == u or w == v or w in cut:
             continue
-        if all(oracle.separable(w, a, cut, max_cond) for a in v1):
+        if oracle.separable(w, v1, cut, max_cond):
             v2.add(w)
-        elif all(oracle.separable(w, b, cut, max_cond) for b in v2):
+        elif oracle.separable(w, v2, cut, max_cond):
             v1.add(w)
         else:
             cut = cut | {w}
     for s in sorted(cut):
         rest = cut - {s}
-        if all(oracle.separable(s, a, rest, max_cond) for a in v1):
+        if oracle.separable(s, v1, rest, max_cond):
             cut = rest
             v2.add(s)
-        elif all(oracle.separable(s, b, rest, max_cond) for b in v2):
+        elif oracle.separable(s, v2, rest, max_cond):
             cut = rest
             v1.add(s)
     return v1, cut, v2

@@ -55,12 +55,12 @@ class CausalCut:
 class Dag:
     """Immutable DAG over variables 0..n-1 with bitset-backed queries.
 
-    Parent and child sets are also kept as Python ints used as bitsets, and
-    so are the ancestor and descendant closures, which are built lazily and
-    shared by every d-separation query on the instance.
+    Parent and neighbour (parent or child) sets are also kept as Python ints
+    used as bitsets, and so are the ancestor and descendant closures, which
+    are built lazily and shared by every d-separation query on the instance.
     """
 
-    __slots__ = ("n", "edges", "_parents", "_children", "_pa_bits", "_ch_bits",
+    __slots__ = ("n", "edges", "_parents", "_children", "_pa_bits", "_nb_bits",
                  "_anc", "_desc", "_dsep_cache")
 
     def __init__(self, n: int, edges=()):
@@ -88,7 +88,9 @@ class Dag:
         self._parents = tuple(tuple(sorted(p)) for p in parents)
         self._children = tuple(tuple(sorted(c)) for c in children)
         self._pa_bits = [sum(1 << p for p in ps) for ps in parents]
-        self._ch_bits = [sum(1 << c for c in cs) for cs in children]
+        # parents and children: a node's neighbours in the skeleton
+        self._nb_bits = [pb | sum(1 << c for c in cs)
+                         for pb, cs in zip(self._pa_bits, children)]
         self._anc = None
         self._desc = None
         self._dsep_cache = {}
@@ -146,12 +148,11 @@ class Dag:
         return _bits_to_set(self._descendant_bits()[v])
 
     def d_separated(self, u: VariableId, v: VariableId, z) -> bool:
-        """Bayes-ball reachability on the trail graph, confined to the
-        ancestral set An({u, v} | z) and run on bitset frontiers, so a query
-        costs time in the size of that set rather than in n.
-
-        A path is blocked when some non-collider on it is in z, or some
-        collider has neither itself nor any descendant in z.
+        """Lauritzen's moral-graph criterion: u and v are d-separated by z
+        exactly when they are disconnected in the moral graph of the
+        ancestral set An({u, v} | z) once z is removed. The search runs on
+        bitset frontiers confined to that set, so a query costs time in its
+        size rather than in n.
         """
         u, v = int(u), int(v)
         self._check_id(u)
@@ -172,50 +173,55 @@ class Dag:
             u, v = v, u
         key = (u, v, z_bits)
         cached = self._dsep_cache.get(key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._dsep_cache[key] = not self._connected_bits(u, 1 << v, z_bits)
+        return cached
+
+    def _connected_bits(self, u: int, targets: int, z_bits: int) -> int:
+        """The members of the bitset `targets` that u reaches in the moral
+        graph of An({u} | targets | z) with z removed, by breadth-first
+        search; it stops once every target is reached. z must hold neither
+        u nor a target.
+
+        A moral edge through a common child outside z is never needed: the
+        path through that child is open too. So a node reaches its
+        neighbours inside the ancestral set, and the parents of each child
+        of a reached node that lies in z.
+        """
         anc = self._ancestor_bits()
-        pa, ch = self._pa_bits, self._ch_bits
-        open_colliders = z_bits  # nodes whose conditioning opens a collider
-        rest = z_bits
+        pa, nb = self._pa_bits, self._nb_bits
+        inside = (1 << u) | anc[u]
+        # a node already inside brings no new ancestors
+        rest = (targets | z_bits) & ~inside
         while rest:
-            w = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            # every ancestor of a conditioned node has a conditioned descendant
-            open_colliders |= anc[w]
-        target = 1 << v
-        # an active trail never leaves An({u, v} | z): its colliders are open,
-        # so in z | An(z), and every other node heads a directed segment
-        # ending at u, at v or at a collider
-        inside = anc[u] | anc[v] | open_colliders | (1 << u) | target
-        free = ~z_bits
-        # the two ball frontiers: reached from a child (up), from a parent (down)
-        up, down = 1 << u, 0
-        seen_up, seen_down = up, 0
-        while up or down:
-            to_parents = to_children = 0
-            # parents get the ball from non-conditioned nodes it reached from
-            # a child and from open colliders; children get it from every
-            # non-conditioned node
-            rest = (up & free) | (down & open_colliders)
+            w = rest.bit_length() - 1
+            inside |= anc[w] | (1 << w)
+            rest &= ~inside
+        allowed = inside & ~z_bits
+        seen = frontier = 1 << u
+        married = 0  # members of z whose parents have joined the search
+        while frontier:
+            step = 0
+            rest = frontier
             while rest:
                 low = rest & -rest
                 rest ^= low
-                to_parents |= pa[low.bit_length() - 1]
-            rest = (up | down) & free
+                step |= nb[low.bit_length() - 1]
+            # a child of the frontier that lies in z is blocked, but its
+            # parents are moral neighbours of the frontier
+            rest = step & z_bits & ~married
             while rest:
                 low = rest & -rest
                 rest ^= low
-                to_children |= ch[low.bit_length() - 1]
-            if (to_parents | to_children) & target:
-                self._dsep_cache[key] = False
-                return False
-            up = to_parents & inside & ~seen_up
-            down = to_children & inside & ~seen_down
-            seen_up |= up
-            seen_down |= down
-        self._dsep_cache[key] = True
-        return True
+                c = low.bit_length() - 1
+                if pa[c] & frontier:
+                    married |= low
+                    step |= pa[c]
+            frontier = step & allowed & ~seen
+            seen |= frontier
+            if not targets & ~seen:
+                break
+        return seen & targets
 
     def _check_id(self, v: int):
         if not (0 <= v < self.n):

@@ -64,15 +64,16 @@ def brute_force_d_separated(g, u, v, z):
     return True
 
 
-def moral_d_separated(g, u, v, z):
-    """d-separation by the ancestral moral graph (Lauritzen et al., Networks
-    1990): keep only An({u, v} | z), marry every pair of parents sharing a
-    child, drop directions, delete z, and ask whether u still reaches v."""
+def moral_reached(g, u, targets, z):
+    """The targets u reaches in the moral graph of An({u} | targets | z)
+    (Lauritzen et al., Networks 1990): keep only that ancestral set, marry
+    every pair of parents sharing a child, drop directions, delete z, and
+    search from u."""
     z = set(z)
     parents = defaultdict(set)
     for a, b in g.edges:
         parents[b].add(a)
-    keep = {u, v} | z
+    keep = {u} | set(targets) | z
     stack = list(keep)
     while stack:
         for p in parents[stack.pop()]:
@@ -93,13 +94,17 @@ def moral_d_separated(g, u, v, z):
     stack = [u]
     while stack:
         x = stack.pop()
-        if x == v:
-            return False
         for y in adj[x]:
             if y not in seen and y not in z:
                 seen.add(y)
                 stack.append(y)
-    return True
+    return seen & set(targets)
+
+
+def moral_d_separated(g, u, v, z):
+    """d-separation by the ancestral moral graph of {u, v} | z: u and v are
+    separated exactly when u does not reach v there once z is deleted."""
+    return not moral_reached(g, u, {v}, z)
 
 
 def closure_by_squaring(g):
@@ -136,6 +141,37 @@ def exists_separator_brute(g, u, v, candidates, max_cond=None):
             if g.d_separated(u, v, sub):
                 return set(sub)
     return None
+
+
+def grow_from_seed_reference(oracle, ordered_vars, u, v, seed_separator, max_cond):
+    """Cut growth with one separator search per pair: a variable joins a side
+    when `find_separator` finds a separator within the current cut set
+    between it and each member of the other side, V1 tested first; then each
+    original cut member is re-tested against the current cut set without
+    it. Returns (v1, cut, v2)."""
+    def separable(w, side, pool):
+        return all(oracle.find_separator(w, a, pool, max_cond) is not None for a in side)
+
+    v1, v2 = {u}, {v}
+    cut = frozenset(seed_separator)
+    for w in ordered_vars:
+        if w in (u, v) or w in cut:
+            continue
+        if separable(w, v1, cut):
+            v2.add(w)
+        elif separable(w, v2, cut):
+            v1.add(w)
+        else:
+            cut = cut | {w}
+    for s in sorted(cut):
+        rest = cut - {s}
+        if separable(s, v1, rest):
+            cut = rest
+            v2.add(s)
+        elif separable(s, v2, rest):
+            cut = rest
+            v1.add(s)
+    return v1, cut, v2
 
 
 def cut_posterior_exact(n_pairs, i, e, f, alpha, beta):

@@ -125,10 +125,12 @@ class TestExperimentGrid:
             ExperimentGrid(variable_sizes=())
         with pytest.raises(BenchError):
             ExperimentGrid(sample_sizes=(0,))
-        # sizes are counts: a fraction or a bool is refused, not truncated
+        # sizes are counts: a fraction or a bool is refused, not truncated;
+        # a bool is no in-degree or noise weight either
         for name, bad in (("variable_sizes", [10.5]), ("sample_sizes", [40.7]),
                           ("variable_sizes", [True]), ("sample_sizes", [200, True]),
-                          ("replicates", True)):
+                          ("replicates", True), ("in_degrees", [True]),
+                          ("noise_weights", [0.3, np.True_])):
             with pytest.raises(BenchError, match=name):
                 ExperimentGrid.from_mapping({name: bad})
 

@@ -306,8 +306,8 @@ class TestExactOracle:
         o = ExactCiOracle(nine_node)
         assert o.find_separator(6, 1, {3}) is None
         assert o.find_separator(6, 1, {2, 3}) == {2, 3}
-        assert o.separable(6, 1, {2, 3})
-        assert not o.separable(6, 1, {3}, max_cond=None)
+        assert o.separable(6, [1], {2, 3})
+        assert not o.separable(6, [1], {3}, max_cond=None)
 
     @pytest.mark.parametrize("u, v, pool, error", [
         (0, 2, {1, 7}, CiError),
@@ -326,9 +326,9 @@ class TestExactOracle:
         # pool as its conditioning set, reject a bad id, u == v or a pool
         # that holds the pair
         for o in _chain_oracles(chain3):
-            for call in (o.find_separator, o.separable, o.query):
+            for call, pair in ((o.find_separator, v), (o.separable, [v]), (o.query, v)):
                 with pytest.raises(error) as info:
-                    call(u, v, pool)
+                    call(u, pair, pool)
                 assert info.type is error
 
     def test_pool_memo_reused_across_pairs(self, nine_node):
@@ -342,7 +342,7 @@ class TestExactOracle:
                     continue
                 fresh = ExactCiOracle(nine_node)
                 for cap in (0, 1, None):
-                    assert o.separable(u, v, pool, cap) == fresh.separable(u, v, list(pool), cap)
+                    assert o.separable(u, [v], pool, cap) == fresh.separable(u, [v], list(pool), cap)
                     assert o.find_separator(u, v, pool, cap) == \
                         fresh.find_separator(u, v, list(pool), cap)
                     assert o._pool_memo[0] is pool
@@ -350,23 +350,25 @@ class TestExactOracle:
     def test_pool_memo_hit_still_checks_the_pair(self, nine_node):
         o = ExactCiOracle(nine_node)
         pool = frozenset({2, 3})
-        o.separable(6, 1, pool)
+        o.separable(6, [1], pool)
         for u, v in ((2, 7), (0, 3), (3, 2)):
             assert o._pool_memo[0] is pool
-            for search in (o.find_separator, o.separable):
-                with pytest.raises(CiError):
-                    search(u, v, pool)
+            with pytest.raises(CiError):
+                o.find_separator(u, v, pool)
+            with pytest.raises(CiError):
+                o.separable(u, [v], pool)
         for u, v in ((9, 1), (0, -1)):
-            for search in (o.find_separator, o.separable):
-                with pytest.raises(CiError):
-                    search(u, v, pool)
+            with pytest.raises(CiError):
+                o.find_separator(u, v, pool)
+            with pytest.raises(CiError):
+                o.separable(u, [v], pool)
 
     def test_pool_out_of_range_is_never_remembered(self, chain3):
         o = ExactCiOracle(chain3)
         pool = frozenset({1, 7})
         for _ in range(2):
             with pytest.raises(CiError) as info:
-                o.separable(0, 2, pool)
+                o.separable(0, [2], pool)
             assert info.type is CiError
             assert o._pool_memo[0] is not pool
 
@@ -376,8 +378,8 @@ class TestExactOracle:
         assert a == b and a is not b
         assert o.find_separator(6, 1, a) == o.find_separator(6, 1, b) == {2, 3}
         assert o._pool_memo[0] is b
-        assert not o.separable(6, 1, frozenset([3]), None)
-        assert o.separable(6, 1, a) and o.separable(6, 1, b)
+        assert not o.separable(6, [1], frozenset([3]), None)
+        assert o.separable(6, [1], a) and o.separable(6, [1], b)
 
     def test_matches_bruteforce_scan(self):
         # the ancestor-restricted search must return the very same subset the
@@ -402,11 +404,80 @@ class TestExactOracle:
                         assert got is None
                     else:
                         assert got == frozenset(expect)
-                    assert o.separable(u, v, pool, cap) == (expect is not None)
+                    assert o.separable(u, [v], pool, cap) == (expect is not None)
                     for so in stats_oracles:
                         got = so.find_separator(u, v, pool, cap)
                         assert got == _first_separating_subset(so, u, v, pool, cap)
-                        assert so.separable(u, v, pool, cap) == (got is not None)
+                        assert so.separable(u, [v], pool, cap) == (got is not None)
+
+
+def _vstruct_oracles():
+    """One oracle of each kind over the collider 0 -> 2 <- 1."""
+    return (ExactCiOracle(VSTRUCT),
+            PartialCorrelationOracle(generate_linear_nongaussian(VSTRUCT, m=200, seed=1)),
+            GSquaredOracle(generate_discrete(VSTRUCT, m=300, seed=1)))
+
+
+class TestSeparableSide:
+    """`separable(u, vs, ...)`: whether u separates from every member of vs."""
+
+    def test_empty_side_is_separable(self):
+        for o in _vstruct_oracles():
+            assert o.separable(0, [], {1}) is True
+            assert o.separable(2, set(), frozenset(), None) is True
+
+    @pytest.mark.parametrize("vs, pool", [
+        ([2, 7], ()),
+        ([2, -1], {1}),
+        ([2, 0], ()),
+        ([2, 1], {1}),
+        ([2, 1], frozenset({1})),
+        ([], {1, 7}),
+        ([], {0}),
+    ])
+    def test_bad_member_raises_after_a_failing_one(self, vs, pool):
+        # 0 and 2 are adjacent, so the first member is never separable; the
+        # ids are all checked before any search stops the scan, and an empty
+        # side still has u and the pool checked
+        for o in _vstruct_oracles():
+            assert not o.separable(0, [2], set(pool) - {0, 2, 7})
+            with pytest.raises(CiError) as info:
+                o.separable(0, vs, pool)
+            assert info.type is CiError
+
+    def test_unreached_member_over_the_cap_takes_the_scan(self):
+        # 4 separates from 0 only given both common parents 1 and 2, so the
+        # set search does not reach it; under a cap of 1 no separator fits
+        o = ExactCiOracle(Dag(5, [(1, 0), (2, 0), (1, 4), (2, 4)]))
+        pool = frozenset({1, 2})
+        assert o.separable(0, [3, 4], pool, None)
+        assert not o.separable(0, [3, 4], pool, 1)
+        assert o.separable(0, [3, 4], pool, 2)
+
+    def test_matches_per_member_scan(self):
+        # every oracle answers as its own per-member `find_separator` scan,
+        # on sides that take the set search, the subset-scan fallback for an
+        # ancestor pool over the cap, and both verdicts
+        rng = np.random.default_rng(2026)
+        outcomes = {True: 0, False: 0}
+        for s, g in enumerate(random_small_dags(16, max_n=9, seed=5)):
+            def oracles():
+                return (ExactCiOracle(g),
+                        PartialCorrelationOracle(generate_linear_nongaussian(g, m=80, seed=s)),
+                        GSquaredOracle(generate_discrete(g, m=200, seed=s)))
+            tested, reference = oracles(), oracles()
+            for _ in range(8):
+                perm = [int(x) for x in rng.permutation(g.n)]
+                u = perm[0]
+                k = int(rng.integers(0, g.n))
+                vs = perm[1:1 + k]
+                pool = frozenset(w for w in perm[1 + k:] if rng.random() < 0.7)
+                for cap in (0, 1, 2, 3, None):
+                    for o, ref in zip(tested, reference):
+                        want = all(ref.find_separator(u, v, pool, cap) is not None for v in vs)
+                        assert o.separable(u, vs, pool, cap) == want, (g, u, vs, pool, cap)
+                        outcomes[want] += len(vs) > 1
+        assert outcomes[True] and outcomes[False]
 
 
 class TestFindSeparatorDispatch:

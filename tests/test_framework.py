@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sada.citest import ExactCiOracle, PartialCorrelationOracle
+from sada.citest import ExactCiOracle, GSquaredOracle, PartialCorrelationOracle
 from sada.framework import (
     FrameworkError,
     SadaConfig,
@@ -15,10 +15,10 @@ from sada.framework import (
 )
 from sada.graph import CausalCut, Dag, generate_random_dag
 from sada.solvers import EdgeSet, make_oracle_solver, solve_lingam
-from sada.synth import generate_linear_nongaussian
+from sada.synth import generate_discrete, generate_linear_nongaussian
 
-from conftest import NINE_NODE_EDGES, TableOracle, relabelled
-from oracles import remove_conflicts_and_redundancy_reference
+from conftest import NINE_NODE_EDGES, TableOracle, random_small_dags, relabelled
+from oracles import grow_from_seed_reference, remove_conflicts_and_redundancy_reference
 from property_suites import _AlwaysDependent, check_merge_invariants
 
 
@@ -91,6 +91,54 @@ class TestGrowFromSeed:
         assert v1 == {0}
         assert cut == set()
         assert v2 == {1, 2}
+
+
+def _growth_cases(make_oracle, cap, seed, pairs_per_graph=3):
+    """(graph, oracle factory, seed pair, separator) for up to a few separable
+    pairs of each seeded small DAG and of two relabelled n = 60 DAGs."""
+    rng = np.random.default_rng(seed)
+    graphs = random_small_dags(20, max_n=9, seed=seed) + [
+        relabelled(generate_random_dag(60, 1.25, seed=seed + s), rng) for s in range(2)]
+    for g in graphs:
+        probe = make_oracle(g)
+        found = 0
+        for i in rng.permutation(g.n * g.n):
+            u, v = divmod(int(i), g.n)
+            if u >= v:
+                continue
+            sep = probe.find_separator(u, v, set(range(g.n)) - {u, v}, cap)
+            if sep is not None:
+                yield g, u, v, sep
+                found += 1
+                if found == pairs_per_graph:
+                    break
+
+
+class TestGrowthMatchesPairwiseReference:
+    """`_grow_from_seed`, testing a whole side per `separable` call, returns
+    the same (V1, C, V2) as growth with one separator search per pair."""
+
+    def _check(self, make_oracle, cap, seed):
+        cases = 0
+        for g, u, v, sep in _growth_cases(make_oracle, cap, seed):
+            order = list(range(g.n))
+            got = _grow_from_seed(make_oracle(g), order, u, v, sep, cap)
+            want = grow_from_seed_reference(make_oracle(g), order, u, v, sep, cap)
+            assert got == want, (g, u, v, sep, cap)
+            cases += 1
+        assert cases >= 20
+
+    @pytest.mark.parametrize("cap", [0, 1, 3, None])
+    def test_exact_oracle(self, cap):
+        self._check(ExactCiOracle, cap, seed=41)
+
+    @pytest.mark.parametrize("kind", ["continuous", "discrete"])
+    def test_statistical_oracles(self, kind):
+        def make_oracle(g):
+            if kind == "continuous":
+                return PartialCorrelationOracle(generate_linear_nongaussian(g, m=120, seed=g.n))
+            return GSquaredOracle(generate_discrete(g, m=300, seed=g.n))
+        self._check(make_oracle, 3, seed=43)
 
 
 class TestPairDecode:

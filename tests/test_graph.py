@@ -20,6 +20,7 @@ from oracles import (
     closure_by_squaring,
     expected_edge_count,
     moral_d_separated,
+    moral_reached,
 )
 
 
@@ -193,9 +194,54 @@ class TestDSeparation:
                     nine_node, u, v, z)
 
 
+class TestConnectedBits:
+    def test_matches_moral_graph_search(self):
+        # the set search returns exactly the targets u reaches in the moral
+        # graph of An({u} | targets | z) without z, with z drawn both from
+        # the ancestors of u and the targets and from anywhere else. That
+        # holds every target d-connected to u given z, and maybe more: the
+        # other targets' ancestors add moral edges. Alone, a target is
+        # reached exactly when it is d-connected to u.
+        rng = np.random.default_rng(1990)
+        graphs = random_small_dags(24, max_n=9, seed=11) + [
+            relabelled(generate_random_dag(40, 1.5, seed=s), rng) for s in range(3)]
+        z_outside = {True: 0, False: 0}
+        reached = {True: 0, False: 0}
+        extra = 0
+        for g in graphs:
+            anc = g._ancestor_bits()
+            for trial in range(40):
+                u = int(rng.integers(g.n))
+                others = [w for w in range(g.n) if w != u]
+                targets = [int(x) for x in rng.choice(
+                    others, int(rng.integers(0, len(others) + 1)), replace=False)]
+                t_bits = sum(1 << t for t in targets)
+                cover = anc[u] | t_bits
+                for t in targets:
+                    cover |= anc[t]
+                free = [w for w in others if w not in targets]
+                if trial % 2:
+                    free = [w for w in free if (cover >> w) & 1]
+                z = [int(x) for x in rng.choice(
+                    free, int(rng.integers(0, len(free) + 1)), replace=False)] if free else []
+                z_bits = sum(1 << w for w in z)
+                got = g._connected_bits(u, t_bits, z_bits)
+                assert got == sum(1 << t for t in moral_reached(g, u, targets, z)), (
+                    g, u, targets, z)
+                for t in targets:
+                    connected = not moral_d_separated(g, u, t, z)
+                    assert g._connected_bits(u, 1 << t, z_bits) == connected << t
+                    assert not connected or (got >> t) & 1
+                    reached[connected] += 1
+                    extra += not connected and (got >> t) & 1
+                z_outside[any(not (cover >> w) & 1 for w in z)] += 1
+        assert z_outside[True] and z_outside[False]
+        assert reached[True] and reached[False] and extra
+
+
 class TestDSeparationAtScale:
-    """The confined Bayes ball against the ancestral moral graph, on larger
-    relabelled graphs than path enumeration can handle."""
+    """The bitset moral-graph search against the independent reference, on
+    larger relabelled graphs than path enumeration can handle."""
 
     @pytest.mark.parametrize("n", [30, 120])
     def test_agrees_with_ancestral_moral_graph(self, n):
