@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import chdtrc
 
-from .citest import G2Kernel
+from .citest import PIVOT_TOL, G2Kernel
 from .graph import Dag
 from .synth import SampleMatrix
 
@@ -101,40 +101,69 @@ def _checked_vars(data: SampleMatrix, variables) -> list:
     return vs
 
 
-def _corr_against(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Correlation of one vector with each column; degenerate columns give 0."""
-    xc = x - x.mean()
-    cc = cols - cols.mean(axis=0)
-    sx = np.sqrt((xc * xc).mean())
-    sc = np.sqrt((cc * cc).mean(axis=0))
-    denom = sx * sc
-    num = (xc[:, None] * cc).mean(axis=0)
-    out = np.zeros(cols.shape[1])
-    good = denom > 1e-12
-    out[good] = num[good] / denom[good]
-    return out
+# Candidates of one pick are scored a block at a time. Each of the three
+# stacked (m, block, k) temporaries holds about this many floats, though a
+# block never takes fewer than two candidates: that spreads numpy's per-call
+# cost over several candidates, while the temporaries stay in cache and peak
+# memory stays near the one-candidate loop's.
+_SCORE_BLOCK_FLOATS = 1 << 14
+
+
+def _abs_corr(x: np.ndarray, cols: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """|Correlation| of each row x[b] with each column cols[:, b, j];
+    degenerate columns give 0. Centres cols in place and uses prod, shaped
+    like cols, as scratch. The sample means run along contiguous rows of x
+    and down the leading axis of cols, so every entry carries the same bits
+    as the one-vector, one-matrix form."""
+    m, b, k = cols.shape
+    flat, flat_prod = cols.reshape(m, b * k), prod.reshape(m, b * k)
+    xc = x - x.mean(axis=1, keepdims=True)
+    flat -= flat.mean(axis=0)
+    sx = np.sqrt((xc * xc).mean(axis=1))
+    np.multiply(flat, flat, out=flat_prod)
+    sc = np.sqrt(flat_prod.mean(axis=0)).reshape(b, k)
+    np.multiply(xc.T[:, :, None], cols, out=prod)
+    num = flat_prod.mean(axis=0).reshape(b, k)
+    denom = sx[:, None] * sc
+    out = np.zeros_like(num)
+    np.divide(num, denom, out=out, where=denom > 1e-12)
+    return np.abs(out, out=out)
+
+
+def _pick_scores(work: np.ndarray) -> np.ndarray:
+    """The dependence left between each candidate column and the other
+    columns' residuals once they are regressed on it; lower means more
+    exogenous. Each candidate's coefficients come from its own matrix-vector
+    product, as a single matrix product would round differently."""
+    m, k = work.shape
+    block = min(k, max(2, _SCORE_BLOCK_FLOATS // (m * k)))
+    scores = np.empty(k)
+    bufs = np.empty((3, m * block * k))
+    for lo in range(0, k, block):
+        hi = min(lo + block, k)
+        resid, th, prod = bufs[:, :m * (hi - lo) * k].reshape(3, m, hi - lo, k)
+        xs = work[:, lo:hi].T.copy()
+        beta = np.stack([work.T @ work[:, i] for i in range(lo, hi)]) / m
+        np.multiply(work[:, lo:hi, None], beta, out=resid)
+        np.subtract(work[:, None, :], resid, out=resid)
+        # candidate b's own column, (b, lo + b), sits every k + 1 flat columns
+        resid.reshape(m, -1)[:, lo::k + 1] = 0.0
+        c1 = _abs_corr(xs, np.tanh(resid, out=th), prod)
+        c2 = _abs_corr(np.tanh(xs), resid, prod)
+        scores[lo:hi] = c1.sum(axis=1) + c2.sum(axis=1)
+    return scores
 
 
 def _exogeneity_order(x: np.ndarray) -> list:
     """Repeatedly take the variable whose removal leaves the least dependence
-    between itself and the other variables' regression residuals, deflating
-    the rest onto it after each pick."""
+    between itself and the other variables' regression residuals (the first
+    one on a tie), deflating the rest onto it after each pick."""
     m, k = x.shape
     work = (x - x.mean(axis=0)) / x.std(axis=0)
     remaining = list(range(k))
     order = []
     while len(remaining) > 1:
-        best, best_score = None, None
-        for pos, _ in enumerate(remaining):
-            xi = work[:, pos]
-            beta = work.T @ xi / m
-            resid = work - np.outer(xi, beta)
-            resid[:, pos] = 0.0
-            c1 = np.abs(_corr_against(xi, np.tanh(resid)))
-            c2 = np.abs(_corr_against(np.tanh(xi), resid))
-            score = float(c1.sum() + c2.sum() - c1[pos] - c2[pos])
-            if best_score is None or score < best_score:
-                best, best_score = pos, score
+        best = int(np.argmin(_pick_scores(work)))
         order.append(remaining[best])
         xi = work[:, best]
         beta = work.T @ xi / m
@@ -181,6 +210,11 @@ def solve_lingam(data: SampleMatrix, variables, prune_alpha: float = 0.05) -> Ed
             gram_inv = np.linalg.inv(gram)
         except np.linalg.LinAlgError:
             raise RankDeficientError("collinear predecessors in regression") from None
+        # 1 / d[j] is predecessor j's 1 - R^2 on the others; at or below
+        # PIVOT_TOL the design is collinear up to rounding, as Fisher-z rules
+        d = np.diag(gram_inv) * np.diag(gram)
+        if not (d.min() > 0 and d.max() * PIVOT_TOL < 1):
+            raise RankDeficientError("collinear predecessors in regression")
         beta = gram_inv @ design.T @ y
         resid = y - design @ beta
         dof = m - len(preds)

@@ -337,3 +337,60 @@ def remove_conflicts_and_redundancy_reference(edges, oracle, max_cond=3):
     for e in surviving:
         out.add(e.parent, e.child, e.significance)
     return out
+
+
+def corr_against_reference(x, cols):
+    """Correlation of one vector with each column; degenerate columns give 0."""
+    import numpy as np
+
+    xc = x - x.mean()
+    cc = cols - cols.mean(axis=0)
+    sx = np.sqrt((xc * xc).mean())
+    sc = np.sqrt((cc * cc).mean(axis=0))
+    denom = sx * sc
+    num = (xc[:, None] * cc).mean(axis=0)
+    out = np.zeros(cols.shape[1])
+    good = denom > 1e-12
+    out[good] = num[good] / denom[good]
+    return out
+
+
+def exogeneity_order_reference(x):
+    """The LiNGAM-style causal order one candidate at a time: regress the
+    other columns on the candidate, score the tanh dependence between it and
+    their residuals, take the first lowest score (strict <), deflate and
+    restandardise. Returns the order and, per pick, the matrix the pick was
+    scored on and the score of every remaining candidate."""
+    import numpy as np
+
+    m, k = x.shape
+    work = (x - x.mean(axis=0)) / x.std(axis=0)
+    remaining = list(range(k))
+    order, picks = [], []
+    while len(remaining) > 1:
+        best, best_score = None, None
+        scores = []
+        for pos, _ in enumerate(remaining):
+            xi = work[:, pos]
+            beta = work.T @ xi / m
+            resid = work - np.outer(xi, beta)
+            resid[:, pos] = 0.0
+            c1 = np.abs(corr_against_reference(xi, np.tanh(resid)))
+            c2 = np.abs(corr_against_reference(np.tanh(xi), resid))
+            score = float(c1.sum() + c2.sum() - c1[pos] - c2[pos])
+            scores.append(score)
+            if best_score is None or score < best_score:
+                best, best_score = pos, score
+        picks.append((work, np.array(scores)))
+        order.append(remaining[best])
+        xi = work[:, best]
+        beta = work.T @ xi / m
+        work = work - np.outer(xi, beta)
+        work = np.delete(work, best, axis=1)
+        sd = work.std(axis=0)
+        if np.any(sd <= 1e-12):
+            sd = np.where(sd <= 1e-12, 1.0, sd)
+        work = (work - work.mean(axis=0)) / sd
+        del remaining[best]
+    order.extend(remaining)
+    return order, picks

@@ -14,8 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # The combined edge-set digests (`digest = ...` in `perfbench/run.py`'s
 # output) of the first three seed-2026 replicates of each workload, at full
 # size and at the half size the scaling exponent compares against, and of
-# the discrete flat baseline. A change that keeps edge sets unchanged at a
-# fixed seed keeps these.
+# the continuous and discrete flat baselines. A change that keeps edge sets
+# unchanged at a fixed seed keeps these.
 SEED_2026_DIGESTS = {
     "continuous-n30": "2dbf98473c0af3ab",
     "continuous-n30 half": "f169835bdf463795",
@@ -23,6 +23,7 @@ SEED_2026_DIGESTS = {
     "discrete-n60 half": "d61dec73ab74f882",
     "oracle-n200": "b4aec831f32c4611",
     "oracle-n200 half": "efb71fd7ac7de406",
+    "continuous-n30 baseline": "19fb2fef08bf9e6d",
     "discrete-n60 baseline": "78137b5a5de2103b",
 }
 
@@ -41,7 +42,7 @@ for name, wl in WORKLOADS.items():
     out[name] = combined_digest([digest(solve(inst, [])) for inst in insts], 0)
     halves = [build_instance(wl, 2026, HALF, rep) for rep in range(DIGEST_UNITS)]
     out[name + " half"] = combined_digest([digest(solve(inst, [])) for inst in halves], 0)
-    if wl.kind == "discrete":
+    if wl.kind != "oracle":
         flat = [digest(solve_flat(wl, inst, baseline_oracle(wl, inst))) for inst in insts]
         out[name + " baseline"] = combined_digest(flat, 0)
 print(json.dumps(out))

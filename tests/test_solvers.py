@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sada.solvers as solvers
 from sada.graph import Dag, generate_random_dag
 from sada.synth import SampleMatrix, generate_discrete, generate_linear_nongaussian, sample_from_cpts
 from sada.solvers import (
@@ -15,7 +16,7 @@ from sada.solvers import (
 )
 
 from conftest import NINE_NODE_EDGES
-from oracles import discrete_anm_four_pass
+from oracles import discrete_anm_four_pass, exogeneity_order_reference
 
 PAIR = Dag(2, [(0, 1)])
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -152,6 +153,74 @@ class TestLingam:
         g = generate_random_dag(7, 1.25, seed=31)
         sm = generate_linear_nongaussian(g, m=300, seed=32)
         assert solve_lingam(sm, range(7)) == solve_lingam(sm, range(7))
+
+    @pytest.mark.parametrize("copy", [lambda c: c, lambda c: 2.0 * c + 1.0],
+                             ids=["duplicate", "affine"])
+    def test_collinear_copy_rejected(self, copy):
+        # an affine copy leaves a Gram matrix that inverts without error but
+        # gives the copy a 1 - R^2 of rounding size
+        x = np.random.default_rng(0).laplace(size=(60, 4))
+        x[:, 3] = copy(x[:, 0])
+        with pytest.raises(RankDeficientError):
+            solve_lingam(SampleMatrix(x, "continuous"), range(4))
+
+
+def laplace_columns(m, k, seed):
+    return np.random.default_rng(seed).laplace(size=(m, k))
+
+
+class TestExogeneityOrder:
+    """The blocked scoring of `_exogeneity_order` against the one-candidate
+    loop in tests/oracles.py: the same picks and, at every pick, the same
+    score for every candidate to the last bit."""
+
+    @staticmethod
+    def assert_matches_reference(x):
+        order, picks = exogeneity_order_reference(x)
+        assert solvers._exogeneity_order(x) == order
+        for work, scores in picks:
+            assert np.array_equal(solvers._pick_scores(work), scores)
+        return picks
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7, 12, 20, 29, 40])
+    def test_random_laplace(self, k):
+        for seed, m in enumerate(sorted({k + 1, 30, 60, 200})):
+            if m > k:
+                self.assert_matches_reference(laplace_columns(m, k, seed))
+
+    @pytest.mark.parametrize("m, k", [(60, 30), (200, 45)])
+    def test_picks_span_several_blocks(self, m, k):
+        # at m = 60 the 30 candidates split 9 + 9 + 9 + 3; at m = 200 one
+        # candidate's 45 columns overrun the float budget, so blocks take
+        # the two-candidate floor and the last one holds a single candidate
+        assert solvers._SCORE_BLOCK_FLOATS < m * k * k
+        self.assert_matches_reference(laplace_columns(m, k, 7))
+
+    def test_duplicate_columns_tie_and_collapse(self):
+        # a duplicate pair scores exactly equal, and once one of the pair is
+        # taken the other deflates to a constant; the first tied candidate wins
+        ties = collapsed = 0
+        for k in (2, 4, 6):
+            x = laplace_columns(60, k, 5)
+            x[:, k - 1] = x[:, 0]
+            x[:, 2 % k] = x[:, 1 % k]
+            for work, scores in self.assert_matches_reference(x):
+                ties += int((scores == scores.min()).sum() > 1)
+                collapsed += int((work.std(axis=0) <= 1e-12).any())
+        assert ties and collapsed
+
+    def test_solve_lingam_matches_reference_order(self, monkeypatch):
+        cases = []
+        for n, m, seed in ((8, 60, 41), (15, 30, 42), (30, 60, 43)):
+            g = generate_random_dag(n, 1.25, seed=seed)
+            sm = generate_linear_nongaussian(g, m=m, seed=seed + 100)
+            cases.append((sm, range(n), solve_lingam(sm, range(n))))
+        monkeypatch.setattr(solvers, "_exogeneity_order",
+                            lambda x: exogeneity_order_reference(x)[0])
+        for sm, vs, batched in cases:
+            reference = solve_lingam(sm, vs)
+            assert batched == reference
+            assert len(reference) > 0
 
 
 class TestDiscreteAnm:
