@@ -103,6 +103,8 @@ class ExperimentGrid:
                 raise BenchError(f"{name} entries must be positive, got {value}")
             if name in _GRID_COUNTS and not all(_is_integer(x) for x in value):
                 raise BenchError(f"{name} entries must be integers, got {value}")
+            if name == "noise_weights" and any(x > 1 for x in value):
+                raise BenchError(f"noise_weights entries must be at most 1, got {value}")
             set_(self, name, value)
         if not _is_integer(self.replicates) or self.replicates < 1:
             raise BenchError(f"replicates must be a positive integer, got {self.replicates}")

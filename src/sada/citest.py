@@ -156,9 +156,8 @@ class PartialCorrelationOracle(CiOracle):
         sd = data.values.std(axis=0)
         self._constant = (sd <= 0).tolist()
         with np.errstate(invalid="ignore", divide="ignore"):
-            self._corr_array = np.corrcoef(data.values, rowvar=False)
-        # nested lists: the per-query arithmetic runs on Python floats
-        self._corr = self._corr_array.tolist()
+            # nested lists: the per-query arithmetic runs on Python floats
+            self._corr = np.corrcoef(data.values, rowvar=False).tolist()
         self._cache: dict = {}
 
     def _p_value(self, u, v, zt) -> float:
@@ -169,24 +168,7 @@ class PartialCorrelationOracle(CiOracle):
         for w in (u, v) + zt:
             if self._constant[w]:
                 raise SingularConditioningError(f"column {w} is constant")
-        c = self._corr
-        if len(zt) > 2:
-            idx = np.array((u, v) + zt)
-            try:
-                prec = np.linalg.inv(self._corr_array[idx[:, None], idx])
-            except np.linalg.LinAlgError:
-                raise SingularConditioningError(
-                    "conditioning covariance is singular") from None
-            # 1 / d[j] is the variance of idx[j] given all the others: its
-            # pivot when eliminated last, relative to the unit diagonal
-            d = prec.diagonal().tolist()
-            if not (min(d) > 0 and max(d) * PIVOT_TOL < 1):
-                raise SingularConditioningError("conditioning covariance is singular")
-            r = -float(prec[0, 1]) / math.sqrt(d[0] * d[1])
-        elif zt:
-            r = _closed_partial_corr(c, u, v, zt)
-        else:
-            r = c[u][v]
+        r = _partial_corr(self._corr, u, v, zt) if zt else self._corr[u][v]
         if not math.isfinite(r) or abs(r) > 1 + 1e-6:
             raise SingularConditioningError("partial correlation is not identifiable")
         r = min(max(r, -1 + 1e-15), 1 - 1e-15)
@@ -195,31 +177,45 @@ class PartialCorrelationOracle(CiOracle):
         return float(2 * ndtr(-abs(stat)))
 
 
-def _closed_partial_corr(c, u, v, zt) -> float:
-    """Partial correlation of u and v given one or two variables, eliminating
-    each conditioning variable in turn from the correlation entries (a Schur
-    complement scaled by the pivot, so nothing is divided before the end).
-    Raises SingularConditioningError when a pivot, in the order zt, u, v, is
-    not above PIVOT_TOL times its diagonal entry (1 in a correlation matrix):
-    the set is collinear, or the conditional covariance of u and v is
-    singular, up to rounding."""
-    w = zt[0]
-    cu, cv, cw = c[u], c[v], c[w]
-    a = cw[w]
-    uu = cu[u] * a - cu[w] * cu[w]
-    vv = cv[v] * a - cv[w] * cv[w]
-    uv = cu[v] * a - cu[w] * cv[w]
+def _partial_corr(c, u, v, zt) -> float:
+    """Partial correlation of u and v given a nonempty zt, from the nested
+    correlation lists c. The conditioning variables are eliminated one at a
+    time, in the order zt, each as a Schur complement scaled by its pivot, so
+    nothing is divided before the end. Each pair of ids is read from the row
+    of the one earlier in the order u, v, zt: np.corrcoef is not symmetric
+    to the last bit, and this order fixes every result. Raises
+    SingularConditioningError when a pivot, the variance of u given zt or
+    that of v given zt and u is not above PIVOT_TOL times its diagonal entry
+    (1 in a correlation matrix): the set is collinear, or the pair is given
+    it, up to rounding."""
+    cu, cv = c[u], c[v]
+    uu, uv, vv = cu[u], cu[v], cv[v]
+    # rows[t] holds zt[t]'s entries with u, with v and with each id of zt, at
+    # 0, 1 and 2 + r for zt[r]; only those with zt[t] and later ids are read
+    rows = [[cu[w], cv[w], *map(c[w].__getitem__, zt)] for w in zt]
+    k = len(zt)
     # the entries are scaled by the product of the pivots so far; so is tol
-    tol = PIVOT_TOL * a
-    if len(zt) == 2:
-        x = zt[1]
-        xx = c[x][x] * a - cw[x] * cw[x]
-        if not xx > tol:
+    tol = PIVOT_TOL
+    for t, row in enumerate(rows):
+        piv = row[2 + t]
+        if not piv > tol:
             raise SingularConditioningError("conditioning covariance is singular")
-        ux = cu[x] * a - cu[w] * cw[x]
-        vx = cv[x] * a - cv[w] * cw[x]
-        uu, vv, uv = uu * xx - ux * ux, vv * xx - vx * vx, uv * xx - ux * vx
-        tol *= xx
+        # each step also scales by a power of two, which is exact and brings
+        # the pivot into [0.5, 1); unscaled, the entries underflow from
+        # about |z| = 10 on
+        piv, e = math.frexp(piv)
+        scale = math.ldexp(1.0, -e)
+        pu, pv = row[0], row[1]
+        su, sv = pu * scale, pv * scale
+        uu, uv, vv = uu * piv - su * pu, uv * piv - su * pv, vv * piv - sv * pv
+        for q in range(t + 1, k):
+            later, pq = rows[q], row[2 + q]
+            later[0] = later[0] * piv - su * pq
+            later[1] = later[1] * piv - sv * pq
+            sq = pq * scale
+            for r in range(2 + q, 2 + k):
+                later[r] = later[r] * piv - sq * row[r]
+        tol *= piv
     if not (uu > tol and uu * vv - uv * uv > tol * uu):
         raise SingularConditioningError("conditioning covariance is singular")
     return uv / math.sqrt(uu * vv)

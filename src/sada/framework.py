@@ -6,6 +6,7 @@ solver, and merges partial edge sets while removing conflicts and
 redundant direct edges.
 """
 
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -36,14 +37,20 @@ class SadaConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if int(self.theta) != self.theta or self.theta < 2:
-            raise FrameworkError(f"theta must be an integer >= 2, got {self.theta}")
-        if int(self.k) != self.k or self.k < 1:
-            raise FrameworkError(f"k must be an integer >= 1, got {self.k}")
-        if self.max_cond is not None and (int(self.max_cond) != self.max_cond or self.max_cond < 0):
-            raise FrameworkError(f"max_cond must be None or an integer >= 0, got {self.max_cond}")
+        if not _is_count(self.theta, 2):
+            raise FrameworkError(f"theta must be an integer >= 2, got {self.theta!r}")
+        if not _is_count(self.k, 1):
+            raise FrameworkError(f"k must be an integer >= 1, got {self.k!r}")
+        if self.max_cond is not None and not _is_count(self.max_cond, 0):
+            raise FrameworkError(f"max_cond must be None or an integer >= 0, got {self.max_cond!r}")
         if not (0.0 < self.alpha_level < 1.0):
             raise FrameworkError(f"alpha_level must lie in (0, 1), got {self.alpha_level}")
+
+
+def _is_count(x, floor) -> bool:
+    """True for an integral number (numpy integers included) of at least
+    floor; a float is refused even when whole, and a bool is no count."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= floor
 
 
 def _grow_from_seed(oracle, ordered_vars, u, v, seed_separator, max_cond):

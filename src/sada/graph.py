@@ -283,10 +283,12 @@ def save_dag(g: Dag, path) -> None:
 
 def load_dag(path) -> Dag:
     """Parse the edge-list format; the `n=` header is optional and the count
-    defaults to max id + 1. Malformed lines raise EdgeListParseError with the
-    line number; structural problems raise through the Dag constructor."""
+    defaults to max id + 1. A malformed line, a negative count, an id at or
+    past the header's count, a self loop or a repeated edge raises
+    EdgeListParseError with the line number; a cycle, which no one line
+    holds, raises CycleError."""
     n = None
-    edges = []
+    edges = {}  # the edges in file order, as an ordered set
     max_id = -1
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -302,6 +304,8 @@ def load_dag(path) -> Dag:
                     n = int(line[2:])
                 except ValueError:
                     raise EdgeListParseError(f"bad count {line[2:]!r}", line_no) from None
+                if n < 0:
+                    raise EdgeListParseError(f"negative count {n}", line_no)
                 continue
             parts = line.split()
             if len(parts) != 2:
@@ -312,7 +316,13 @@ def load_dag(path) -> Dag:
                 raise EdgeListParseError(f"non-integer id in {line!r}", line_no) from None
             if u < 0 or v < 0:
                 raise EdgeListParseError(f"negative id in {line!r}", line_no)
-            edges.append((u, v))
+            if n is not None and max(u, v) >= n:
+                raise EdgeListParseError(f"id {max(u, v)} out of range for n={n}", line_no)
+            if u == v:
+                raise EdgeListParseError(f"self loop at {u}", line_no)
+            if (u, v) in edges:
+                raise EdgeListParseError(f"duplicate edge ({u}, {v})", line_no)
+            edges[u, v] = None
             max_id = max(max_id, u, v)
     if n is None:
         n = max_id + 1

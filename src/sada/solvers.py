@@ -211,7 +211,8 @@ def solve_lingam(data: SampleMatrix, variables, prune_alpha: float = 0.05) -> Ed
         except np.linalg.LinAlgError:
             raise RankDeficientError("collinear predecessors in regression") from None
         # 1 / d[j] is predecessor j's 1 - R^2 on the others; at or below
-        # PIVOT_TOL the design is collinear up to rounding, as Fisher-z rules
+        # PIVOT_TOL the design is collinear up to rounding. The threshold is
+        # Fisher-z's, but Fisher-z applies it to each elimination pivot
         d = np.diag(gram_inv) * np.diag(gram)
         if not (d.min() > 0 and d.max() * PIVOT_TOL < 1):
             raise RankDeficientError("collinear predecessors in regression")

@@ -130,7 +130,8 @@ class TestExperimentGrid:
         for name, bad in (("variable_sizes", [10.5]), ("sample_sizes", [40.7]),
                           ("variable_sizes", [True]), ("sample_sizes", [200, True]),
                           ("replicates", True), ("in_degrees", [True]),
-                          ("noise_weights", [0.3, np.True_])):
+                          ("noise_weights", [0.3, np.True_]),
+                          ("noise_weights", [1.5]), ("noise_weights", [0.3, 1.0001])):
             with pytest.raises(BenchError, match=name):
                 ExperimentGrid.from_mapping({name: bad})
 

@@ -104,7 +104,8 @@ class TestPartialCorrelation:
         data = SampleMatrix(np.column_stack([x, y, x.copy(), 3 * x, x + 1, w, t]), "continuous")
         o = PartialCorrelationOracle(data)
         for u, v, z in [(0, 1, (2,)), (1, 5, (0, 3)), (1, 5, (3, 4)), (5, 6, (0, 4)),
-                        (1, 5, (0, 3, 6)), (1, 5, (2, 4, 6)), (1, 6, (0, 2, 3))]:
+                        (1, 5, (0, 3, 6)), (1, 5, (2, 4, 6)), (1, 6, (0, 2, 3)),
+                        (1, 6, (0, 3, 4, 5))]:
             with pytest.raises(SingularConditioningError):
                 o.query(u, v, z)
 
@@ -553,9 +554,9 @@ def _outcome(oracle, u, v, z):
         return type(exc)
 
 
-def _random_queries(n, count, rng):
+def _random_queries(n, count, rng, sizes=range(6)):
     for _ in range(count):
-        size = int(rng.integers(0, 4))
+        size = int(rng.choice(sizes))
         picked = [int(w) for w in rng.choice(n, size=size + 2, replace=False)]
         yield picked[0], picked[1], tuple(picked[2:])
 
@@ -566,22 +567,35 @@ def _scipy_stats_chdtrc(df, x):
 
 class TestScipyStatsEquivalence:
     """The oracles and solvers evaluate p-values with scipy.special ufuncs and
-    closed-form partial correlations; these pin them to the scipy.stats and
-    matrix-inverse formulas they replace."""
+    partial correlations by pivot elimination; these pin them to the
+    scipy.stats and matrix-inverse formulas they replace."""
 
     def test_fisher_z_matches_inverse_reference(self):
+        # |z| up to 5, which `--max-cond none` reaches on these graphs
         rng = np.random.default_rng(31)
-        sizes = {0: 0, 1: 0, 2: 0, 3: 0}
+        sizes = dict.fromkeys(range(6), 0)
         for s in range(6):
             g = generate_random_dag(14, 1.25, seed=s)
             sm = generate_linear_nongaussian(g, m=60, seed=100 + s)
             fast, ref = PartialCorrelationOracle(sm), InverseFisherZ(sm)
-            for u, v, z in _random_queries(sm.n, 400, rng):
+            for u, v, z in _random_queries(sm.n, 600, rng):
                 got, want = fast.query(u, v, z), ref.query(u, v, z)
                 assert got.independent == want.independent
                 assert got.p_value == pytest.approx(want.p_value, rel=0, abs=1e-12)
                 sizes[len(z)] += 1
-        assert min(sizes.values()) > 400
+        assert min(sizes.values()) > 500
+
+    def test_fisher_z_deep_conditioning_matches_inverse_reference(self):
+        # the pivots' product underflows without the power-of-two rescaling
+        # from about |z| = 10 on; the inverse has no such limit
+        rng = np.random.default_rng(37)
+        g = generate_random_dag(24, 1.25, seed=3)
+        sm = generate_linear_nongaussian(g, m=200, seed=103)
+        fast, ref = PartialCorrelationOracle(sm), InverseFisherZ(sm)
+        for u, v, z in _random_queries(sm.n, 200, rng, sizes=range(6, 21)):
+            got, want = fast.query(u, v, z), ref.query(u, v, z)
+            assert got.independent == want.independent
+            assert got.p_value == pytest.approx(want.p_value, rel=0, abs=1e-12)
 
     def test_fisher_z_degenerate_columns(self):
         # columns 0, 4, 5, 6 are x, a copy, 2x and -x; 2 and 8 are w and 4w;
@@ -593,7 +607,7 @@ class TestScipyStatsEquivalence:
         sm = SampleMatrix(np.column_stack(cols), "continuous")
         fast, ref = PartialCorrelationOracle(sm), InverseFisherZ(sm)
         raised_collinear = 0
-        for size in range(4):
+        for size in range(5):
             for z in itertools.combinations(range(sm.n), size):
                 for u, v in itertools.combinations(range(sm.n), 2):
                     if u in z or v in z:
@@ -605,7 +619,7 @@ class TestScipyStatsEquivalence:
                         raised_collinear += 7 not in (u, v) + z
                         continue
                     tags = [family[c] for c in (u, v) + z if c in family]
-                    if z and len(set(tags)) < len(tags) and size <= 3:
+                    if z and len(set(tags)) < len(tags):
                         # an exactly collinear set always raises; the inverse
                         # misses some of these when the rounded correlation
                         # matrix is off symmetric by an ulp

@@ -54,6 +54,17 @@ class TestConfig:
         assert SadaConfig(max_cond=None).max_cond is None
         assert SadaConfig(max_cond=0).max_cond == 0
 
+    def test_counts_must_be_integral(self):
+        # a whole float or a bool is refused, naming the field; before, a
+        # float passed and run_sada later failed on it with a TypeError
+        for name, bad in (("theta", 10.0), ("k", 2.0), ("max_cond", 3.0),
+                          ("theta", True), ("k", True), ("max_cond", False),
+                          ("max_cond", np.True_), ("k", 1.5), ("theta", "10")):
+            with pytest.raises(FrameworkError, match=name):
+                SadaConfig(**{name: bad})
+        cfg = SadaConfig(theta=np.int64(4), k=np.int32(2), max_cond=np.int8(0))
+        assert (cfg.theta, cfg.k, cfg.max_cond) == (4, 2, 0)
+
 
 class TestGrowFromSeed:
     def test_nine_node_reference_split(self, nine_node):

@@ -322,6 +322,21 @@ class TestEdgeListFormat:
                 load_dag(p)
             assert err.value.line_no == line_no
 
+    def test_structural_faults_carry_line_numbers(self, tmp_path):
+        cases = [
+            ("n=2\n0 1\n1 2\n", 3, "out of range"),
+            ("n=3\n0 1\n3 0\n", 3, "out of range"),
+            ("0 1\n1 1\n", 2, "self loop"),
+            ("0 1\n1 2\n# note\n0 1\n", 4, "duplicate edge"),
+            ("n=-1\n", 1, "negative count"),
+        ]
+        for text, line_no, message in cases:
+            p = tmp_path / "bad.txt"
+            p.write_text(text)
+            with pytest.raises(EdgeListParseError, match=message) as err:
+                load_dag(p)
+            assert err.value.line_no == line_no
+
     def test_semantic_errors_surface(self, tmp_path):
         p = tmp_path / "cyc.txt"
         p.write_text("0 1\n1 0\n")

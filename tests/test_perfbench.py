@@ -1,8 +1,27 @@
-"""The benchmark under perfbench/ drives the package through `run_sada`'s
-`trace=`, the oracles' `separable` and `find_separator`, and the rebinding
-of `sada.framework.find_causal_cut` and `merge_results`. Its self-test runs
-both modes of every workload at tiny sizes and exits non-zero when a source
-change breaks one of them."""
+"""The benchmark under perfbench/ drives the package from outside, and its
+self-test runs both modes of every workload at tiny sizes and exits non-zero
+when a source change breaks one of them. A simplification must keep every
+`sada` name it reads:
+
+- `run_sada(data, variables, cfg, solver, oracle, rng=, trace=)`, appending
+  each accepted cut to `trace`, and `SadaConfig(theta=, k=, max_cond=)`
+  with `cfg.alpha_level`;
+- `PartialCorrelationOracle(data, alpha_level=)`,
+  `GSquaredOracle(data, alpha_level=)` and `ExactCiOracle(dag)`, with the
+  instance attributes `query`, `find_separator(u, v, candidates, max_cond)`
+  and `separable(u, vs, candidates, max_cond)`, which it replaces with
+  wrappers, `CiError`, the verdict cache `oracle._cache` and
+  `ExactCiOracle.graph._dsep_cache`;
+- the module globals `sada.framework.find_causal_cut(oracle, variables, cfg,
+  rng=)` and `sada.framework.merge_results(g1, g2, oracle, max_cond=)`,
+  which it rebinds, and `remove_conflicts_and_redundancy(edges, oracle,
+  max_cond=)`;
+- `CausalCut.min_side`;
+- `make_oracle_solver`, `oracle_solver`, `solve_lingam`,
+  `solve_discrete_anm` and `EdgeSet` with its `pairs()`;
+- `Dag(n, edges)` with `n` and `edges`, `generate_random_dag`,
+  `generate_linear_nongaussian`, `generate_discrete`, and `sada.bench`'s
+  `score` and `cut_error_ratio`."""
 
 import json
 import subprocess
