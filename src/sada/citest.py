@@ -153,8 +153,10 @@ class PartialCorrelationOracle(CiOracle):
         self.alpha_level = alpha_level
         self._m = data.m
         self._n = data.n
-        sd = data.values.std(axis=0)
-        self._constant = (sd <= 0).tolist()
+        # by max == min: the std of a constant column such as 0.1 is
+        # rounding noise, not 0
+        vals = data.values
+        self._constant = (vals.max(axis=0) == vals.min(axis=0)).tolist()
         with np.errstate(invalid="ignore", divide="ignore"):
             # nested lists: the per-query arithmetic runs on Python floats
             self._corr = np.corrcoef(data.values, rowvar=False).tolist()
@@ -298,18 +300,6 @@ class GSquaredOracle(CiOracle):
             code += base * cols[w]
             base *= k
         return self._g2.p_value(np.bincount(code, minlength=base).reshape(-1, k, k))
-
-
-def g2_p_value(a, b, num_states: int) -> float:
-    """Marginal G2 independence p-value for two coded integer columns of equal
-    length; a degenerate table (dof 0) carries no evidence against
-    independence."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.ndim != 1 or b.ndim != 1 or len(a) != len(b):
-        raise CiError(f"need two 1-D columns of equal length, got shapes {a.shape} and {b.shape}")
-    k = int(num_states)
-    table = np.bincount(b + k * a, minlength=k * k).reshape(1, k, k)
-    return G2Kernel(k, len(a)).p_value(table)
 
 
 class ExactCiOracle(CiOracle):

@@ -7,6 +7,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .bench import ExperimentGrid, cut_error_ratio, run_experiment, score, \
     write_rows_csv, write_summary_json
 from .bounds import ErrorModel, bounds_report
@@ -33,6 +35,14 @@ def _max_cond_arg(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer or 'none', got {text!r}") from None
+
+
+def _seed_arg(text):
+    """Run seed: a nonnegative integer, the range numpy's seeding takes."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _resolve_seed(seed):
@@ -77,7 +87,7 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True, help="number of variables")
     p.add_argument("--degree", type=float, required=True,
                    help="average in-degree of the sampled graph")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed_arg)
     p.add_argument("--out", required=True, help="edge-list output path")
     p.set_defaults(func=_cmd_gen_dag)
 
@@ -88,7 +98,7 @@ def _build_parser():
                    help="noise share for continuous data (default 0.3)")
     p.add_argument("--states", type=int, default=None,
                    help="state count; switches generation to discrete")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed_arg)
     p.add_argument("--out", required=True, help="sample CSV output path")
     p.set_defaults(func=_cmd_gen_data)
 
@@ -97,7 +107,7 @@ def _build_parser():
     p.add_argument("--solver", choices=("lingam", "anm"),
                    help="subproblem solver (default: by data kind)")
     _add_sada_flags(p)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed_arg)
     p.add_argument("--truth", help="edge-list file to score the result against")
     p.add_argument("--trace", action="store_true",
                    help="include the accepted cuts in the report")
@@ -116,7 +126,7 @@ def _build_parser():
     p = sub.add_parser("bench", help="run a benchmark sweep from a grid file")
     p.add_argument("grid", help="JSON file of grid fields")
     _add_sada_flags(p)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed_arg)
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes for replicates (default sequential)")
     p.add_argument("--out", required=True,
@@ -183,9 +193,10 @@ def _cmd_discover(args):
 
     seed = _resolve_seed(args.seed)
     cfg = SadaConfig(theta=args.theta, k=args.k, max_cond=args.max_cond,
-                     alpha_level=args.alpha, seed=seed)
+                     alpha_level=args.alpha)
     trace = []
-    edges = run_sada(data, range(data.n), cfg, solver, oracle, trace=trace)
+    edges = run_sada(data, range(data.n), cfg, solver, oracle,
+                     np.random.default_rng(seed), trace=trace)
     if solver_name == "anm":
         edges = clean_unmerged(edges, trace, oracle, max_cond=cfg.max_cond)
 

@@ -28,13 +28,14 @@ class SadaConfig:
     theta: stop partitioning once a subproblem has at most this many
     variables.  k: independent restarts of the cut search per node.
     max_cond: conditioning-set cap for every CI query (None lifts it).
+    alpha_level: significance level of the CI tests.  A run's randomness
+    comes only from the Generator passed to run_sada.
     """
 
     theta: int = 10
     k: int = 1
     max_cond: Optional[int] = 3
     alpha_level: float = 0.05
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if not _is_count(self.theta, 2):
@@ -43,8 +44,9 @@ class SadaConfig:
             raise FrameworkError(f"k must be an integer >= 1, got {self.k!r}")
         if self.max_cond is not None and not _is_count(self.max_cond, 0):
             raise FrameworkError(f"max_cond must be None or an integer >= 0, got {self.max_cond!r}")
-        if not (0.0 < self.alpha_level < 1.0):
-            raise FrameworkError(f"alpha_level must lie in (0, 1), got {self.alpha_level}")
+        a = self.alpha_level
+        if not (isinstance(a, numbers.Real) and not isinstance(a, bool) and 0.0 < a < 1.0):
+            raise FrameworkError(f"alpha_level must be a real number in (0, 1), got {a!r}")
 
 
 def _is_count(x, floor) -> bool:
@@ -117,21 +119,26 @@ def _sample_seed_pair(oracle, ordered_vars, max_cond, rng):
     return None
 
 
-def find_causal_cut(oracle, variables, cfg: SadaConfig, rng=None):
+def _check_rng(rng):
+    if not isinstance(rng, np.random.Generator):
+        raise FrameworkError(f"rng must be a numpy Generator, got {type(rng).__name__}")
+
+
+def find_causal_cut(oracle, variables, cfg: SadaConfig, rng):
     """Search for a causal cut of `variables`, best of cfg.k restarts.
 
     Each restart seeds two separable variables, grows both sides greedily in
     ascending id order, and refines the cut set.  The winner maximizes the
     smaller side size; ties go to the smaller cut set.  Returns None when no
     restart produces a separable seed pair or a cut with two nonempty sides.
+    `rng` (a numpy Generator) shuffles the seed pairs.
     """
     ordered = sorted(int(w) for w in variables)
     if len(ordered) < 3:
         raise FrameworkError(f"cut search needs at least 3 variables, got {len(ordered)}")
     if len(set(ordered)) != len(ordered):
         raise FrameworkError("duplicate variable ids")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    _check_rng(rng)
     best = None
     best_key = None
     for _ in range(cfg.k):
@@ -282,7 +289,7 @@ def merge_results(g1: EdgeSet, g2: EdgeSet, oracle, max_cond=3) -> EdgeSet:
     return remove_conflicts_and_redundancy(merged, oracle, max_cond)
 
 
-def run_sada(data, variables, cfg: SadaConfig, solver, oracle, rng=None,
+def run_sada(data, variables, cfg: SadaConfig, solver, oracle, rng,
              trace=None) -> EdgeSet:
     """Recursive split-and-merge driver.
 
@@ -291,6 +298,8 @@ def run_sada(data, variables, cfg: SadaConfig, solver, oracle, rng=None,
     the cut set) and merges the partial results.  `solver` is called as
     solver(data, variable_set) and must return an EdgeSet.
 
+    `rng` (a numpy Generator) is the run's only source of randomness; each
+    split spawns one child stream per side, so a run replays from its seed.
     `trace` (a list), when given, receives every accepted CausalCut; the
     variables a cut partitioned are left | cut_set | right.
     """
@@ -303,8 +312,7 @@ def run_sada(data, variables, cfg: SadaConfig, solver, oracle, rng=None,
         raise FrameworkError(f"negative variable id {vs[0]}")
     if data is not None and vs[-1] >= data.n:
         raise FrameworkError(f"variable id {vs[-1]} out of range for {data.n} columns")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    _check_rng(rng)
     return _run(data, vs, cfg, solver, oracle, rng, trace)
 
 

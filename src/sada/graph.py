@@ -56,12 +56,12 @@ class Dag:
     """Immutable DAG over variables 0..n-1 with bitset-backed queries.
 
     Parent and neighbour (parent or child) sets are also kept as Python ints
-    used as bitsets, and so are the ancestor and descendant closures, which
-    are built lazily and shared by every d-separation query on the instance.
+    used as bitsets, and so is the ancestor closure, which is built lazily
+    and shared by every d-separation query on the instance.
     """
 
     __slots__ = ("n", "edges", "_parents", "_children", "_pa_bits", "_nb_bits",
-                 "_anc", "_desc", "_dsep_cache")
+                 "_anc", "_dsep_cache")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -92,13 +92,8 @@ class Dag:
         self._nb_bits = [pb | sum(1 << c for c in cs)
                          for pb, cs in zip(self._pa_bits, children)]
         self._anc = None
-        self._desc = None
         self._dsep_cache = {}
         self.topological_order()  # rejects cycles at construction time
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
 
     def parents(self, v: VariableId) -> tuple:
         return self._parents[v]
@@ -131,21 +126,6 @@ class Dag:
                 anc[v] = a
             self._anc = anc
         return self._anc
-
-    def _descendant_bits(self):
-        if self._desc is None:
-            desc = [0] * self.n
-            for v in reversed(self.topological_order()):
-                d = 0
-                for c in self._children[v]:
-                    d |= desc[c] | (1 << c)
-                desc[v] = d
-            self._desc = desc
-        return self._desc
-
-    def descendants(self, v: VariableId) -> frozenset:
-        """Strict descendants of v."""
-        return _bits_to_set(self._descendant_bits()[v])
 
     def d_separated(self, u: VariableId, v: VariableId, z) -> bool:
         """Lauritzen's moral-graph criterion: u and v are d-separated by z
@@ -237,14 +217,6 @@ class Dag:
         return f"Dag(n={self.n}, edges={sorted(self.edges)})"
 
 
-def _bits_to_set(bits: int) -> frozenset:
-    out = []
-    while bits:
-        out.append((bits & -bits).bit_length() - 1)
-        bits &= bits - 1
-    return frozenset(out)
-
-
 def generate_random_dag(n: int, avg_in_degree: float, seed) -> Dag:
     """Random DAG in which variable i draws its parent count from the two-point
     distribution on {floor(d), ceil(d)} with mean d = avg_in_degree, capped at
@@ -256,7 +228,7 @@ def generate_random_dag(n: int, avg_in_degree: float, seed) -> Dag:
         raise GraphError(f"need at least one variable, got n={n}")
     if avg_in_degree < 0:
         raise GraphError(f"average in-degree must be nonnegative, got {avg_in_degree}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     lo = math.floor(avg_in_degree)
     hi = math.ceil(avg_in_degree)
     p_hi = avg_in_degree - lo

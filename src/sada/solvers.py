@@ -52,21 +52,11 @@ class EdgeSet:
         if old is None or sig > old:
             self._sig[key] = sig
 
-    def remove(self, parent: int, child: int) -> None:
-        del self._sig[(parent, child)]
-
     def significance(self, parent: int, child: int) -> float:
         return self._sig[(parent, child)]
 
     def pairs(self) -> frozenset:
         return frozenset(self._sig)
-
-    def variables(self) -> frozenset:
-        out = set()
-        for u, v in self._sig:
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
 
     @classmethod
     def union_max(cls, *sets) -> "EdgeSet":
@@ -194,10 +184,11 @@ def solve_lingam(data: SampleMatrix, variables, prune_alpha: float = 0.05) -> Ed
     if m <= len(vs):
         raise RankDeficientError(f"m={m} too small for {len(vs)} variables")
     x = data.values[:, vs]
-    sd = x.std(axis=0)
-    if np.any(sd <= 0):
+    # by max == min, as in the discrete solver: a constant column's std is
+    # rounding noise, not always 0
+    if np.any(x.max(axis=0) == x.min(axis=0)):
         raise SolverError("constant column in continuous data")
-    x = (x - x.mean(axis=0)) / sd
+    x = (x - x.mean(axis=0)) / x.std(axis=0)
     order = _exogeneity_order(x)
     result = EdgeSet()
     for step in range(1, len(order)):

@@ -88,7 +88,7 @@ def generate_linear_nongaussian(g: Dag, m: int, noise_weight: float = 0.3, seed=
         raise SynthError(f"need at least two samples to normalize, got m={m}")
     if not (0 < noise_weight <= 1):
         raise SynthError(f"noise weight must lie in (0, 1], got {noise_weight}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     data = np.empty((m, g.n))
     for v in g.topological_order():
         col = noise_weight * _standardize(rng.random(m))
@@ -137,7 +137,7 @@ def sample_from_cpts(g: Dag, cpts: dict, num_states: int, m: int, rng) -> Sample
 
 
 def generate_discrete(g: Dag, m: int, num_states: int = 3, seed=None) -> SampleMatrix:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     cpts = draw_random_cpts(g, num_states, rng)
     return sample_from_cpts(g, cpts, num_states, m, rng)
 

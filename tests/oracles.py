@@ -41,6 +41,21 @@ def all_undirected_simple_paths(g, u, v):
     yield from extend()
 
 
+def descendants(g, x):
+    """Strict descendants of x, by a depth-first walk over g.edges."""
+    children = defaultdict(set)
+    for a, b in g.edges:
+        children[a].add(b)
+    seen = set()
+    stack = [x]
+    while stack:
+        for c in children[stack.pop()]:
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return seen
+
+
 def path_active(g, path, z):
     """d-connection along one undirected simple path, by the textbook rules."""
     z = set(z)
@@ -48,7 +63,7 @@ def path_active(g, path, z):
         a, x, b = path[i - 1], path[i], path[i + 1]
         is_collider = (a, x) in g.edges and (b, x) in g.edges
         if is_collider:
-            if x not in z and not (set(g.descendants(x)) & z):
+            if x not in z and not (descendants(g, x) & z):
                 return False
         else:
             if x in z:
@@ -255,7 +270,7 @@ def discrete_anm_four_pass(data, variables, alpha=0.05):
     against x with a fresh marginal G2 table."""
     import numpy as np
 
-    from sada.citest import g2_p_value
+    from sada.citest import G2Kernel
     from sada.solvers import EdgeSet
 
     k = int(data.num_states)
@@ -269,7 +284,8 @@ def discrete_anm_four_pass(data, variables, alpha=0.05):
                 continue
             x, y = cols[x_var], cols[y_var]
             mode = np.bincount(y + k * x, minlength=k * k).reshape(k, k).argmax(axis=1)
-            forward_p[(x_var, y_var)] = g2_p_value(x, (y - mode[x]) % k, k)
+            table = np.bincount((y - mode[x]) % k + k * x, minlength=k * k)
+            forward_p[(x_var, y_var)] = G2Kernel(k, len(x)).p_value(table.reshape(1, k, k))
     result = EdgeSet()
     for (x_var, y_var), p_fwd in forward_p.items():
         if p_fwd > alpha and forward_p[(y_var, x_var)] <= alpha:

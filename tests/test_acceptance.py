@@ -38,7 +38,7 @@ def continuous_sweep():
     """Defaults grid, 20 replicates, shared by the cut-error and the
     continuous directional criteria."""
     t0 = time.perf_counter()
-    rows, summary = run_experiment(ExperimentGrid(), SadaConfig(theta=10, seed=0),
+    rows, summary = run_experiment(ExperimentGrid(), SadaConfig(theta=10),
                                    seed=2026)
     return rows, summary, time.perf_counter() - t0
 
@@ -54,9 +54,9 @@ def test_criterion_1_oracle_recovery_is_exact():
         n = sizes[i % 3]
         d = degrees[(i // 3) % 3]
         g = generate_random_dag(n, d, seed=1000 + i)
-        cfg = SadaConfig(theta=10, max_cond=None, seed=i)
+        cfg = SadaConfig(theta=10, max_cond=None)
         edges = run_sada(None, range(n), cfg, make_oracle_solver(g),
-                         ExactCiOracle(g))
+                         ExactCiOracle(g), rng=np.random.default_rng(i))
         assert edges.pairs() == g.edges, f"run {i} (n={n}, d={d}) not exact"
     elapsed = time.perf_counter() - t0
     assert elapsed < 120
@@ -183,7 +183,7 @@ def test_criterion_7_beats_full_problem_baseline(continuous_sweep):
 
     t0 = time.perf_counter()
     _, dsummary = run_experiment(ExperimentGrid(model="discrete"),
-                                 SadaConfig(theta=10, seed=0), seed=2026)
+                                 SadaConfig(theta=10), seed=2026)
     delapsed = time.perf_counter() - t0
     dstats = dsummary["grid_points"][0]["methods"]
     assert dstats["sada"]["errors"] == 0

@@ -70,10 +70,10 @@ class TestScore:
 
 class TestCutErrorRatio:
     def test_perfect_cuts_cost_nothing(self, nine_node):
-        cfg = SadaConfig(theta=4, max_cond=None, seed=3)
+        cfg = SadaConfig(theta=4, max_cond=None)
         trace = []
         run_sada(None, range(9), cfg, make_oracle_solver(nine_node),
-                 ExactCiOracle(nine_node), trace=trace)
+                 ExactCiOracle(nine_node), rng=np.random.default_rng(3), trace=trace)
         assert trace
         assert cut_error_ratio(trace, nine_node) == 0.0
 
@@ -150,7 +150,7 @@ SMALL_GRID = dict(variable_sizes=(12,), sample_sizes=(150,), replicates=2)
 class TestRunExperiment:
     def test_row_shape(self):
         grid = ExperimentGrid(**{**SMALL_GRID, "replicates": 1})
-        rows, summary = run_experiment(grid, SadaConfig(theta=6, seed=0), seed=11)
+        rows, summary = run_experiment(grid, SadaConfig(theta=6), seed=11)
         assert len(rows) == 2
         assert [r["method"] for r in rows] == ["sada", "baseline"]
         for row in rows:
@@ -163,7 +163,7 @@ class TestRunExperiment:
 
     def test_deterministic_modulo_timing(self):
         grid = ExperimentGrid(**SMALL_GRID)
-        cfg = SadaConfig(theta=6, seed=0)
+        cfg = SadaConfig(theta=6)
         rows_a, sum_a = run_experiment(grid, cfg, seed=11)
         rows_b, sum_b = run_experiment(grid, cfg, seed=11)
 
@@ -176,7 +176,7 @@ class TestRunExperiment:
 
     def test_seed_changes_rows(self):
         grid = ExperimentGrid(**SMALL_GRID)
-        cfg = SadaConfig(theta=6, seed=0)
+        cfg = SadaConfig(theta=6)
         rows_a, _ = run_experiment(grid, cfg, seed=11)
         rows_b, _ = run_experiment(grid, cfg, seed=12)
         keys = ("recall", "precision", "f1")
@@ -186,7 +186,7 @@ class TestRunExperiment:
     def test_discrete_model_runs(self):
         grid = ExperimentGrid(variable_sizes=(8,), sample_sizes=(600,),
                               model="discrete", replicates=1)
-        rows, summary = run_experiment(grid, SadaConfig(theta=5, seed=0), seed=12)
+        rows, summary = run_experiment(grid, SadaConfig(theta=5), seed=12)
         assert len(rows) == 2
         assert all(row["error"] == "" for row in rows)
         assert summary["grid_points"][0]["model"] == "discrete"
@@ -211,7 +211,7 @@ class TestRunExperiment:
         monkeypatch.setattr(sada.bench, "remove_conflicts_and_redundancy", spy)
         grid = ExperimentGrid(variable_sizes=(8,), sample_sizes=(600,),
                               model="discrete", replicates=3)
-        rows, _ = run_experiment(grid, SadaConfig(theta=5, seed=0), seed=12)
+        rows, _ = run_experiment(grid, SadaConfig(theta=5), seed=12)
         assert all(row["error"] == "" for row in rows)
         assert len(built) == 2 * grid.replicates
         assert [oracle for oracle, _ in cleaned] == built[1::2]
@@ -232,7 +232,7 @@ class TestRunExperiment:
         monkeypatch.setattr(sada.bench, "score", spy)
         grid = ExperimentGrid(variable_sizes=(8,), sample_sizes=(600,),
                               model="discrete", replicates=1)
-        rows, _ = run_experiment(grid, SadaConfig(theta=10, seed=0), seed=3)
+        rows, _ = run_experiment(grid, SadaConfig(theta=10), seed=3)
         assert rows[0]["method"] == "sada" and rows[0]["error"] == ""
         Dag(8, scored[0].pairs())  # the constructor rejects a cycle
 
@@ -240,7 +240,7 @@ class TestRunExperiment:
         # 25 samples cannot fit a 30-variable regression, but the split
         # driver only ever solves small subproblems
         grid = ExperimentGrid(variable_sizes=(30,), sample_sizes=(25,), replicates=1)
-        rows, summary = run_experiment(grid, SadaConfig(theta=10, seed=0), seed=13)
+        rows, summary = run_experiment(grid, SadaConfig(theta=10), seed=13)
         sada, baseline = rows
         assert sada["error"] == ""
         assert sada["recall"] is not None
@@ -252,7 +252,7 @@ class TestRunExperiment:
 
     def test_subproblem_aggregates(self):
         grid = ExperimentGrid(**SMALL_GRID)
-        _, summary = run_experiment(grid, SadaConfig(theta=6, seed=0), seed=11)
+        _, summary = run_experiment(grid, SadaConfig(theta=6), seed=11)
         subs = summary["grid_points"][0]["subproblems"]
         assert subs
         for size, stats in subs.items():
@@ -263,7 +263,7 @@ class TestRunExperiment:
 
     def test_workers_match_sequential(self):
         grid = ExperimentGrid(**SMALL_GRID)
-        cfg = SadaConfig(theta=6, seed=0)
+        cfg = SadaConfig(theta=6)
         rows_seq, _ = run_experiment(grid, cfg, seed=11)
         rows_par, _ = run_experiment(grid, cfg, seed=11, workers=2)
 
@@ -276,7 +276,7 @@ class TestRunExperiment:
 class TestOutputFiles:
     def test_csv_roundtrip(self, tmp_path):
         grid = ExperimentGrid(**{**SMALL_GRID, "replicates": 1})
-        rows, summary = run_experiment(grid, SadaConfig(theta=6, seed=0), seed=11)
+        rows, summary = run_experiment(grid, SadaConfig(theta=6), seed=11)
         csv_path = tmp_path / "rows.csv"
         json_path = tmp_path / "summary.json"
         write_rows_csv(rows, csv_path)

@@ -24,7 +24,6 @@ from sada.citest import (
     PartialCorrelationOracle,
     SingularConditioningError,
     UnreliableTestError,
-    g2_p_value,
 )
 
 from conftest import random_small_dags
@@ -110,11 +109,18 @@ class TestPartialCorrelation:
                 o.query(u, v, z)
 
     def test_constant_column(self):
-        data = SampleMatrix(
-            np.column_stack([np.ones(50), np.random.default_rng(0).random(50)]),
-            "continuous")
-        with pytest.raises(SingularConditioningError):
-            PartialCorrelationOracle(data).query(0, 1)
+        # the std of a column of 0.1 or 0.7 is about 1e-17, not 0, so only
+        # max == min finds every constant column
+        x = np.random.default_rng(0).random((60, 6))
+        for value, col in itertools.product((1.0, 0.1, 0.7, 0.001, 123.456), (0, 2, 5)):
+            data = x.copy()
+            data[:, col] = value
+            o = PartialCorrelationOracle(SampleMatrix(data, "continuous"))
+            a, b, c, d, _ = (w for w in range(6) if w != col)
+            for u, v, z in [(col, a, ()), (a, col, (b,)), (a, b, (col,)), (b, c, (d, col))]:
+                with pytest.raises(SingularConditioningError):
+                    o.query(u, v, z)
+            o.query(a, b, (c,))
 
     def test_validation(self):
         data = SampleMatrix(np.random.default_rng(0).random((50, 3)), "continuous")
@@ -198,13 +204,6 @@ class TestGSquared:
         cont = SampleMatrix(np.random.default_rng(0).random((10, 2)), "continuous")
         with pytest.raises(CiError):
             GSquaredOracle(cont)
-
-    def test_g2_p_value_rejects_mismatched_columns(self):
-        for a, b in [(np.array([1]), np.arange(9) % 3),
-                     (np.zeros((3, 3), dtype=int), np.arange(9) % 3),
-                     (np.arange(9) % 3, np.zeros((9, 1), dtype=int))]:
-            with pytest.raises(CiError):
-                g2_p_value(a, b, 3)
 
 
 class TestG2Kernel:
@@ -517,7 +516,7 @@ class InverseFisherZ:
     def __init__(self, data, alpha_level=0.05):
         self.alpha_level = alpha_level
         self._m = data.m
-        self._constant = data.values.std(axis=0) <= 0
+        self._constant = data.values.max(axis=0) == data.values.min(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             self._corr = np.corrcoef(data.values, rowvar=False)
 
@@ -641,19 +640,6 @@ class TestScipyStatsEquivalence:
         decided = {len(z) for (_, _, z), got in zip(queries, fast) if isinstance(got, CiVerdict)}
         assert decided == {0, 1, 2}
         assert UnreliableTestError in fast
-
-    def test_g2_p_value_matches_chi2_sf_exactly(self):
-        rng = np.random.default_rng(12)
-        for k in (2, 3, 4):
-            kernel = G2Kernel(k, 80)
-            for _ in range(40):
-                a = rng.integers(0, k, 80)
-                b = (a + rng.integers(0, 2, 80)) % k if rng.random() < 0.5 else rng.integers(0, k, 80)
-                table = np.bincount(b + k * a, minlength=k * k).reshape(1, k, k)
-                g2, dof = kernel(table)
-                want = 1.0 if dof == 0 else float(stats.chi2.sf(g2, dof))
-                assert g2_p_value(a, b, k) == want
-        assert g2_p_value(np.zeros(10, dtype=int), np.arange(10) % 3, 3) == 1.0
 
     def test_lingam_wald_p_values_match_chi2_sf_exactly(self, monkeypatch):
         runs = []

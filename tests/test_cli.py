@@ -89,6 +89,16 @@ class TestDiscover:
                                           "cut_error_ratio"}
         assert "cuts" not in report
 
+    def test_replays_under_seed(self, data_file, truth_file, capsys):
+        # theta 5 makes the run cut, so the seed pairs come from --seed
+        reports = []
+        for _ in range(2):
+            assert run("discover", "--data", data_file, "--theta", 5, "--seed", 3,
+                       "--truth", truth_file, "--trace") == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["cuts"]
+
     def test_trace_flag_adds_cuts(self, data_file, truth_file, capsys):
         assert run("discover", "--data", data_file, "--theta", 5, "--seed", 1,
                    "--truth", truth_file, "--trace") == 0
@@ -256,6 +266,19 @@ class TestParser:
         out = capsys.readouterr().out
         for name in ("gen-dag", "gen-data", "discover", "bounds", "bench"):
             assert name in out
+
+    @pytest.mark.parametrize("seed", ["-3", "x", "1.5"])
+    def test_bad_seed_names_flag(self, data_file, truth_file, tmp_path, seed, capsys):
+        # argparse refuses the value, naming the flag, before numpy sees it
+        for argv in (("gen-dag", "--n", 5, "--degree", 1, "--out", tmp_path / "g.txt"),
+                     ("gen-data", "--truth", truth_file, "--samples", 50,
+                      "--out", tmp_path / "d.csv"),
+                     ("discover", "--data", data_file),
+                     ("bench", tmp_path / "grid.json", "--out", tmp_path / "s")):
+            with pytest.raises(SystemExit) as exc:
+                run(*argv, "--seed", seed)
+            assert exc.value.code == 2
+            assert "--seed" in capsys.readouterr().err
 
     def test_bad_max_cond(self, data_file, capsys):
         with pytest.raises(SystemExit) as exc:

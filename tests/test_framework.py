@@ -33,7 +33,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = SadaConfig()
         assert (cfg.theta, cfg.k, cfg.max_cond, cfg.alpha_level) == (10, 1, 3, 0.05)
-        assert cfg.seed is None
 
     def test_theta_floor(self):
         with pytest.raises(FrameworkError):
@@ -44,9 +43,11 @@ class TestConfig:
             SadaConfig(k=0)
 
     def test_alpha_bounds(self):
-        for bad in (0.0, 1.0, -0.1):
-            with pytest.raises(FrameworkError):
+        # a non-real value or a bool is refused like an out-of-range one
+        for bad in (0.0, 1.0, -0.1, float("nan"), "0.05", None, True, 0.05j):
+            with pytest.raises(FrameworkError, match="alpha_level"):
                 SadaConfig(alpha_level=bad)
+        assert SadaConfig(alpha_level=np.float32(0.25)).alpha_level == np.float32(0.25)
 
     def test_max_cond_validation(self):
         with pytest.raises(FrameworkError):
@@ -163,22 +164,23 @@ class TestPairDecode:
 class TestFindCausalCut:
     def test_two_disconnected_chains(self):
         g = Dag(4, [(0, 1), (2, 3)])
-        cfg = SadaConfig(theta=2, max_cond=None, seed=5)
-        cut = find_causal_cut(ExactCiOracle(g), {0, 1, 2, 3}, cfg)
+        cfg = SadaConfig(theta=2, max_cond=None)
+        cut = find_causal_cut(ExactCiOracle(g), {0, 1, 2, 3}, cfg, rng=np.random.default_rng(5))
         assert cut is not None
         assert cut.cut_set == frozenset()
         assert {cut.left, cut.right} == {frozenset({0, 1}), frozenset({2, 3})}
 
     def test_complete_graph_returns_none(self):
         g = Dag(3, [(0, 1), (0, 2), (1, 2)])
-        cfg = SadaConfig(theta=2, max_cond=None, seed=5)
-        assert find_causal_cut(ExactCiOracle(g), {0, 1, 2}, cfg) is None
+        cfg = SadaConfig(theta=2, max_cond=None)
+        assert find_causal_cut(ExactCiOracle(g), {0, 1, 2}, cfg, rng=np.random.default_rng(5)) is None
 
     def test_nine_node_best_of_restarts(self, nine_node):
         # restarts keep the cut with the largest small side; the graph
         # admits balanced 3/3 splits, so with many restarts one must win
-        cfg = SadaConfig(theta=2, k=40, max_cond=None, seed=7)
-        cut = find_causal_cut(ExactCiOracle(nine_node), set(range(9)), cfg)
+        cfg = SadaConfig(theta=2, k=40, max_cond=None)
+        cut = find_causal_cut(ExactCiOracle(nine_node), set(range(9)), cfg,
+                              rng=np.random.default_rng(7))
         assert cut is not None
         assert cut.min_side == 3
         assert cut.left | cut.cut_set | cut.right == frozenset(range(9))
@@ -187,9 +189,9 @@ class TestFindCausalCut:
         # adjacent variables are never separable, so no exact-oracle cut can
         # place the endpoints of a true edge on opposite sides
         oracle = ExactCiOracle(nine_node)
+        cfg = SadaConfig(theta=2, k=3, max_cond=None)
         for seed in range(10):
-            cfg = SadaConfig(theta=2, k=3, max_cond=None, seed=seed)
-            cut = find_causal_cut(oracle, set(range(9)), cfg)
+            cut = find_causal_cut(oracle, set(range(9)), cfg, rng=np.random.default_rng(seed))
             if cut is None:
                 continue
             for u, v in NINE_NODE_EDGES:
@@ -199,14 +201,22 @@ class TestFindCausalCut:
 
     def test_too_few_variables(self, nine_node):
         with pytest.raises(FrameworkError):
-            find_causal_cut(ExactCiOracle(nine_node), {0, 1}, SadaConfig())
+            find_causal_cut(ExactCiOracle(nine_node), {0, 1}, SadaConfig(),
+                            rng=np.random.default_rng(0))
 
     def test_deterministic_given_seed(self, nine_node):
         oracle = ExactCiOracle(nine_node)
-        cfg = SadaConfig(theta=2, k=5, max_cond=None, seed=99)
-        first = find_causal_cut(oracle, set(range(9)), cfg)
-        second = find_causal_cut(oracle, set(range(9)), cfg)
+        cfg = SadaConfig(theta=2, k=5, max_cond=None)
+        first = find_causal_cut(oracle, set(range(9)), cfg, rng=np.random.default_rng(99))
+        second = find_causal_cut(oracle, set(range(9)), cfg, rng=np.random.default_rng(99))
         assert first == second
+
+    def test_rng_must_be_a_generator(self, nine_node):
+        # the caller's Generator is the one source of randomness: a missing
+        # stream or a bare seed is refused, naming rng
+        for bad in (None, 99, np.random.RandomState(99)):
+            with pytest.raises(FrameworkError, match="rng"):
+                find_causal_cut(ExactCiOracle(nine_node), set(range(9)), SadaConfig(), rng=bad)
 
 
 class TestMerge:
@@ -329,7 +339,7 @@ class OracleRun:
     """Bundle of one exact-oracle run's output, its accepted cuts, and the
     variable set of every solver call."""
 
-    def __init__(self, g, cfg, vars_=None):
+    def __init__(self, g, cfg, seed, vars_=None):
         self.trace = []
         self.leaves = []
         oracle_solver = make_oracle_solver(g)
@@ -339,20 +349,21 @@ class OracleRun:
             return oracle_solver(data, variables)
 
         vs = range(g.n) if vars_ is None else vars_
-        self.result = run_sada(None, vs, cfg, solver, ExactCiOracle(g), trace=self.trace)
+        self.result = run_sada(None, vs, cfg, solver, ExactCiOracle(g),
+                               rng=np.random.default_rng(seed), trace=self.trace)
 
 
 class TestRunSada:
     def test_base_case_hits_solver_once(self, nine_node):
-        cfg = SadaConfig(theta=10, max_cond=None, seed=0)
-        run = OracleRun(nine_node, cfg)
+        cfg = SadaConfig(theta=10, max_cond=None)
+        run = OracleRun(nine_node, cfg, 0)
         assert run.result.pairs() == frozenset(NINE_NODE_EDGES)
         assert run.trace == []
         assert run.leaves == [frozenset(range(9))]
 
     def test_recursive_run_recovers_truth(self, nine_node):
-        cfg = SadaConfig(theta=4, max_cond=None, seed=3)
-        run = OracleRun(nine_node, cfg)
+        cfg = SadaConfig(theta=4, max_cond=None)
+        run = OracleRun(nine_node, cfg, 3)
         assert run.result.pairs() == frozenset(NINE_NODE_EDGES)
         assert len(run.trace) >= 1
         # each cut partitions the root or a subproblem of an earlier cut
@@ -364,8 +375,8 @@ class TestRunSada:
             subproblems |= {cut.left | cut.cut_set, cut.right | cut.cut_set}
 
     def test_subproblem_shrinkage(self, nine_node):
-        cfg = SadaConfig(theta=4, max_cond=None, seed=3)
-        run = OracleRun(nine_node, cfg)
+        cfg = SadaConfig(theta=4, max_cond=None)
+        run = OracleRun(nine_node, cfg, 3)
         for cut in run.trace:
             parent = len(cut.left | cut.cut_set | cut.right)
             assert len(cut.left | cut.cut_set) < parent
@@ -374,51 +385,53 @@ class TestRunSada:
     def test_exact_oracle_recovery_smoke(self):
         for seed in range(5):
             g = generate_random_dag(30, 1.0, seed=seed)
-            cfg = SadaConfig(theta=10, max_cond=None, seed=1000 + seed)
-            run = OracleRun(g, cfg)
+            cfg = SadaConfig(theta=10, max_cond=None)
+            run = OracleRun(g, cfg, 1000 + seed)
             assert run.result.pairs() == frozenset(g.edges), f"dag seed {seed}"
 
     def test_exact_oracle_recovery_relabelled_n300(self):
         g = relabelled(generate_random_dag(300, 1.25, seed=300), np.random.default_rng(301))
         assert g.topological_order() != list(range(300))
-        cfg = SadaConfig(theta=10, max_cond=None, seed=302)
-        out = run_sada(None, range(300), cfg, make_oracle_solver(g), ExactCiOracle(g))
+        cfg = SadaConfig(theta=10, max_cond=None)
+        out = run_sada(None, range(300), cfg, make_oracle_solver(g), ExactCiOracle(g),
+                       rng=np.random.default_rng(302))
         assert out.pairs() == frozenset(g.edges)
 
     def test_exact_oracle_recovery_relabelled_n1000(self):
         g = relabelled(generate_random_dag(1000, 1.25, seed=1000), np.random.default_rng(1001))
         assert g.topological_order() != list(range(1000))
-        cfg = SadaConfig(theta=10, max_cond=None, seed=1002)
-        out = run_sada(None, range(1000), cfg, make_oracle_solver(g), ExactCiOracle(g))
+        cfg = SadaConfig(theta=10, max_cond=None)
+        out = run_sada(None, range(1000), cfg, make_oracle_solver(g), ExactCiOracle(g),
+                       rng=np.random.default_rng(1002))
         assert out.pairs() == frozenset(g.edges)
 
     def test_complete_graph_falls_back_to_full_solve(self):
         edges = [(u, v) for v in range(12) for u in range(v)]
         g = Dag(12, edges)
-        cfg = SadaConfig(theta=10, max_cond=None, seed=1)
-        run = OracleRun(g, cfg)
+        cfg = SadaConfig(theta=10, max_cond=None)
+        run = OracleRun(g, cfg, 1)
         assert run.result.pairs() == frozenset(edges)
         assert run.trace == []
         assert [len(vs) for vs in run.leaves] == [12]
 
     def test_output_acyclic_and_in_range(self, nine_node):
+        cfg = SadaConfig(theta=3, max_cond=None)
         for seed in range(6):
-            cfg = SadaConfig(theta=3, max_cond=None, seed=seed)
-            run = OracleRun(nine_node, cfg)
+            run = OracleRun(nine_node, cfg, seed)
             Dag(9, run.result.pairs())
-            assert run.result.variables() <= frozenset(range(9))
+            assert {x for pair in run.result.pairs() for x in pair} <= set(range(9))
 
     def test_deterministic_given_seed(self, nine_node):
-        cfg = SadaConfig(theta=4, max_cond=None, seed=42)
-        a = OracleRun(nine_node, cfg)
-        b = OracleRun(nine_node, cfg)
+        cfg = SadaConfig(theta=4, max_cond=None)
+        a = OracleRun(nine_node, cfg, 42)
+        b = OracleRun(nine_node, cfg, 42)
         assert a.result == b.result
         assert a.trace == b.trace
         assert a.leaves == b.leaves
 
     def test_variable_subset_run(self, nine_node):
-        cfg = SadaConfig(theta=2, max_cond=None, seed=8)
-        run = OracleRun(nine_node, cfg, vars_={0, 2, 5, 6})
+        cfg = SadaConfig(theta=2, max_cond=None)
+        run = OracleRun(nine_node, cfg, 8, vars_={0, 2, 5, 6})
         true_sub = {(u, v) for u, v in NINE_NODE_EDGES
                     if {u, v} <= {0, 2, 5, 6}}
         assert run.result.pairs() == frozenset(true_sub)
@@ -426,18 +439,25 @@ class TestRunSada:
     def test_empty_variables_rejected(self, nine_node):
         with pytest.raises(FrameworkError):
             run_sada(None, [], SadaConfig(), make_oracle_solver(nine_node),
-                     ExactCiOracle(nine_node))
+                     ExactCiOracle(nine_node), rng=np.random.default_rng(0))
 
     def test_out_of_range_variable_rejected(self, nine_node):
         data = generate_linear_nongaussian(Dag(3, [(0, 1)]), 50, seed=0)
         with pytest.raises(FrameworkError):
             run_sada(data, {0, 5}, SadaConfig(), make_oracle_solver(nine_node),
-                     ExactCiOracle(nine_node))
+                     ExactCiOracle(nine_node), rng=np.random.default_rng(0))
+
+    def test_rng_must_be_a_generator(self, nine_node):
+        # a missing stream or a bare seed is refused, naming rng
+        for bad in (None, 42, np.random.RandomState(42)):
+            with pytest.raises(FrameworkError, match="rng"):
+                run_sada(None, range(9), SadaConfig(), make_oracle_solver(nine_node),
+                         ExactCiOracle(nine_node), rng=bad)
 
     def test_statistical_end_to_end(self, nine_node):
         data = generate_linear_nongaussian(nine_node, 2000, seed=17)
         oracle = PartialCorrelationOracle(data)
-        cfg = SadaConfig(theta=4, max_cond=3, seed=17)
-        out = run_sada(data, range(9), cfg, solve_lingam, oracle)
+        cfg = SadaConfig(theta=4, max_cond=3)
+        out = run_sada(data, range(9), cfg, solve_lingam, oracle, rng=np.random.default_rng(17))
         Dag(9, out.pairs())
-        assert out.variables() <= frozenset(range(9))
+        assert {x for pair in out.pairs() for x in pair} <= set(range(9))
