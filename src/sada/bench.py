@@ -40,15 +40,19 @@ def _f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def score(g_hat: EdgeSet, g_true: Dag) -> Metrics:
-    """Strict directed-edge metrics: a reversed edge is wrong for both
-    recall and precision. An empty result has precision 0 by convention;
-    an edgeless truth has recall 1."""
-    true_edges = frozenset(g_true.edges)
-    got = g_hat.pairs()
+def _recall_precision(got: frozenset, true_edges) -> tuple:
+    """Strict directed-edge (recall, precision): a reversed edge is wrong
+    for both. An empty result has precision 0 by convention; an edgeless
+    truth has recall 1."""
     correct = len(got & true_edges)
     recall = correct / len(true_edges) if true_edges else 1.0
     precision = correct / len(got) if got else 0.0
+    return recall, precision
+
+
+def score(g_hat: EdgeSet, g_true: Dag) -> Metrics:
+    """Strict directed-edge metrics of g_hat against g_true."""
+    recall, precision = _recall_precision(g_hat.pairs(), frozenset(g_true.edges))
     return Metrics(recall, precision, _f1(precision, recall))
 
 
@@ -139,11 +143,7 @@ def _subproblem_scores(log, g_true):
     out = []
     for vs, edges in log:
         true_sub = {(u, v) for u, v in g_true.edges if u in vs and v in vs}
-        got = edges.pairs()
-        correct = len(got & true_sub)
-        recall = correct / len(true_sub) if true_sub else 1.0
-        precision = correct / len(got) if got else 0.0
-        out.append((len(vs), recall, precision))
+        out.append((len(vs), *_recall_precision(edges.pairs(), true_sub)))
     return out
 
 
@@ -163,7 +163,7 @@ def _error_row(base, method, wall_ms, exc):
 def _run_replicate(task):
     """One grid point replicate: build the instance, run the recursive
     driver and the flat baseline, and score both. Returns (rows, subs)
-    where subs carries (point_index, size, recall, precision) records."""
+    where subs carries (size, recall, precision) records."""
     model, n, m, d, w, num_states, point_index, replicate, cfg, seed = task
     base = {"model": model, "n": n, "m": m, "d": d, "w": w, "replicate": replicate}
     rows = []
@@ -205,8 +205,7 @@ def _run_replicate(task):
         metrics = Metrics(metrics.recall, metrics.precision, metrics.f1,
                           cut_error_ratio(trace, g_true))
         rows.append(_metric_row(base, "sada", metrics, wall))
-        for size, rec, prec in _subproblem_scores(log, g_true):
-            subs.append((point_index, size, rec, prec))
+        subs = _subproblem_scores(log, g_true)
     except Exception as exc:
         rows.append(_error_row(base, "sada", (time.perf_counter() - start) * 1000.0, exc))
 
@@ -246,7 +245,7 @@ def _summarize_point(grid, point, rows, subs):
             stats[key] = _aggregate([r[key] for r in mine])
         entry["methods"][method] = stats
     by_size = {}
-    for _, size, rec, prec in subs:
+    for size, rec, prec in subs:
         by_size.setdefault(size, []).append((rec, prec))
     entry["subproblems"] = {
         str(size): {"count": len(pairs),
@@ -269,13 +268,12 @@ def run_experiment(grid: ExperimentGrid, cfg, seed: int, workers: Optional[int] 
     else:
         outcomes = [_run_replicate(t) for t in tasks]
     rows = [row for rows_part, _ in outcomes for row in rows_part]
-    subs = [s for _, subs_part in outcomes for s in subs_part]
     summary = {"seed": int(seed), "replicates": grid.replicates, "grid_points": []}
     per_point = grid.replicates
     for slot, point in enumerate(grid.points()):
-        point_rows = [row for outcome in outcomes[slot * per_point:(slot + 1) * per_point]
-                      for row in outcome[0]]
-        point_subs = [s for s in subs if s[0] == point[0]]
+        part = outcomes[slot * per_point:(slot + 1) * per_point]
+        point_rows = [row for rows_part, _ in part for row in rows_part]
+        point_subs = [s for _, subs_part in part for s in subs_part]
         summary["grid_points"].append(_summarize_point(grid, point, point_rows, point_subs))
     return rows, summary
 

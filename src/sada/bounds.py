@@ -149,6 +149,12 @@ def _pair_odds(model: ErrorModel):
     return (e * beta) / (f * (1.0 - alpha))
 
 
+def _log_pmf(total, i, rho):
+    """log(C(total, i) * rho^i / (1+rho)^total), for an int or an array i."""
+    log_choose = gammaln(total + 1) - gammaln(i + 1) - gammaln(total - i + 1)
+    return log_choose + i * math.log(rho) - total * math.log1p(rho)
+
+
 def cut_error_posterior(model: ErrorModel, i: int) -> float:
     """Probability that an accepted cut severed exactly i true edges.
 
@@ -164,8 +170,7 @@ def cut_error_posterior(model: ErrorModel, i: int) -> float:
     i = int(i)
     if rho == 0.0:
         return 1.0 if i == 0 else 0.0
-    log_choose = gammaln(total + 1) - gammaln(i + 1) - gammaln(total - i + 1)
-    return float(math.exp(log_choose + i * math.log(rho) - total * math.log1p(rho)))
+    return float(math.exp(_log_pmf(total, i, rho)))
 
 
 def expected_cut_error(model: ErrorModel) -> float:
@@ -177,9 +182,7 @@ def expected_cut_error(model: ErrorModel) -> float:
         return 0.0
     total = n1 * n2
     i = np.arange(total + 1)
-    log_choose = gammaln(total + 1) - gammaln(i + 1) - gammaln(total - i + 1)
-    log_pmf = log_choose + i * math.log(rho) - total * math.log1p(rho)
-    return float(np.sum(i * np.exp(log_pmf)))
+    return float(np.sum(i * np.exp(_log_pmf(total, i, rho))))
 
 
 def cut_error_bound(model: ErrorModel) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,12 @@ class SingularConditioningError(CiError):
 
 class UnreliableTestError(CiError):
     """Sample size is below the reliability heuristic for the table size."""
+
+
+def is_alpha_level(a) -> bool:
+    """True for a real number, not a bool, strictly between 0 and 1: the
+    levels a CI test and SadaConfig accept."""
+    return isinstance(a, numbers.Real) and not isinstance(a, bool) and 0.0 < a < 1.0
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,7 @@ class CiOracle:
         or None when no subset of them can separate u and v."""
         return _checked_ids(self._n, u, v, candidates)
 
-    def find_separator(self, u, v, candidates, max_cond=3):
+    def find_separator(self, u, v, candidates, max_cond):
         """First separating subset of the candidate pool, scanning cardinality
         0..min(max_cond, |pool|) in ascending-id lexicographic order.
         max_cond=None lifts the cap. Subsets the test cannot decide (unreliable,
@@ -96,7 +103,7 @@ class CiOracle:
                     return frozenset(sub)
         return None
 
-    def separable(self, u, vs, candidates, max_cond=3) -> bool:
+    def separable(self, u, vs, candidates, max_cond) -> bool:
         """Whether u separates from every variable in vs, each through some
         subset of the candidates within the cap; True for an empty vs.
         Every id is checked before the first search; the searches then run
@@ -148,8 +155,8 @@ class PartialCorrelationOracle(CiOracle):
     def __init__(self, data: SampleMatrix, alpha_level: float = 0.05):
         if data.kind != "continuous":
             raise CiError("partial correlation needs continuous samples")
-        if not (0 < alpha_level < 1):
-            raise CiError(f"alpha must lie in (0, 1), got {alpha_level}")
+        if not is_alpha_level(alpha_level):
+            raise CiError(f"alpha_level must be a real number in (0, 1), got {alpha_level!r}")
         self.alpha_level = alpha_level
         self._m = data.m
         self._n = data.n
@@ -276,8 +283,8 @@ class GSquaredOracle(CiOracle):
     def __init__(self, data: SampleMatrix, alpha_level: float = 0.05):
         if data.kind != "discrete":
             raise CiError("G-squared needs discrete samples")
-        if not (0 < alpha_level < 1):
-            raise CiError(f"alpha must lie in (0, 1), got {alpha_level}")
+        if not is_alpha_level(alpha_level):
+            raise CiError(f"alpha_level must be a real number in (0, 1), got {alpha_level!r}")
         self.alpha_level = alpha_level
         # one contiguous code array per column
         self._cols = np.ascontiguousarray(data.values.T)
@@ -359,7 +366,7 @@ class ExactCiOracle(CiOracle):
             zstar &= zstar - 1
         return pool
 
-    def separable(self, u, vs, candidates, max_cond=3) -> bool:
+    def separable(self, u, vs, candidates, max_cond) -> bool:
         # The first member is tested on its own, since most failing sides
         # fail there. The rest take one search over the moral graph of
         # An({u} | rest | Z), Z = pool & An({u} | rest): a member it does not

@@ -26,23 +26,19 @@ class CliError(ValueError):
     pass
 
 
+def _int_at_least(floor):
+    """argparse type of an integer >= floor: 0 for a seed (the range numpy's
+    seeding takes) or a conditioning cap, 1 for a worker count."""
+    def parse(text):
+        if not text.isdecimal() or int(text) < floor:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {floor}, got {text!r}")
+        return int(text)
+    return parse
+
+
 def _max_cond_arg(text):
     """Conditioning-set cap: a nonnegative integer, or 'none' for unlimited."""
-    if text.lower() == "none":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'none', got {text!r}") from None
-
-
-def _seed_arg(text):
-    """Run seed: a nonnegative integer, the range numpy's seeding takes."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"expected a nonnegative integer, got {text!r}")
-    return int(text)
+    return None if text.lower() == "none" else _int_at_least(0)(text)
 
 
 def _resolve_seed(seed):
@@ -66,14 +62,16 @@ def _load_mapping(path):
 
 
 def _add_sada_flags(sp):
-    sp.add_argument("--theta", type=int, default=10,
-                    help="largest subproblem handed to the solver (default 10)")
-    sp.add_argument("--k", type=int, default=1,
-                    help="causal-cut restarts per split (default 1)")
-    sp.add_argument("--max-cond", type=_max_cond_arg, default=3, metavar="C",
-                    help="conditioning-set cap, or 'none' (default 3)")
-    sp.add_argument("--alpha", type=float, default=0.05,
-                    help="independence-test level (default 0.05)")
+    # the defaults are SadaConfig's own
+    cfg = SadaConfig()
+    sp.add_argument("--theta", type=int, default=cfg.theta,
+                    help="largest subproblem handed to the solver (default %(default)s)")
+    sp.add_argument("--k", type=int, default=cfg.k,
+                    help="causal-cut restarts per split (default %(default)s)")
+    sp.add_argument("--max-cond", type=_max_cond_arg, default=cfg.max_cond, metavar="C",
+                    help="conditioning-set cap, or 'none' (default %(default)s)")
+    sp.add_argument("--alpha", type=float, default=cfg.alpha_level,
+                    help="independence-test level (default %(default)s)")
 
 
 def _build_parser():
@@ -87,7 +85,7 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True, help="number of variables")
     p.add_argument("--degree", type=float, required=True,
                    help="average in-degree of the sampled graph")
-    p.add_argument("--seed", type=_seed_arg)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--out", required=True, help="edge-list output path")
     p.set_defaults(func=_cmd_gen_dag)
 
@@ -98,16 +96,14 @@ def _build_parser():
                    help="noise share for continuous data (default 0.3)")
     p.add_argument("--states", type=int, default=None,
                    help="state count; switches generation to discrete")
-    p.add_argument("--seed", type=_seed_arg)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--out", required=True, help="sample CSV output path")
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("discover", help="infer a causal structure from samples")
     p.add_argument("--data", required=True, help="sample CSV")
-    p.add_argument("--solver", choices=("lingam", "anm"),
-                   help="subproblem solver (default: by data kind)")
     _add_sada_flags(p)
-    p.add_argument("--seed", type=_seed_arg)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--truth", help="edge-list file to score the result against")
     p.add_argument("--trace", action="store_true",
                    help="include the accepted cuts in the report")
@@ -126,8 +122,8 @@ def _build_parser():
     p = sub.add_parser("bench", help="run a benchmark sweep from a grid file")
     p.add_argument("grid", help="JSON file of grid fields")
     _add_sada_flags(p)
-    p.add_argument("--seed", type=_seed_arg)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--seed", type=_int_at_least(0))
+    p.add_argument("--threads", type=_int_at_least(1), default=None,
                    help="worker processes for replicates (default sequential)")
     p.add_argument("--out", required=True,
                    help="prefix for <out>.csv and <out>.json")
@@ -143,15 +139,14 @@ def _cmd_gen_dag(args):
 
 def _cmd_gen_data(args):
     g = load_dag(args.truth)
+    if args.states is not None and args.noise_weight is not None:
+        raise CliError("--noise-weight applies to continuous generation; "
+                       "drop it when --states is set")
+    seed = _resolve_seed(args.seed)
     if args.states is not None:
-        if args.noise_weight is not None:
-            raise CliError("--noise-weight applies to continuous generation; "
-                           "drop it when --states is set")
-        seed = _resolve_seed(args.seed)
         sm = generate_discrete(g, args.samples, num_states=args.states, seed=seed)
     else:
         w = 0.3 if args.noise_weight is None else args.noise_weight
-        seed = _resolve_seed(args.seed)
         sm = generate_linear_nongaussian(g, args.samples, noise_weight=w, seed=seed)
     save_samples(sm, args.out)
     return 0
@@ -178,18 +173,11 @@ def _cmd_discover(args):
         oracle, oracle_name = PartialCorrelationOracle(data, alpha_level=args.alpha), "pcorr"
 
     if args.oracle_solver:
-        if args.solver is not None:
-            raise CliError("pick one of --solver and --oracle-solver")
         solver, solver_name = make_oracle_solver(truth), "oracle"
+    elif data.kind == "discrete":
+        solver, solver_name = solve_discrete_anm, "anm"
     else:
-        solver_name = args.solver or ("anm" if data.kind == "discrete" else "lingam")
-        if solver_name == "lingam" and data.kind == "discrete":
-            raise CliError("solver 'lingam' expects continuous samples; "
-                           "this file is integer-coded")
-        if solver_name == "anm" and data.kind == "continuous":
-            raise CliError("solver 'anm' expects discrete samples; "
-                           "this file has non-integer values")
-        solver = solve_discrete_anm if solver_name == "anm" else solve_lingam
+        solver, solver_name = solve_lingam, "lingam"
 
     seed = _resolve_seed(args.seed)
     cfg = SadaConfig(theta=args.theta, k=args.k, max_cond=args.max_cond,

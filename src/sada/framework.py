@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from .citest import is_alpha_level
 from .graph import CausalCut
 from .solvers import EdgeSet
 
@@ -44,9 +45,9 @@ class SadaConfig:
             raise FrameworkError(f"k must be an integer >= 1, got {self.k!r}")
         if self.max_cond is not None and not _is_count(self.max_cond, 0):
             raise FrameworkError(f"max_cond must be None or an integer >= 0, got {self.max_cond!r}")
-        a = self.alpha_level
-        if not (isinstance(a, numbers.Real) and not isinstance(a, bool) and 0.0 < a < 1.0):
-            raise FrameworkError(f"alpha_level must be a real number in (0, 1), got {a!r}")
+        if not is_alpha_level(self.alpha_level):
+            raise FrameworkError(
+                f"alpha_level must be a real number in (0, 1), got {self.alpha_level!r}")
 
 
 def _is_count(x, floor) -> bool:
@@ -130,7 +131,7 @@ def find_causal_cut(oracle, variables, cfg: SadaConfig, rng):
     Each restart seeds two separable variables, grows both sides greedily in
     ascending id order, and refines the cut set.  The winner maximizes the
     smaller side size; ties go to the smaller cut set.  Returns None when no
-    restart produces a separable seed pair or a cut with two nonempty sides.
+    restart produces a separable seed pair.
     `rng` (a numpy Generator) shuffles the seed pairs.
     """
     ordered = sorted(int(w) for w in variables)
@@ -147,8 +148,6 @@ def find_causal_cut(oracle, variables, cfg: SadaConfig, rng):
             continue
         u, v, sep = seed
         v1, cut, v2 = _grow_from_seed(oracle, ordered, u, v, sep, cfg.max_cond)
-        if not v1 or not v2:
-            continue
         candidate = CausalCut(frozenset(v1), frozenset(cut), frozenset(v2))
         key = (candidate.min_side, -len(candidate.cut_set))
         if best_key is None or key > best_key:
@@ -208,7 +207,7 @@ def _simple_path_interiors(children, dist, source, target, max_edges):
                     stack.append((nxt, path + (nxt,)))
 
 
-def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond=3) -> EdgeSet:
+def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond) -> EdgeSet:
     """Two cleanup passes over an edge set, in descending significance.
 
     Conflict pass: accept edges one by one, dropping any edge whose child
@@ -271,7 +270,7 @@ def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond=3) -> EdgeS
     return out
 
 
-def clean_unmerged(edges: EdgeSet, cuts, oracle, max_cond=3) -> EdgeSet:
+def clean_unmerged(edges: EdgeSet, cuts, oracle, max_cond) -> EdgeSet:
     """The final result of a run whose leaf solver may return cycles (the
     discrete ANM solver). A run that accepted no cut returns its one leaf's
     raw output, which no merge has cleaned, so it gets the conflict and
@@ -282,7 +281,7 @@ def clean_unmerged(edges: EdgeSet, cuts, oracle, max_cond=3) -> EdgeSet:
     return remove_conflicts_and_redundancy(edges, oracle, max_cond)
 
 
-def merge_results(g1: EdgeSet, g2: EdgeSet, oracle, max_cond=3) -> EdgeSet:
+def merge_results(g1: EdgeSet, g2: EdgeSet, oracle, max_cond) -> EdgeSet:
     """Union two partial results (duplicate pairs keep the larger
     significance), then remove conflicts and redundant direct edges."""
     merged = EdgeSet.union_max(g1, g2)

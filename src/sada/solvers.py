@@ -83,11 +83,12 @@ class EdgeSet:
         return f"EdgeSet({[tuple(e) for e in self]})"
 
 
-def _checked_vars(data: SampleMatrix, variables) -> list:
+def _checked_vars(n: int, variables) -> list:
+    """The distinct ids in ascending order, once every one lies in 0..n-1."""
     vs = sorted({int(v) for v in variables})
     for v in vs:
-        if not (0 <= v < data.n):
-            raise SolverError(f"variable id {v} out of range for n={data.n}")
+        if not (0 <= v < n):
+            raise SolverError(f"variable id {v} out of range for n={n}")
     return vs
 
 
@@ -177,7 +178,7 @@ def solve_lingam(data: SampleMatrix, variables, prune_alpha: float = 0.05) -> Ed
         raise SolverError("linear solver needs continuous samples")
     if not (0 < prune_alpha < 1):
         raise SolverError(f"prune_alpha must lie in (0, 1), got {prune_alpha}")
-    vs = _checked_vars(data, variables)
+    vs = _checked_vars(data.n, variables)
     if len(vs) < 2:
         return EdgeSet()
     m = data.m
@@ -238,7 +239,7 @@ def solve_discrete_anm(data: SampleMatrix, variables, alpha: float = 0.05) -> Ed
         raise SolverError("additive-noise solver needs discrete samples")
     if not (0 < alpha < 1):
         raise SolverError(f"alpha must lie in (0, 1), got {alpha}")
-    vs = _checked_vars(data, variables)
+    vs = _checked_vars(data.n, variables)
     if len(vs) < 2:
         return EdgeSet()
     k = int(data.num_states)
@@ -269,10 +270,7 @@ def solve_discrete_anm(data: SampleMatrix, variables, alpha: float = 0.05) -> Ed
 def oracle_solver(g_true: Dag, variables) -> EdgeSet:
     """Ground-truth solver: the edges of g_true induced on the variable set,
     all at significance 1.0."""
-    vs = {int(v) for v in variables}
-    for v in vs:
-        if not (0 <= v < g_true.n):
-            raise SolverError(f"variable id {v} out of range for n={g_true.n}")
+    vs = set(_checked_vars(g_true.n, variables))
     result = EdgeSet()
     for u, v in g_true.edges:
         if u in vs and v in vs:

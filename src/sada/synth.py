@@ -80,7 +80,7 @@ def _standardize(x: np.ndarray) -> np.ndarray:
     return (x - mu) / sd
 
 
-def generate_linear_nongaussian(g: Dag, m: int, noise_weight: float = 0.3, seed=None) -> SampleMatrix:
+def generate_linear_nongaussian(g: Dag, m: int, noise_weight: float = 0.3, *, seed) -> SampleMatrix:
     """Each variable is noise_weight times its own standardized uniform noise
     plus the sum of its parents' stored columns, then normalized in place, so
     a root column equals its standardized noise exactly."""
@@ -136,7 +136,7 @@ def sample_from_cpts(g: Dag, cpts: dict, num_states: int, m: int, rng) -> Sample
     return SampleMatrix(data, "discrete", num_states=num_states)
 
 
-def generate_discrete(g: Dag, m: int, num_states: int = 3, seed=None) -> SampleMatrix:
+def generate_discrete(g: Dag, m: int, num_states: int = 3, *, seed) -> SampleMatrix:
     rng = np.random.default_rng(seed)
     cpts = draw_random_cpts(g, num_states, rng)
     return sample_from_cpts(g, cpts, num_states, m, rng)

@@ -316,7 +316,7 @@ def simple_path_interiors_reference(children, source, target, max_edges):
     return interiors
 
 
-def remove_conflicts_and_redundancy_reference(edges, oracle, max_cond=3):
+def remove_conflicts_and_redundancy_reference(edges, oracle, max_cond):
     """The merge cleanup with a full reachability scan per accepted edge and
     every path interior listed before the first separator search."""
     from sada.solvers import EdgeSet

@@ -203,7 +203,7 @@ class TestRunExperiment:
 
         cleanup = sada.bench.remove_conflicts_and_redundancy
 
-        def spy(edges, oracle, max_cond=3):
+        def spy(edges, oracle, max_cond):
             cleaned.append((oracle, len(oracle._cache)))
             return cleanup(edges, oracle, max_cond=max_cond)
 
@@ -249,6 +249,33 @@ class TestRunExperiment:
         stats = summary["grid_points"][0]["methods"]
         assert stats["baseline"]["errors"] == 1
         assert stats["baseline"]["recall"]["mean"] is None
+
+    def test_generation_failure_fills_both_rows(self):
+        # one sample cannot be normalized, so neither method gets to run
+        grid = ExperimentGrid(variable_sizes=(5,), sample_sizes=(1,), replicates=1)
+        rows, summary = run_experiment(grid, SadaConfig(theta=6), seed=1)
+        assert [row["method"] for row in rows] == ["sada", "baseline"]
+        for row in rows:
+            assert row["error"].startswith("SynthError: ")
+            assert row["recall"] is None and row["wall_ms"] == 0.0
+        point = summary["grid_points"][0]
+        assert [point["methods"][m]["errors"] for m in ("sada", "baseline")] == [1, 1]
+        assert point["subproblems"] == {}
+
+    def test_failed_split_run_scores_no_leaves(self):
+        # at m = 4 the run cuts, then a 5-variable leaf is rank-deficient;
+        # the m = 8 point completes, and only its leaves are aggregated
+        grid = ExperimentGrid(variable_sizes=(12,), sample_sizes=(4, 8), replicates=1)
+        rows, summary = run_experiment(grid, SadaConfig(theta=6), seed=1)
+        assert rows[0]["method"] == "sada" and rows[0]["m"] == 4
+        assert rows[0]["error"] == "RankDeficientError: m=4 too small for 5 variables"
+        assert rows[0]["recall"] is None and rows[0]["wall_ms"] > 0.0
+        assert rows[2]["method"] == "sada" and rows[2]["error"] == ""
+        failed, done = summary["grid_points"]
+        assert failed["methods"]["sada"]["errors"] == 1
+        assert failed["subproblems"] == {}
+        assert done["methods"]["sada"]["errors"] == 0
+        assert sum(s["count"] for s in done["subproblems"].values()) >= 2
 
     def test_subproblem_aggregates(self):
         grid = ExperimentGrid(**SMALL_GRID)

@@ -131,9 +131,15 @@ class TestPartialCorrelation:
             o.query(0, 1, (1,))
         with pytest.raises(CiError):
             o.query(0, 9)
-        with pytest.raises(CiError):
-            PartialCorrelationOracle(data, alpha_level=1.5)
+        # a non-real level or a bool is refused like an out-of-range one,
+        # naming the field, by the rule SadaConfig applies
         disc = SampleMatrix(np.zeros((10, 2), dtype=np.int64), "discrete", num_states=2)
+        for bad in (1.5, 0.0, 1.0, float("nan"), "0.05", None, True, 0.05j):
+            with pytest.raises(CiError, match="alpha_level"):
+                PartialCorrelationOracle(data, alpha_level=bad)
+            with pytest.raises(CiError, match="alpha_level"):
+                GSquaredOracle(disc, alpha_level=bad)
+        assert PartialCorrelationOracle(data, alpha_level=np.float32(0.25)).alpha_level == 0.25
         with pytest.raises(CiError):
             PartialCorrelationOracle(disc)
 
@@ -295,18 +301,18 @@ class TestExactOracle:
 
     def test_collider_separator_is_empty_set(self):
         o = ExactCiOracle(VSTRUCT)
-        sep = o.find_separator(0, 1, {2})
+        sep = o.find_separator(0, 1, {2}, 3)
         assert sep == frozenset()
         assert sep is not None
 
     def test_chain_separator(self, chain3):
-        assert ExactCiOracle(chain3).find_separator(0, 2, {1}) == {1}
+        assert ExactCiOracle(chain3).find_separator(0, 2, {1}, 3) == {1}
 
     def test_nine_node_separators(self, nine_node):
         o = ExactCiOracle(nine_node)
-        assert o.find_separator(6, 1, {3}) is None
-        assert o.find_separator(6, 1, {2, 3}) == {2, 3}
-        assert o.separable(6, [1], {2, 3})
+        assert o.find_separator(6, 1, {3}, 3) is None
+        assert o.find_separator(6, 1, {2, 3}, 3) == {2, 3}
+        assert o.separable(6, [1], {2, 3}, 3)
         assert not o.separable(6, [1], {3}, max_cond=None)
 
     @pytest.mark.parametrize("u, v, pool, error", [
@@ -326,9 +332,10 @@ class TestExactOracle:
         # pool as its conditioning set, reject a bad id, u == v or a pool
         # that holds the pair
         for o in _chain_oracles(chain3):
-            for call, pair in ((o.find_separator, v), (o.separable, [v]), (o.query, v)):
+            for call, args in ((o.find_separator, (v, pool, 3)),
+                               (o.separable, ([v], pool, 3)), (o.query, (v, pool))):
                 with pytest.raises(error) as info:
-                    call(u, pair, pool)
+                    call(u, *args)
                 assert info.type is error
 
     def test_pool_memo_reused_across_pairs(self, nine_node):
@@ -350,25 +357,25 @@ class TestExactOracle:
     def test_pool_memo_hit_still_checks_the_pair(self, nine_node):
         o = ExactCiOracle(nine_node)
         pool = frozenset({2, 3})
-        o.separable(6, [1], pool)
+        o.separable(6, [1], pool, 3)
         for u, v in ((2, 7), (0, 3), (3, 2)):
             assert o._pool_memo[0] is pool
             with pytest.raises(CiError):
-                o.find_separator(u, v, pool)
+                o.find_separator(u, v, pool, 3)
             with pytest.raises(CiError):
-                o.separable(u, [v], pool)
+                o.separable(u, [v], pool, 3)
         for u, v in ((9, 1), (0, -1)):
             with pytest.raises(CiError):
-                o.find_separator(u, v, pool)
+                o.find_separator(u, v, pool, 3)
             with pytest.raises(CiError):
-                o.separable(u, [v], pool)
+                o.separable(u, [v], pool, 3)
 
     def test_pool_out_of_range_is_never_remembered(self, chain3):
         o = ExactCiOracle(chain3)
         pool = frozenset({1, 7})
         for _ in range(2):
             with pytest.raises(CiError) as info:
-                o.separable(0, [2], pool)
+                o.separable(0, [2], pool, 3)
             assert info.type is CiError
             assert o._pool_memo[0] is not pool
 
@@ -376,10 +383,10 @@ class TestExactOracle:
         o = ExactCiOracle(nine_node)
         a, b = frozenset([2, 3]), frozenset([3, 2])
         assert a == b and a is not b
-        assert o.find_separator(6, 1, a) == o.find_separator(6, 1, b) == {2, 3}
+        assert o.find_separator(6, 1, a, 3) == o.find_separator(6, 1, b, 3) == {2, 3}
         assert o._pool_memo[0] is b
         assert not o.separable(6, [1], frozenset([3]), None)
-        assert o.separable(6, [1], a) and o.separable(6, [1], b)
+        assert o.separable(6, [1], a, 3) and o.separable(6, [1], b, 3)
 
     def test_matches_bruteforce_scan(self):
         # the ancestor-restricted search must return the very same subset the
@@ -423,7 +430,7 @@ class TestSeparableSide:
 
     def test_empty_side_is_separable(self):
         for o in _vstruct_oracles():
-            assert o.separable(0, [], {1}) is True
+            assert o.separable(0, [], {1}, 3) is True
             assert o.separable(2, set(), frozenset(), None) is True
 
     @pytest.mark.parametrize("vs, pool", [
@@ -440,9 +447,9 @@ class TestSeparableSide:
         # ids are all checked before any search stops the scan, and an empty
         # side still has u and the pool checked
         for o in _vstruct_oracles():
-            assert not o.separable(0, [2], set(pool) - {0, 2, 7})
+            assert not o.separable(0, [2], set(pool) - {0, 2, 7}, 3)
             with pytest.raises(CiError) as info:
-                o.separable(0, vs, pool)
+                o.separable(0, vs, pool, 3)
             assert info.type is CiError
 
     def test_unreached_member_over_the_cap_takes_the_scan(self):
@@ -484,11 +491,11 @@ class TestFindSeparatorDispatch:
     def test_statistical_chain(self):
         sm = generate_linear_nongaussian(CHAIN, m=2000, seed=21)
         o = PartialCorrelationOracle(sm)
-        assert o.find_separator(0, 2, {1}) == {1}
+        assert o.find_separator(0, 2, {1}, 3) == {1}
 
     def test_candidate_pool_excludes_pair(self, chain3):
         with pytest.raises(CiError):
-            ExactCiOracle(chain3).find_separator(0, 2, {0, 1})
+            ExactCiOracle(chain3).find_separator(0, 2, {0, 1}, 3)
 
     def test_cap_zero_only_empty_subset(self, chain3):
         assert ExactCiOracle(chain3).find_separator(0, 2, {1}, max_cond=0) is None
@@ -499,14 +506,14 @@ class TestFindSeparatorDispatch:
         rng = np.random.default_rng(2)
         sm = sample_from_cpts(CHAIN, _copy_chain_cpts(peak=0.9), 3, m=100, rng=rng)
         o = GSquaredOracle(sm)
-        assert o.find_separator(0, 2, {1}) is None
+        assert o.find_separator(0, 2, {1}, 3) is None
         # an unlinked pair still separates through the decidable empty set
         free = SampleMatrix(
             np.column_stack([
                 rng.integers(0, 3, 100), rng.integers(0, 3, 100), rng.integers(0, 3, 100),
             ]), "discrete", num_states=3)
         o2 = GSquaredOracle(free)
-        assert o2.find_separator(0, 1, {2}) == frozenset()
+        assert o2.find_separator(0, 1, {2}, 3) == frozenset()
 
 
 class InverseFisherZ:

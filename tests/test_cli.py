@@ -81,10 +81,12 @@ class TestGenData:
 
 class TestDiscover:
     def test_report_schema_with_truth(self, data_file, truth_file, capsys):
-        assert run("discover", "--data", data_file, "--solver", "lingam",
+        # continuous data pick the solver and the CI test
+        assert run("discover", "--data", data_file,
                    "--theta", 10, "--seed", 1, "--truth", truth_file) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["solver"] == "lingam"
+        assert report["oracle"] == "pcorr"
         assert set(report["metrics"]) == {"recall", "precision", "f1",
                                           "cut_error_ratio"}
         assert "cuts" not in report
@@ -156,22 +158,12 @@ class TestDiscover:
         assert run("discover", "--data", data_file, "--oracle-solver") == 1
         assert "--truth" in capsys.readouterr().err
 
-    def test_solver_conflicts_with_oracle_solver(self, data_file, truth_file, capsys):
-        assert run("discover", "--data", data_file, "--truth", truth_file,
-                   "--solver", "lingam", "--oracle-solver") == 1
-        assert "--oracle-solver" in capsys.readouterr().err
-
-    def test_lingam_rejects_discrete_data(self, tmp_path, truth_file, capsys):
-        d = tmp_path / "d.csv"
-        run("gen-data", "--truth", truth_file, "--samples", 200, "--states", 3,
-            "--seed", 2, "--out", d)
-        assert run("discover", "--data", d, "--solver", "lingam", "--seed", 1) == 1
-        assert "continuous" in capsys.readouterr().err
-
-    def test_anm_rejects_continuous_data(self, data_file, capsys):
-        assert run("discover", "--data", data_file, "--solver", "anm",
-                   "--seed", 1) == 1
-        assert "discrete" in capsys.readouterr().err
+    def test_solver_flag_is_gone(self, data_file, capsys):
+        # the data kind picks the solver; --oracle-solver is the one override
+        with pytest.raises(SystemExit) as exc:
+            run("discover", "--data", data_file, "--solver", "lingam", "--seed", 1)
+        assert exc.value.code == 2
+        assert "--solver" in capsys.readouterr().err
 
     def test_truth_size_mismatch(self, data_file, tmp_path, capsys):
         small = tmp_path / "small.edges"
@@ -284,3 +276,23 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run("discover", "--data", data_file, "--max-cond", "few")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("cap", ["-1", "1.5"])
+    def test_bad_max_cond_names_flag(self, data_file, tmp_path, cap, capsys):
+        # argparse refuses the value, naming the flag, before SadaConfig sees it
+        for argv in (("discover", "--data", data_file),
+                     ("bench", tmp_path / "grid.json", "--out", tmp_path / "s")):
+            with pytest.raises(SystemExit) as exc:
+                run(*argv, "--max-cond", cap, "--seed", 1)
+            assert exc.value.code == 2
+            assert "--max-cond" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "x"])
+    def test_bad_threads_names_flag(self, tmp_path, threads, capsys):
+        # no sequential run stands in for a worker count that cannot be
+        with pytest.raises(SystemExit) as exc:
+            run("bench", tmp_path / "grid.json", "--threads", threads,
+                "--seed", 1, "--out", tmp_path / "s")
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()

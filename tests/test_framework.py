@@ -223,11 +223,11 @@ class TestMerge:
     def test_reversed_duplicate_keeps_stronger(self):
         g1 = edge_set((0, 1, 0.9))
         g2 = edge_set((1, 0, 0.5))
-        out = merge_results(g1, g2, TableOracle())
+        out = merge_results(g1, g2, TableOracle(), 3)
         assert out == edge_set((0, 1, 0.9))
 
     def test_duplicate_pair_keeps_max_significance(self):
-        out = merge_results(edge_set((0, 1, 0.3)), edge_set((0, 1, 0.8)), TableOracle())
+        out = merge_results(edge_set((0, 1, 0.3)), edge_set((0, 1, 0.8)), TableOracle(), 3)
         assert out.significance(0, 1) == 0.8
 
     def test_redundant_direct_edge_removed(self):
@@ -236,31 +236,31 @@ class TestMerge:
         g1 = edge_set((3, 6, 0.9), (6, 7, 0.8))
         g2 = edge_set((3, 7, 0.7))
         oracle = TableOracle(independent=[(3, 7, (6,))])
-        out = merge_results(g1, g2, oracle)
+        out = merge_results(g1, g2, oracle, 3)
         assert out.pairs() == frozenset({(3, 6), (6, 7)})
 
     def test_dependent_direct_edge_survives(self):
         g1 = edge_set((3, 6, 0.9), (6, 7, 0.8))
         g2 = edge_set((3, 7, 0.7))
-        out = merge_results(g1, g2, TableOracle())
+        out = merge_results(g1, g2, TableOracle(), 3)
         assert out.pairs() == frozenset({(3, 6), (6, 7), (3, 7)})
 
     def test_disjoint_union_untouched(self):
         g1 = edge_set((0, 1, 0.6), (1, 2, 0.4))
         g2 = edge_set((5, 6, 0.9))
-        out = merge_results(g1, g2, TableOracle())
+        out = merge_results(g1, g2, TableOracle(), 3)
         assert out == edge_set((0, 1, 0.6), (1, 2, 0.4), (5, 6, 0.9))
 
     def test_three_cycle_breaks_at_weakest(self):
         g1 = edge_set((0, 1, 0.9), (1, 2, 0.8))
         g2 = edge_set((2, 0, 0.7))
-        out = merge_results(g1, g2, TableOracle())
+        out = merge_results(g1, g2, TableOracle(), 3)
         assert out.pairs() == frozenset({(0, 1), (1, 2)})
 
     def test_long_cycle_breaks_at_weakest(self):
         g1 = edge_set((0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.75))
         g2 = edge_set((3, 0, 0.2))
-        out = merge_results(g1, g2, TableOracle())
+        out = merge_results(g1, g2, TableOracle(), 3)
         assert out.pairs() == frozenset({(0, 1), (1, 2), (2, 3)})
 
     def test_redundancy_respects_path_length_cap(self):
@@ -270,7 +270,8 @@ class TestMerge:
         g1 = edge_set(*chain)
         g2 = edge_set((0, 8, 0.5))
         oracle = TableOracle(independent=[(0, 8, tuple(range(1, 8)))])
-        out = merge_results(g1, g2, oracle)
+        # no cap, so only the path length can keep the separator unfound
+        out = merge_results(g1, g2, oracle, None)
         assert (0, 8) in out
 
     def test_invariant_suite(self):
@@ -284,7 +285,7 @@ class RecordingOracle:
         self.inner = inner
         self.calls = []
 
-    def find_separator(self, u, v, candidates, max_cond=3):
+    def find_separator(self, u, v, candidates, max_cond):
         self.calls.append((u, v, frozenset(candidates), max_cond))
         return self.inner.find_separator(u, v, candidates, max_cond)
 

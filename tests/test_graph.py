@@ -297,6 +297,17 @@ class TestEdgeListFormat:
         save_dag(g, p)
         assert load_dag(p) == g
 
+    @pytest.mark.parametrize("g, text", [
+        (Dag(5, [(0, 1)]), "n=5\n0 1\n"),
+        (Dag(1), "n=1\n"),
+    ], ids=["isolated-tail", "single-node"])
+    def test_header_roundtrip(self, tmp_path, g, text):
+        # the edges alone would give too few variables, so the count is written
+        p = tmp_path / "g.txt"
+        save_dag(g, p)
+        assert p.read_text() == text
+        assert load_dag(p) == g
+
     def test_header_allows_isolated_tail(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("n=5\n0 1\n")
@@ -332,6 +343,7 @@ class TestEdgeListFormat:
             ("0 1\n1 1\n", 2, "self loop"),
             ("0 1\n1 2\n# note\n0 1\n", 4, "duplicate edge"),
             ("n=-1\n", 1, "negative count"),
+            ("# size\nn=five\n", 2, "bad count"),
         ]
         for text, line_no, message in cases:
             p = tmp_path / "bad.txt"

@@ -63,6 +63,14 @@ class TestContinuous:
         with pytest.raises(SynthError):
             generate_linear_nongaussian(g, m=10, noise_weight=1.5, seed=0)
 
+    def test_seed_is_required(self):
+        # no silent OS-entropy draw: data without a seed cannot be redrawn
+        g = Dag(2, [(0, 1)])
+        with pytest.raises(TypeError, match="seed"):
+            generate_linear_nongaussian(g, m=10)
+        with pytest.raises(TypeError):
+            generate_linear_nongaussian(g, 10, 0.3, 0)
+
 
 class TestDiscrete:
     def test_values_in_range(self):
@@ -113,6 +121,13 @@ class TestDiscrete:
             generate_discrete(g, m=10, num_states=1, seed=0)
         with pytest.raises(SynthError):
             draw_random_cpts(g, 30, np.random.default_rng(0), floor=0.05)
+
+    def test_seed_is_required(self):
+        g = Dag(2, [(0, 1)])
+        with pytest.raises(TypeError, match="seed"):
+            generate_discrete(g, m=10)
+        with pytest.raises(TypeError):
+            generate_discrete(g, 10, 3, 0)
 
 
 class TestCsv:
