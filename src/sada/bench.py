@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .citest import GSquaredOracle, PartialCorrelationOracle
-from .framework import clean_unmerged, remove_conflicts_and_redundancy, run_sada
+from .citest import GSquaredOracle, PartialCorrelationOracle, is_real
+from .framework import _is_count, clean_unmerged, remove_conflicts_and_redundancy, run_sada
 from .graph import Dag, generate_random_dag
 from .solvers import EdgeSet, solve_discrete_anm, solve_lingam
 from .synth import generate_discrete, generate_linear_nongaussian
@@ -75,8 +75,8 @@ _GRID_COUNTS = ("variable_sizes", "sample_sizes")
 
 
 def _is_integer(x) -> bool:
-    """True for an integral number; False for a bool, which is not a count."""
-    return not isinstance(x, (bool, np.bool_)) and float(x).is_integer()
+    """True for an integral real number; False for a bool, which is not a count."""
+    return is_real(x) and float(x).is_integer()
 
 
 @dataclass(frozen=True)
@@ -96,13 +96,13 @@ class ExperimentGrid:
         set_ = object.__setattr__
         for name in _GRID_LISTS:
             value = getattr(self, name)
-            if np.isscalar(value):
+            if value is None or np.isscalar(value):
                 value = (value,)
             value = tuple(value)
             if not value:
                 raise BenchError(f"{name} must be nonempty")
-            if any(isinstance(x, (bool, np.bool_)) for x in value):
-                raise BenchError(f"{name} entries must be numbers, not bools, got {value}")
+            if not all(is_real(x) for x in value):
+                raise BenchError(f"{name} entries must be finite real numbers, got {value}")
             if any(x <= 0 for x in value):
                 raise BenchError(f"{name} entries must be positive, got {value}")
             if name in _GRID_COUNTS and not all(_is_integer(x) for x in value):
@@ -111,11 +111,11 @@ class ExperimentGrid:
                 raise BenchError(f"noise_weights entries must be at most 1, got {value}")
             set_(self, name, value)
         if not _is_integer(self.replicates) or self.replicates < 1:
-            raise BenchError(f"replicates must be a positive integer, got {self.replicates}")
+            raise BenchError(f"replicates must be a positive integer, got {self.replicates!r}")
         if self.model not in ("continuous", "discrete"):
             raise BenchError(f"model must be 'continuous' or 'discrete', got {self.model!r}")
         if not _is_integer(self.num_states) or self.num_states < 2:
-            raise BenchError(f"num_states must be an integer >= 2, got {self.num_states}")
+            raise BenchError(f"num_states must be an integer >= 2, got {self.num_states!r}")
 
     @classmethod
     def from_mapping(cls, mapping) -> "ExperimentGrid":
@@ -258,7 +258,10 @@ def _summarize_point(grid, point, rows, subs):
 def run_experiment(grid: ExperimentGrid, cfg, seed: int, workers: Optional[int] = None):
     """Run the sweep; returns (rows, summary). Each replicate owns the RNG
     stream seeded by (seed, point index, replicate), so row content does not
-    depend on scheduling; workers > 1 fans replicates out to processes."""
+    depend on scheduling; workers > 1 fans replicates out to processes, and
+    None or 1 runs them in this one."""
+    if workers is not None and not _is_count(workers, 1):
+        raise BenchError(f"workers must be None or an integer >= 1, got {workers!r}")
     tasks = [(grid.model, n, m, d, w, grid.num_states, pi, rep, cfg, int(seed))
              for pi, n, m, d, w in grid.points()
              for rep in range(grid.replicates)]

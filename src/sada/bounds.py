@@ -8,11 +8,13 @@ significance advantage that keeps recall intact.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
+
+from .citest import is_real
 
 
 class BoundsError(ValueError):
@@ -88,6 +90,10 @@ class ErrorModel:
 
     def __post_init__(self):
         set_ = object.__setattr__
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (is_real(value) or (value is None and field.name != "n")):
+                raise BoundsError(f"{field.name} must be a finite real number, got {value!r}")
         if int(self.n) != self.n or self.n < 1:
             raise BoundsError(f"n must be a positive integer, got {self.n}")
         set_(self, "n", int(self.n))

@@ -35,10 +35,15 @@ class UnreliableTestError(CiError):
     """Sample size is below the reliability heuristic for the table size."""
 
 
+def is_real(x) -> bool:
+    """True for a finite real number (numpy's included) that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def is_alpha_level(a) -> bool:
     """True for a real number, not a bool, strictly between 0 and 1: the
     levels a CI test and SadaConfig accept."""
-    return isinstance(a, numbers.Real) and not isinstance(a, bool) and 0.0 < a < 1.0
+    return is_real(a) and 0.0 < a < 1.0
 
 
 @dataclass(frozen=True)

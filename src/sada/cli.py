@@ -3,6 +3,7 @@ error-bound tables, and benchmark sweeps, one subcommand each."""
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -13,7 +14,7 @@ from .bench import ExperimentGrid, cut_error_ratio, run_experiment, score, \
     write_rows_csv, write_summary_json
 from .bounds import ErrorModel, bounds_report
 from .citest import ExactCiOracle, GSquaredOracle, PartialCorrelationOracle
-from .framework import SadaConfig, clean_unmerged, run_sada
+from .framework import FrameworkError, SadaConfig, clean_unmerged, run_sada
 from .graph import Dag, generate_random_dag, load_dag, save_dag
 from .solvers import make_oracle_solver, solve_discrete_anm, solve_lingam
 from .synth import generate_discrete, generate_linear_nongaussian, \
@@ -28,7 +29,7 @@ class CliError(ValueError):
 
 def _int_at_least(floor):
     """argparse type of an integer >= floor: 0 for a seed (the range numpy's
-    seeding takes) or a conditioning cap, 1 for a worker count."""
+    seeding takes), 1 for a worker count."""
     def parse(text):
         if not text.isdecimal() or int(text) < floor:
             raise argparse.ArgumentTypeError(f"expected an integer >= {floor}, got {text!r}")
@@ -36,9 +37,20 @@ def _int_at_least(floor):
     return parse
 
 
-def _max_cond_arg(text):
-    """Conditioning-set cap: a nonnegative integer, or 'none' for unlimited."""
-    return None if text.lower() == "none" else _int_at_least(0)(text)
+def _config_arg(field, parse):
+    """argparse type of one SadaConfig field: the text as `parse` reads it,
+    or the bare text when it cannot, checked by SadaConfig's own rule."""
+    def check(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = text
+        try:
+            SadaConfig(**{field: value})
+        except FrameworkError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return check
 
 
 def _resolve_seed(seed):
@@ -64,13 +76,14 @@ def _load_mapping(path):
 def _add_sada_flags(sp):
     # the defaults are SadaConfig's own
     cfg = SadaConfig()
-    sp.add_argument("--theta", type=int, default=cfg.theta,
+    sp.add_argument("--theta", type=_config_arg("theta", int), default=cfg.theta,
                     help="largest subproblem handed to the solver (default %(default)s)")
-    sp.add_argument("--k", type=int, default=cfg.k,
+    sp.add_argument("--k", type=_config_arg("k", int), default=cfg.k,
                     help="causal-cut restarts per split (default %(default)s)")
-    sp.add_argument("--max-cond", type=_max_cond_arg, default=cfg.max_cond, metavar="C",
+    sp.add_argument("--max-cond", default=cfg.max_cond, metavar="C",
+                    type=_config_arg("max_cond", lambda t: None if t.lower() == "none" else int(t)),
                     help="conditioning-set cap, or 'none' (default %(default)s)")
-    sp.add_argument("--alpha", type=float, default=cfg.alpha_level,
+    sp.add_argument("--alpha", type=_config_arg("alpha_level", float), default=cfg.alpha_level,
                     help="independence-test level (default %(default)s)")
 
 
@@ -92,8 +105,9 @@ def _build_parser():
     p = sub.add_parser("gen-data", help="draw samples from a DAG into a CSV")
     p.add_argument("--truth", required=True, help="edge-list file of the DAG")
     p.add_argument("--samples", type=int, required=True, help="rows to draw")
+    noise = inspect.signature(generate_linear_nongaussian).parameters["noise_weight"]
     p.add_argument("--noise-weight", type=float, default=None,
-                   help="noise share for continuous data (default 0.3)")
+                   help=f"noise share for continuous data (default {noise.default})")
     p.add_argument("--states", type=int, default=None,
                    help="state count; switches generation to discrete")
     p.add_argument("--seed", type=_int_at_least(0))
@@ -146,8 +160,8 @@ def _cmd_gen_data(args):
     if args.states is not None:
         sm = generate_discrete(g, args.samples, num_states=args.states, seed=seed)
     else:
-        w = 0.3 if args.noise_weight is None else args.noise_weight
-        sm = generate_linear_nongaussian(g, args.samples, noise_weight=w, seed=seed)
+        given = {} if args.noise_weight is None else {"noise_weight": args.noise_weight}
+        sm = generate_linear_nongaussian(g, args.samples, seed=seed, **given)
     save_samples(sm, args.out)
     return 0
 

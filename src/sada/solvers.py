@@ -23,6 +23,10 @@ class RankDeficientError(SolverError):
     """Regression design has no unique least-squares solution."""
 
 
+# Level of the leaf solvers' own tests, whatever level the run's CI oracle uses.
+LEAF_ALPHA = 0.05
+
+
 class Edge(NamedTuple):
     parent: int
     child: int
@@ -170,14 +174,12 @@ def _exogeneity_order(x: np.ndarray) -> list:
     return order
 
 
-def solve_lingam(data: SampleMatrix, variables, prune_alpha: float = 0.05) -> EdgeSet:
+def solve_lingam(data: SampleMatrix, variables) -> EdgeSet:
     """Linear non-Gaussian solver: exogeneity-based causal order, then a
     regression of each variable on all its order predecessors, keeping the
-    coefficients whose Wald test rejects zero at prune_alpha."""
+    coefficients whose Wald test rejects zero at LEAF_ALPHA."""
     if data.kind != "continuous":
         raise SolverError("linear solver needs continuous samples")
-    if not (0 < prune_alpha < 1):
-        raise SolverError(f"prune_alpha must lie in (0, 1), got {prune_alpha}")
     vs = _checked_vars(data.n, variables)
     if len(vs) < 2:
         return EdgeSet()
@@ -217,18 +219,18 @@ def solve_lingam(data: SampleMatrix, variables, prune_alpha: float = 0.05) -> Ed
             wald = np.where(var > 0, beta * beta / var, np.inf)
         p = chdtrc(1, wald)
         for j, pred in enumerate(preds):
-            if p[j] < prune_alpha:
+            if p[j] < LEAF_ALPHA:
                 result.add(vs[pred], vs[child], 1.0 - float(p[j]))
     return result
 
 
-def solve_discrete_anm(data: SampleMatrix, variables, alpha: float = 0.05) -> EdgeSet:
+def solve_discrete_anm(data: SampleMatrix, variables) -> EdgeSet:
     """Pairwise additive-noise solver for discrete data with cyclic residuals.
 
     For each ordered pair, fit f(x) = the conditional mode of y given x and
     test (y - f(x)) mod k against x with G2. A direction is emitted only when
-    its residual test accepts and the reverse one rejects; ambiguity emits
-    nothing, and cycles are left for the merge stage to resolve.
+    its residual test accepts at LEAF_ALPHA and the reverse one rejects;
+    ambiguity emits nothing, and cycles are left for the merge stage.
 
     Both directions of a pair come from one joint count table: the (x,
     residual) table is each row of the (x, y) table rotated left by that
@@ -237,8 +239,6 @@ def solve_discrete_anm(data: SampleMatrix, variables, alpha: float = 0.05) -> Ed
     """
     if data.kind != "discrete":
         raise SolverError("additive-noise solver needs discrete samples")
-    if not (0 < alpha < 1):
-        raise SolverError(f"alpha must lie in (0, 1), got {alpha}")
     vs = _checked_vars(data.n, variables)
     if len(vs) < 2:
         return EdgeSet()
@@ -260,9 +260,9 @@ def solve_discrete_anm(data: SampleMatrix, variables, alpha: float = 0.05) -> Ed
             modes = joint[rows].argmax(axis=1)
             resid = joint[rotate[rank, modes]].reshape(2, k, k)
             p_ab, p_ba = g2.p_value(resid[:1]), g2.p_value(resid[1:])
-            if p_ab > alpha and p_ba <= alpha:
+            if p_ab > LEAF_ALPHA and p_ba <= LEAF_ALPHA:
                 result.add(a, b, p_ab)
-            elif p_ba > alpha and p_ab <= alpha:
+            elif p_ba > LEAF_ALPHA and p_ab <= LEAF_ALPHA:
                 result.add(b, a, p_ba)
     return result
 

@@ -2,7 +2,7 @@
 
 Continuous data follow a linear model with standardized uniform noise; every
 column is normalized to mean 0 and variance 1. Discrete data are drawn from
-random conditional probability tables with a probability floor.
+random conditional probability tables with a probability floor, CPT_FLOOR.
 """
 
 from __future__ import annotations
@@ -98,19 +98,22 @@ def generate_linear_nongaussian(g: Dag, m: int, noise_weight: float = 0.3, *, se
     return SampleMatrix(data, "continuous")
 
 
-def draw_random_cpts(g: Dag, num_states: int, rng, floor: float = 0.05) -> dict:
+CPT_FLOOR = 0.05
+
+
+def draw_random_cpts(g: Dag, num_states: int, rng) -> dict:
     """One table per variable: rows indexed by the parent configuration
     (ascending parent ids, first parent is the least significant digit),
-    each row uniform on the simplex then pushed away from zero by the floor."""
+    each row uniform on the simplex then pushed away from zero by CPT_FLOOR."""
     if num_states < 2:
         raise SynthError(f"need at least two states, got {num_states}")
-    if floor * num_states >= 1:
-        raise SynthError(f"floor {floor} leaves no mass for {num_states} states")
+    if CPT_FLOOR * num_states >= 1:
+        raise SynthError(f"floor {CPT_FLOOR} leaves no mass for {num_states} states")
     cpts = {}
     for v in range(g.n):
         rows = num_states ** len(g.parents(v))
         raw = rng.dirichlet(np.ones(num_states), size=rows)
-        cpts[v] = floor + (1 - floor * num_states) * raw
+        cpts[v] = CPT_FLOOR + (1 - CPT_FLOOR * num_states) * raw
     return cpts
 
 
@@ -155,9 +158,9 @@ def save_samples(sm: SampleMatrix, path) -> None:
                 writer.writerow([repr(float(x)) for x in row])
 
 
-def load_samples(path, num_states: int | None = None) -> SampleMatrix:
+def load_samples(path) -> SampleMatrix:
     """Read a sample CSV; a table whose cells are all integers is discrete
-    (num_states defaults to max value + 1), anything else is continuous.
+    (num_states is max value + 1, at least 2), anything else is continuous.
     Non-numeric and non-finite (nan, inf) cells raise SampleFormatError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -192,6 +195,5 @@ def load_samples(path, num_states: int | None = None) -> SampleMatrix:
     values = np.asarray(rows, dtype=float)
     if all_int and np.all(values >= 0):
         ints = values.astype(np.int64)
-        k = num_states if num_states is not None else int(ints.max()) + 1
-        return SampleMatrix(ints, "discrete", num_states=max(k, 2))
+        return SampleMatrix(ints, "discrete", num_states=max(int(ints.max()) + 1, 2))
     return SampleMatrix(values, "continuous")

@@ -264,14 +264,14 @@ def g2_from_tables_reference(tables):
     return max(g2, 0.0), dof
 
 
-def discrete_anm_four_pass(data, variables, alpha=0.05):
+def discrete_anm_four_pass(data, variables):
     """The additive-noise solver pair by ordered pair: count the (x, y) table,
     take each row's first mode, form the cyclic residual column and test it
-    against x with a fresh marginal G2 table."""
+    against x with a fresh marginal G2 table at LEAF_ALPHA."""
     import numpy as np
 
     from sada.citest import G2Kernel
-    from sada.solvers import EdgeSet
+    from sada.solvers import LEAF_ALPHA, EdgeSet
 
     k = int(data.num_states)
     vs = sorted({int(v) for v in variables})
@@ -288,7 +288,7 @@ def discrete_anm_four_pass(data, variables, alpha=0.05):
             forward_p[(x_var, y_var)] = G2Kernel(k, len(x)).p_value(table.reshape(1, k, k))
     result = EdgeSet()
     for (x_var, y_var), p_fwd in forward_p.items():
-        if p_fwd > alpha and forward_p[(y_var, x_var)] <= alpha:
+        if p_fwd > LEAF_ALPHA and forward_p[(y_var, x_var)] <= LEAF_ALPHA:
             result.add(x_var, y_var, p_fwd)
     return result
 

@@ -131,7 +131,12 @@ class TestExperimentGrid:
                           ("variable_sizes", [True]), ("sample_sizes", [200, True]),
                           ("replicates", True), ("in_degrees", [True]),
                           ("noise_weights", [0.3, np.True_]),
-                          ("noise_weights", [1.5]), ("noise_weights", [0.3, 1.0001])):
+                          ("noise_weights", [1.5]), ("noise_weights", [0.3, 1.0001]),
+                          # a JSON string, list or null is no number either
+                          ("variable_sizes", ["10"]), ("sample_sizes", "200"),
+                          ("in_degrees", None), ("noise_weights", [[0.3]]),
+                          ("in_degrees", [float("nan")]), ("replicates", "3"),
+                          ("replicates", [3]), ("num_states", "3")):
             with pytest.raises(BenchError, match=name):
                 ExperimentGrid.from_mapping({name: bad})
 
@@ -298,6 +303,17 @@ class TestRunExperiment:
             return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
 
         assert strip(rows_seq) == strip(rows_par)
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, 2.0, True, "2"])
+    def test_bad_workers_refused(self, monkeypatch, workers):
+        # refused before any replicate runs, not quietly run sequentially
+        def no_run(task):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sada.bench, "_run_replicate", no_run)
+        grid = ExperimentGrid(**SMALL_GRID)
+        with pytest.raises(BenchError, match="workers"):
+            run_experiment(grid, SadaConfig(theta=6), seed=11, workers=workers)
 
 
 class TestOutputFiles:

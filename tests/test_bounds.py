@@ -73,6 +73,15 @@ class TestErrorModel:
         with pytest.raises(BoundsError):
             ErrorModel(n=10, f=50)
 
+    @pytest.mark.parametrize("name, bad", [
+        ("e1", [1]), ("alpha", "0.5"), ("alpha", True), ("nc", np.True_),
+        ("n", None), ("n", "10"), ("d", math.nan), ("delta", math.inf)])
+    def test_wrong_type_refused(self, name, bad):
+        # a value that is no finite real number is refused, naming the field,
+        # not coerced ("0.5" to 0.5, True to 1.0) or left to crash a formula
+        with pytest.raises(BoundsError, match=name):
+            ErrorModel(**{"n": 10, name: bad})
+
 
 class TestCutErrorPosterior:
     def test_point_mass_without_misses(self):

@@ -5,7 +5,7 @@ import pytest
 
 from sada.cli import main
 from sada.graph import load_dag
-from sada.synth import load_samples
+from sada.synth import generate_linear_nongaussian, load_samples, save_samples
 
 from conftest import NINE_NODE_EDGES
 
@@ -66,6 +66,14 @@ class TestGenData:
         sm = load_samples(out)
         assert sm.kind == "discrete"
         assert sm.num_states == 3
+
+    def test_default_noise_weight_is_the_generators(self, tmp_path, truth_file):
+        # without --noise-weight the CSV is the generator's own default draw
+        out, ref = tmp_path / "d.csv", tmp_path / "ref.csv"
+        assert run("gen-data", "--truth", truth_file, "--samples", 60,
+                   "--seed", 4, "--out", out) == 0
+        save_samples(generate_linear_nongaussian(load_dag(truth_file), 60, seed=4), ref)
+        assert out.read_text() == ref.read_text()
 
     def test_noise_weight_conflicts_with_states(self, tmp_path, truth_file, capsys):
         assert run("gen-data", "--truth", truth_file, "--samples", 50,
@@ -207,6 +215,14 @@ class TestBounds:
         assert run("bounds", model) == 1
         assert "dd" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, bad", [("e1", [1]), ("alpha", "0.5"), ("alpha", True)])
+    def test_wrong_type_names_field(self, tmp_path, field, bad, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"n": 100, "d": 1.25, field: bad}))
+        assert run("bounds", model) == 1
+        out = capsys.readouterr()
+        assert field in out.err and out.out == ""
+
     def test_malformed_json_names_file(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         model.write_text("{")
@@ -235,6 +251,14 @@ class TestBench:
         grid.write_text(json.dumps({"variable_size": [12]}))
         assert run("bench", grid, "--seed", 1, "--out", tmp_path / "s") == 1
         assert "variable_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, bad", [("variable_sizes", ["10"]), ("replicates", "3")])
+    def test_wrong_type_names_field(self, tmp_path, field, bad, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({field: bad}))
+        assert run("bench", grid, "--seed", 1, "--out", tmp_path / "s") == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_non_object_grid(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
@@ -286,6 +310,18 @@ class TestParser:
                 run(*argv, "--max-cond", cap, "--seed", 1)
             assert exc.value.code == 2
             assert "--max-cond" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--theta", "1"), ("--theta", "2.5"),
+                                             ("--k", "0"), ("--alpha", "nan"),
+                                             ("--alpha", "1"), ("--alpha", "x")])
+    def test_bad_config_flag_names_flag(self, data_file, tmp_path, flag, value, capsys):
+        # SadaConfig's own rule refuses the value inside argparse (exit 2)
+        for argv in (("discover", "--data", data_file),
+                     ("bench", tmp_path / "grid.json", "--out", tmp_path / "s")):
+            with pytest.raises(SystemExit) as exc:
+                run(*argv, flag, value, "--seed", 1)
+            assert exc.value.code == 2
+            assert f"argument {flag}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["0", "-3", "x"])
     def test_bad_threads_names_flag(self, tmp_path, threads, capsys):

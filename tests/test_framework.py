@@ -8,6 +8,7 @@ from sada.framework import (
     _decode_pair,
     _grow_from_seed,
     _pair_row_starts,
+    clean_unmerged,
     find_causal_cut,
     merge_results,
     remove_conflicts_and_redundancy,
@@ -276,6 +277,19 @@ class TestMerge:
 
     def test_invariant_suite(self):
         assert check_merge_invariants(num_cases=2000, seed=11) == 2000
+
+    def test_clean_unmerged_cleans_only_an_uncut_run(self):
+        # with no accepted cut the one leaf's raw output gets the merge
+        # cleanup; after a cut the merged root is clean and comes back as is
+        edges = edge_set((0, 1, 0.9), (1, 2, 0.8), (2, 0, 0.7),
+                         (3, 6, 0.9), (6, 7, 0.8), (3, 7, 0.6))
+        oracle = TableOracle(independent=[(3, 7, (6,))])
+        want = remove_conflicts_and_redundancy(edges, oracle, 3)
+        assert want.pairs() == {(0, 1), (1, 2), (3, 6), (6, 7)}
+        assert clean_unmerged(edges, [], oracle, 3) == want
+        cut = CausalCut(frozenset({0, 1, 2}), frozenset(), frozenset({3, 6, 7}))
+        kept = clean_unmerged(edges, [cut], oracle, 3)
+        assert kept is edges and len(kept) == 6
 
 
 class RecordingOracle:

@@ -3,6 +3,7 @@ import pytest
 
 from sada.graph import Dag, generate_random_dag
 from sada.synth import (
+    CPT_FLOOR,
     SampleFormatError,
     SampleMatrix,
     SynthError,
@@ -85,7 +86,7 @@ class TestDiscrete:
         rng = np.random.default_rng(0)
         cpts = draw_random_cpts(g, 3, rng)
         for table in cpts.values():
-            assert np.all(table >= 0.05 - 1e-12)
+            assert np.all(table >= CPT_FLOOR - 1e-12)
             assert np.allclose(table.sum(axis=1), 1.0)
 
     def test_forced_near_deterministic_cpt(self):
@@ -120,7 +121,7 @@ class TestDiscrete:
         with pytest.raises(SynthError):
             generate_discrete(g, m=10, num_states=1, seed=0)
         with pytest.raises(SynthError):
-            draw_random_cpts(g, 30, np.random.default_rng(0), floor=0.05)
+            draw_random_cpts(g, 30, np.random.default_rng(0))
 
     def test_seed_is_required(self):
         g = Dag(2, [(0, 1)])
@@ -149,12 +150,6 @@ class TestCsv:
         assert back.kind == "discrete"
         assert back.num_states == sm.values.max() + 1 or back.num_states == 4
         assert np.array_equal(back.values, sm.values)
-
-    def test_num_states_override(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("v0,v1\n0,1\n1,0\n")
-        back = load_samples(p, num_states=5)
-        assert back.num_states == 5
 
     def test_format_errors(self, tmp_path):
         cases = [
