@@ -19,7 +19,7 @@ from .citest import GSquaredOracle, PartialCorrelationOracle, is_real
 from .framework import _is_count, clean_unmerged, remove_conflicts_and_redundancy, run_sada
 from .graph import Dag, generate_random_dag
 from .solvers import EdgeSet, solve_discrete_anm, solve_lingam
-from .synth import generate_discrete, generate_linear_nongaussian
+from .synth import CPT_FLOOR, cpt_states_ok, generate_discrete, generate_linear_nongaussian
 
 
 class BenchError(ValueError):
@@ -114,8 +114,12 @@ class ExperimentGrid:
             raise BenchError(f"replicates must be a positive integer, got {self.replicates!r}")
         if self.model not in ("continuous", "discrete"):
             raise BenchError(f"model must be 'continuous' or 'discrete', got {self.model!r}")
-        if not _is_integer(self.num_states) or self.num_states < 2:
-            raise BenchError(f"num_states must be an integer >= 2, got {self.num_states!r}")
+        if not (_is_integer(self.num_states) and cpt_states_ok(self.num_states)):
+            raise BenchError(f"num_states must be an integer >= 2 that CPT_FLOOR={CPT_FLOOR} "
+                             f"leaves mass for, got {self.num_states!r}")
+        for n, d in itertools.product(self.variable_sizes, self.in_degrees):
+            if d > (n - 1) / 2:  # the most generate_random_dag can draw
+                raise BenchError(f"in_degrees entry {d} exceeds (n - 1) / 2 for n={n}")
 
     @classmethod
     def from_mapping(cls, mapping) -> "ExperimentGrid":

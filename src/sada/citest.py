@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc, ndtr
 
-from .graph import Dag
+from .graph import Dag, bit_ids
 from .synth import SampleMatrix
 
 
@@ -55,11 +55,12 @@ class CiVerdict:
 class CiOracle:
     """Interface consumed by the cut search and merge. The base class owns the
     query path: `query` checks the ids, orders the pair and caches verdicts,
-    `find_separator` is the one subset scan, over the pool `_pool` returns,
-    and `separable` asks it whether u separates from every member of a
-    whole side. A subclass sets `_n` (the variable count) and `_cache` (a
-    dict) and supplies `_p_value`; it may narrow `_pool` and shortcut
-    `separable`, which must answer as its per-member scan would."""
+    `find_separator` runs the one subset scan, `_scan`, over the pool `_pool`
+    returns, and `separable` asks `_scan` whether u separates from every
+    member of a whole side. Sides and pools are bitsets (bit w for variable
+    w). A subclass sets `_n` (the variable count) and `_cache` (a dict) and
+    supplies `_p_value`; it may narrow `_pool` and shortcut `separable`,
+    which must answer as its per-member scan would."""
 
     alpha_level: float = 0.05
 
@@ -83,19 +84,23 @@ class CiOracle:
         raise NotImplementedError
 
     def _pool(self, u, v, candidates):
-        """The candidates the scan draws subsets from, in ascending id order,
-        or None when no subset of them can separate u and v."""
-        return _checked_ids(self._n, u, v, candidates)
+        """The ids of the candidates bitset the scan draws subsets from, in
+        ascending order, or None when no subset of them can separate u and v."""
+        _checked_pair(self._n, u, v, candidates)
+        return bit_ids(candidates)
 
     def find_separator(self, u, v, candidates, max_cond):
-        """First separating subset of the candidate pool, scanning cardinality
-        0..min(max_cond, |pool|) in ascending-id lexicographic order.
+        """First separating subset of the candidates bitset, scanning sizes
+        0..min(max_cond, pool size) in ascending-id lexicographic order;
         max_cond=None lifts the cap. Subsets the test cannot decide (unreliable,
         singular, too few samples) are skipped: independence needs affirmative
-        evidence. Returns a frozenset, or None when nothing separates."""
+        evidence. Returns a frozenset of ids, or None when nothing separates."""
         pool = self._pool(u, v, candidates)
-        if pool is None:
-            return None
+        return None if pool is None else self._scan(u, v, pool, max_cond)
+
+    def _scan(self, u, v, pool, max_cond):
+        """The subset scan of find_separator over the checked, ascending ids
+        of `pool`, one `query` per subset."""
         limit = len(pool) if max_cond is None else min(max_cond, len(pool))
         for size in range(limit + 1):
             for sub in itertools.combinations(pool, size):
@@ -109,28 +114,42 @@ class CiOracle:
         return None
 
     def separable(self, u, vs, candidates, max_cond) -> bool:
-        """Whether u separates from every variable in vs, each through some
-        subset of the candidates within the cap; True for an empty vs.
-        Every id is checked before the first search; the searches then run
-        in the iteration order of vs and stop at the first member that
-        fails."""
-        vs = list(vs)
-        _checked_side(self._n, u, vs, candidates)
-        return all(self.find_separator(u, v, candidates, max_cond) is not None
-                   for v in vs)
+        """Whether u separates from every member of the bitset vs, each
+        through some subset of the candidates bitset within the cap; True
+        for an empty vs. Every argument is checked before the first search;
+        the searches then run in ascending id order and stop at the first
+        member that fails."""
+        u = _checked_search(self._n, u, vs, candidates)
+        pool = bit_ids(candidates)
+        return all(self._scan(u, v, pool, max_cond) is not None for v in bit_ids(vs))
 
 
-def _checked_side(n: int, u: int, vs, candidates):
-    """Raise CiError unless u, every member of vs and every candidate lie in
-    0..n-1, no member of vs is u, and the candidates hold neither."""
-    pool = set(candidates)
-    for w in itertools.chain((u,), vs, pool):
-        if not (0 <= w < n):
-            raise CiError(f"variable id {w} out of range for n={n}")
-    if u in vs:
-        raise CiError("need two distinct variables")
-    if u in pool or not pool.isdisjoint(vs):
+def _checked_search(n: int, u, vs, candidates) -> int:
+    """u as an int, once u lies in 0..n-1, vs and candidates are bitsets
+    over 0..n-1 (non-negative ints, not bools), vs does not hold u and the
+    candidates hold neither u nor a member of vs."""
+    for name, bits in (("vs", vs), ("candidates", candidates)):
+        if type(bits) is not int or bits < 0:
+            got = bits if type(bits) is int else type(bits).__name__
+            raise CiError(f"{name} must be a bitset (a non-negative int), got {got}")
+        if bits >> n:
+            raise CiError(f"{name} holds variable id {bits.bit_length() - 1}, out of range for n={n}")
+    if not 0 <= u < n:
+        raise CiError(f"variable id {u} out of range for n={n}")
+    u = int(u)
+    if (vs >> u) & 1:
+        raise CiError(f"need two distinct variables, but vs holds u={u}")
+    if candidates & (vs | (1 << u)):
         raise CiError("conditioning set must exclude the queried pair")
+    return u
+
+
+def _checked_pair(n: int, u, v, candidates) -> tuple:
+    """(u, v) as ints, once v lies in 0..n-1 and u, {v} and the candidates
+    pass _checked_search."""
+    if not 0 <= v < n:
+        raise CiError(f"variable id {v} out of range for n={n}")
+    return _checked_search(n, u, 1 << int(v), candidates), int(v)
 
 
 def _checked_ids(n: int, u: int, v: int, z) -> tuple:
@@ -324,89 +343,52 @@ class ExactCiOracle(CiOracle):
         self.graph = g
         self._n = g.n
         self._cache: dict = {}
-        # (frozenset pool, its bitset) of the last frozenset pool scanned
-        self._pool_memo = (frozenset(), 0)
 
     def _p_value(self, u, v, zt) -> float:
         # uncached: `query` already keeps the verdict
-        z_bits = 0
-        for w in zt:
-            z_bits |= 1 << int(w)
+        z_bits = sum(1 << int(w) for w in zt)
         return 0.0 if self.graph._connected_bits(int(u), 1 << int(v), z_bits) else 1.0
-
-    def _pool_bits(self, side, candidates):
-        """The candidates as a bitset, once the ids in `side` and in the
-        candidates are valid and the candidates hold no member of `side`.
-        The bitset of a frozenset pool is remembered, so a caller that
-        passes the same pool object again skips the pass over it."""
-        n = self._n
-        memo_pool, pool_bits = self._pool_memo
-        if candidates is not memo_pool:
-            pool_bits = 0
-            for w in candidates:
-                w = int(w)
-                if not 0 <= w < n:
-                    raise CiError(f"variable id {w} out of range for n={n}")
-                pool_bits |= 1 << w
-            if type(candidates) is frozenset:
-                self._pool_memo = (candidates, pool_bits)
-        if pool_bits & side:
-            raise CiError("conditioning set must exclude the queried pair")
-        return pool_bits
 
     def _pool(self, u, v, candidates):
         # any separating subset shrinks to its ancestor part without getting
         # bigger or later in the scan order, so the first hit lives in it
-        u, v = int(u), int(v)
-        n = self._n
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            _checked_ids(n, u, v, ())  # raises, naming the fault
+        u, v = _checked_pair(self._n, u, v, candidates)
         anc = self.graph._ancestor_bits()
-        zstar = self._pool_bits((1 << u) | (1 << v), candidates) & (anc[u] | anc[v])
-        if not self.graph._d_separated_bits(u, v, zstar):
-            return None
-        pool = []
-        while zstar:
-            pool.append((zstar & -zstar).bit_length() - 1)
-            zstar &= zstar - 1
-        return pool
+        zstar = candidates & (anc[u] | anc[v])
+        return bit_ids(zstar) if self.graph._d_separated_bits(u, v, zstar) else None
 
     def separable(self, u, vs, candidates, max_cond) -> bool:
-        # The first member is tested on its own, since most failing sides
+        # The lowest member is tested on its own, since most failing sides
         # fail there. The rest take one search over the moral graph of
         # An({u} | rest | Z), Z = pool & An({u} | rest): a member it does not
         # reach is separated by its own ancestor pool, whose moral graph is
-        # a subgraph of that one. Reached members, and unreached ones whose
-        # ancestor pool exceeds the cap, take the per-pair check.
-        u = int(u)
-        vs = [int(v) for v in vs]
-        _checked_side(self._n, u, vs, ())
-        pool_bits = self._pool_bits(sum(1 << v for v in vs) | (1 << u), candidates)
+        # a subgraph of that one. Reached members, and under a cap unreached
+        # ones whose ancestor pool exceeds it, take the per-pair check.
+        u = _checked_search(self._n, u, vs, candidates)
         if not vs:
             return True
         anc = self.graph._ancestor_bits()
-        if not self._pair_separable(u, vs[0], pool_bits & (anc[u] | anc[vs[0]]),
-                                    candidates, max_cond):
+        first = vs & -vs
+        v = first.bit_length() - 1
+        if not self._pair_separable(u, v, candidates & (anc[u] | anc[v]), max_cond):
             return False
-        rest = vs[1:]
+        rest = vs ^ first
         if not rest:
             return True
-        targets, reach = 0, anc[u]
-        for v in rest:
-            targets |= 1 << v
-            reach |= anc[v]
-        reached = self.graph._connected_bits(u, targets, pool_bits & reach)
-        for v in rest:
-            zstar = pool_bits & (anc[u] | anc[v])
+        inside = self.graph._ancestral_set(u, rest)
+        reached = self.graph._connected_bits(u, rest, candidates & inside, inside)
+        todo = reached if max_cond is None else rest
+        for v in bit_ids(todo):
+            zstar = candidates & (anc[u] | anc[v])
             if ((reached >> v) & 1 or (max_cond is not None and zstar.bit_count() > max_cond)) \
-                    and not self._pair_separable(u, v, zstar, candidates, max_cond):
+                    and not self._pair_separable(u, v, zstar, max_cond):
                 return False
         return True
 
-    def _pair_separable(self, u, v, zstar, candidates, max_cond) -> bool:
+    def _pair_separable(self, u, v, zstar, max_cond) -> bool:
         """Whether some subset of the candidates within the cap separates u
         and v, given zstar, their ancestor part: a pool within the cap is
         decided by zstar itself, a larger one by the subset scan."""
-        if max_cond is None or zstar.bit_count() <= max_cond:
-            return self.graph._d_separated_bits(u, v, zstar)
-        return self.find_separator(u, v, candidates, max_cond) is not None
+        return self.graph._d_separated_bits(u, v, zstar) and (
+            max_cond is None or zstar.bit_count() <= max_cond
+            or self._scan(u, v, bit_ids(zstar), max_cond) is not None)

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .citest import is_alpha_level
-from .graph import CausalCut
+from .graph import CausalCut, bit_ids
 from .solvers import EdgeSet
 
 
@@ -58,36 +58,35 @@ def _is_count(x, floor) -> bool:
 
 def _grow_from_seed(oracle, ordered_vars, u, v, seed_separator, max_cond):
     """Assign every remaining variable to one side of the seed pair or to the
-    cut set, then try to move cut members outward.  Returns (v1, c, v2) sets.
+    cut set, then try to move cut members outward.  Returns (v1, c, v2)
+    frozensets; in between, all three are bitsets, as the oracle takes them.
 
     A variable joins V2 when some subset of the current cut set separates it
     from every member of V1; the V1 test runs first, so a variable separable
     from both sides lands in V2.  The refinement pass re-tests each original
     cut member s against the current sides using the current cut set minus s.
-    The cut set is a frozenset rebuilt only when it changes, so every query
-    against one cut state receives the same pool object.
     """
-    v1 = {u}
-    v2 = {v}
-    cut = frozenset(seed_separator)
+    v1, v2 = 1 << u, 1 << v
+    cut = sum(1 << w for w in seed_separator)
     for w in ordered_vars:
-        if w == u or w == v or w in cut:
+        bit = 1 << w
+        if w == u or w == v or cut & bit:
             continue
         if oracle.separable(w, v1, cut, max_cond):
-            v2.add(w)
+            v2 |= bit
         elif oracle.separable(w, v2, cut, max_cond):
-            v1.add(w)
+            v1 |= bit
         else:
-            cut = cut | {w}
-    for s in sorted(cut):
-        rest = cut - {s}
+            cut |= bit
+    for s in bit_ids(cut):
+        rest = cut & ~(1 << s)
         if oracle.separable(s, v1, rest, max_cond):
             cut = rest
-            v2.add(s)
+            v2 |= 1 << s
         elif oracle.separable(s, v2, rest, max_cond):
             cut = rest
-            v1.add(s)
-    return v1, cut, v2
+            v1 |= 1 << s
+    return frozenset(bit_ids(v1)), frozenset(bit_ids(cut)), frozenset(bit_ids(v2))
 
 
 def _pair_row_starts(n):
@@ -110,11 +109,11 @@ def _sample_seed_pair(oracle, ordered_vars, max_cond, rng):
     order = rng.permutation(n * (n - 1) // 2)
     starts = _pair_row_starts(n)
     budget = 5 * n
-    everyone = set(ordered_vars)
+    everyone = sum(1 << w for w in ordered_vars)
     for idx in order[:budget]:
         i, j = _decode_pair(int(idx), starts)
         u, v = ordered_vars[i], ordered_vars[j]
-        sep = oracle.find_separator(u, v, everyone - {u, v}, max_cond)
+        sep = oracle.find_separator(u, v, everyone & ~((1 << u) | (1 << v)), max_cond)
         if sep is not None:
             return u, v, sep
     return None
@@ -147,8 +146,7 @@ def find_causal_cut(oracle, variables, cfg: SadaConfig, rng):
         if seed is None:
             continue
         u, v, sep = seed
-        v1, cut, v2 = _grow_from_seed(oracle, ordered, u, v, sep, cfg.max_cond)
-        candidate = CausalCut(frozenset(v1), frozenset(cut), frozenset(v2))
+        candidate = CausalCut(*_grow_from_seed(oracle, ordered, u, v, sep, cfg.max_cond))
         key = (candidate.min_side, -len(candidate.cut_set))
         if best_key is None or key > best_key:
             best, best_key = candidate, key
@@ -179,7 +177,7 @@ def _distances_to(parents, target, limit):
 
 
 def _simple_path_interiors(children, dist, source, target, max_edges):
-    """Yield the interior variable sets of simple directed paths
+    """Yield the interior variable sets, as bitsets, of simple directed paths
     source -> target with at least 2 and at most max_edges edges,
     deduplicated, in depth-first order.
 
@@ -190,21 +188,22 @@ def _simple_path_interiors(children, dist, source, target, max_edges):
     never reach the target in time, and the yield order is that of the
     unpruned search."""
     seen = set()
-    stack = [(source, (source,))]
+    start = 1 << source
+    # (node, bitset of the path's nodes, edges once it takes one more step)
+    stack = [(source, start, 1)]
     while stack:
-        node, path = stack.pop()
-        edges = len(path)  # edges of the path once it takes one more step
+        node, path, edges = stack.pop()
         for nxt in children.get(node, ()):
             if nxt == target:
                 if edges >= 2:
-                    inner = frozenset(path[1:])
+                    inner = path ^ start
                     if inner not in seen:
                         seen.add(inner)
                         yield inner
-            elif nxt not in path:
+            elif not (path >> nxt) & 1:
                 d = dist.get(nxt)
                 if d is not None and edges + d <= max_edges:
-                    stack.append((nxt, path + (nxt,)))
+                    stack.append((nxt, path | (1 << nxt), edges + 1))
 
 
 def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond) -> EdgeSet:

@@ -31,6 +31,16 @@ class EdgeListParseError(GraphError):
         self.line_no = line_no
 
 
+def bit_ids(bits: int) -> list:
+    """The ids of a bitset's members (bit w for variable w), ascending."""
+    ids = []
+    while bits:
+        low = bits & -bits
+        ids.append(low.bit_length() - 1)
+        bits ^= low
+    return ids
+
+
 @dataclass(frozen=True)
 class CausalCut:
     """A partition (left, cut_set, right) of a variable set.
@@ -134,16 +144,13 @@ class Dag:
         bitset frontiers confined to that set, so a query costs time in its
         size rather than in n.
         """
-        u, v = int(u), int(v)
-        self._check_id(u)
-        self._check_id(v)
+        u, v, zs = int(u), int(v), {int(w) for w in z}
+        for w in (u, v, *zs):
+            if not 0 <= w < self.n:
+                raise GraphError(f"variable id {w} out of range for n={self.n}")
         if u == v:
             raise GraphError("d-separation query needs two distinct variables")
-        z_bits = 0
-        for w in z:
-            w = int(w)
-            self._check_id(w)
-            z_bits |= 1 << w
+        z_bits = sum(1 << w for w in zs)
         if (z_bits >> u) & 1 or (z_bits >> v) & 1:
             raise GraphError("conditioning set must exclude the queried pair")
         return self._d_separated_bits(u, v, z_bits)
@@ -157,26 +164,32 @@ class Dag:
             cached = self._dsep_cache[key] = not self._connected_bits(u, 1 << v, z_bits)
         return cached
 
-    def _connected_bits(self, u: int, targets: int, z_bits: int) -> int:
+    def _ancestral_set(self, u: int, bits: int) -> int:
+        """An({u} | bits), the nodes and their ancestors, as a bitset."""
+        anc = self._ancestor_bits()
+        inside = (1 << u) | anc[u]
+        # a node already inside brings no new ancestors
+        rest = bits & ~inside
+        while rest:
+            w = rest.bit_length() - 1
+            inside |= anc[w] | (1 << w)
+            rest &= ~inside
+        return inside
+
+    def _connected_bits(self, u: int, targets: int, z_bits: int, inside=None) -> int:
         """The members of the bitset `targets` that u reaches in the moral
         graph of An({u} | targets | z) with z removed, by breadth-first
         search; it stops once every target is reached. z must hold neither
-        u nor a target.
+        u nor a target. `inside` is that ancestral set, if the caller has it.
 
         A moral edge through a common child outside z is never needed: the
         path through that child is open too. So a node reaches its
         neighbours inside the ancestral set, and the parents of each child
         of a reached node that lies in z.
         """
-        anc = self._ancestor_bits()
+        if inside is None:
+            inside = self._ancestral_set(u, targets | z_bits)
         pa, nb = self._pa_bits, self._nb_bits
-        inside = (1 << u) | anc[u]
-        # a node already inside brings no new ancestors
-        rest = (targets | z_bits) & ~inside
-        while rest:
-            w = rest.bit_length() - 1
-            inside |= anc[w] | (1 << w)
-            rest &= ~inside
         allowed = inside & ~z_bits
         seen = frontier = 1 << u
         married = 0  # members of z whose parents have joined the search
@@ -202,10 +215,6 @@ class Dag:
             if not targets & ~seen:
                 break
         return seen & targets
-
-    def _check_id(self, v: int):
-        if not (0 <= v < self.n):
-            raise GraphError(f"variable id {v} out of range for n={self.n}")
 
     def __eq__(self, other):
         return isinstance(other, Dag) and self.n == other.n and self.edges == other.edges

@@ -101,14 +101,18 @@ def generate_linear_nongaussian(g: Dag, m: int, noise_weight: float = 0.3, *, se
 CPT_FLOOR = 0.05
 
 
+def cpt_states_ok(num_states) -> bool:
+    """At least two states, and CPT_FLOOR leaves probability mass for them."""
+    return num_states >= 2 and CPT_FLOOR * num_states < 1
+
+
 def draw_random_cpts(g: Dag, num_states: int, rng) -> dict:
     """One table per variable: rows indexed by the parent configuration
     (ascending parent ids, first parent is the least significant digit),
     each row uniform on the simplex then pushed away from zero by CPT_FLOOR."""
-    if num_states < 2:
-        raise SynthError(f"need at least two states, got {num_states}")
-    if CPT_FLOOR * num_states >= 1:
-        raise SynthError(f"floor {CPT_FLOOR} leaves no mass for {num_states} states")
+    if not cpt_states_ok(num_states):
+        raise SynthError(f"need 2 or more states that floor {CPT_FLOOR} leaves mass for, "
+                         f"got {num_states}")
     cpts = {}
     for v in range(g.n):
         rows = num_states ** len(g.parents(v))

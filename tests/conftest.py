@@ -12,6 +12,11 @@ NINE_NODE_EDGES = [
 ]
 
 
+def bits(ids):
+    """The bitset of a collection of ids: bit w stands for variable w."""
+    return sum(1 << int(w) for w in set(ids))
+
+
 @pytest.fixture
 def nine_node():
     return Dag(9, NINE_NODE_EDGES)

@@ -165,6 +165,7 @@ def grow_from_seed_reference(oracle, ordered_vars, u, v, seed_separator, max_con
     original cut member is re-tested against the current cut set without
     it. Returns (v1, cut, v2)."""
     def separable(w, side, pool):
+        pool = sum(1 << x for x in pool)
         return all(oracle.find_separator(w, a, pool, max_cond) is not None for a in side)
 
     v1, v2 = {u}, {v}
@@ -343,6 +344,7 @@ def remove_conflicts_and_redundancy_reference(edges, oracle, max_cond):
         redundant = False
         children[e.parent].discard(e.child)
         for inner in simple_path_interiors_reference(children, e.parent, e.child, 6):
+            inner = sum(1 << x for x in inner)
             if oracle.find_separator(e.parent, e.child, inner, max_cond) is not None:
                 redundant = True
                 break

@@ -18,7 +18,7 @@ from sada.bench import (
 import sada.bench
 from sada.citest import ExactCiOracle, GSquaredOracle
 from sada.framework import SadaConfig, run_sada
-from sada.graph import CausalCut, Dag
+from sada.graph import CausalCut, Dag, generate_random_dag
 from sada.solvers import EdgeSet, make_oracle_solver
 
 from conftest import NINE_NODE_EDGES
@@ -139,6 +139,24 @@ class TestExperimentGrid:
                           ("replicates", [3]), ("num_states", "3")):
             with pytest.raises(BenchError, match=name):
                 ExperimentGrid.from_mapping({name: bad})
+
+    def test_num_states_the_cpt_floor_leaves_no_mass_for(self):
+        # draw_random_cpts refuses 20 or more states (CPT_FLOOR * 20 = 1); the
+        # grid refuses them up front instead of writing a failed row each
+        assert ExperimentGrid(model="discrete", num_states=19).num_states == 19
+        for bad in (20, 40, 1):
+            with pytest.raises(BenchError, match="num_states"):
+                ExperimentGrid.from_mapping({"model": "discrete", "num_states": bad})
+
+    def test_in_degree_above_what_the_graph_can_hold(self):
+        # node i of generate_random_dag takes at most i parents, so a mean
+        # in-degree of (n - 1) / 2, the complete DAG, is the most it can draw
+        assert len(generate_random_dag(10, 9, seed=0).edges) == 45
+        ExperimentGrid(variable_sizes=(10, 20), in_degrees=(1.25, 4.5))
+        with pytest.raises(BenchError, match=r"in_degrees entry 5.0 .*n=10"):
+            ExperimentGrid.from_mapping({"variable_sizes": [20, 10], "in_degrees": [1.25, 5.0]})
+        with pytest.raises(BenchError, match=r"in_degrees entry 50 .*n=10"):
+            ExperimentGrid(variable_sizes=(10,), in_degrees=(50,))
 
     def test_from_mapping(self):
         grid = ExperimentGrid.from_mapping(

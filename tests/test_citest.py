@@ -11,7 +11,7 @@ from scipy import stats
 import sada.citest
 import sada.solvers
 
-from sada.graph import Dag, generate_random_dag
+from sada.graph import Dag, bit_ids, generate_random_dag
 from sada.solvers import solve_lingam
 from sada.synth import SampleMatrix, generate_discrete, generate_linear_nongaussian, sample_from_cpts
 from sada.citest import (
@@ -26,7 +26,7 @@ from sada.citest import (
     UnreliableTestError,
 )
 
-from conftest import random_small_dags
+from conftest import bits, random_small_dags
 from oracles import exists_separator_brute, g2_from_tables_reference
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -301,92 +301,95 @@ class TestExactOracle:
 
     def test_collider_separator_is_empty_set(self):
         o = ExactCiOracle(VSTRUCT)
-        sep = o.find_separator(0, 1, {2}, 3)
+        sep = o.find_separator(0, 1, bits({2}), 3)
         assert sep == frozenset()
         assert sep is not None
 
     def test_chain_separator(self, chain3):
-        assert ExactCiOracle(chain3).find_separator(0, 2, {1}, 3) == {1}
+        assert ExactCiOracle(chain3).find_separator(0, 2, bits({1}), 3) == {1}
 
     def test_nine_node_separators(self, nine_node):
         o = ExactCiOracle(nine_node)
-        assert o.find_separator(6, 1, {3}, 3) is None
-        assert o.find_separator(6, 1, {2, 3}, 3) == {2, 3}
-        assert o.separable(6, [1], {2, 3}, 3)
-        assert not o.separable(6, [1], {3}, max_cond=None)
+        assert o.find_separator(6, 1, bits({3}), 3) is None
+        assert o.find_separator(6, 1, bits({2, 3}), 3) == {2, 3}
+        assert o.separable(6, bits([1]), bits({2, 3}), 3)
+        assert not o.separable(6, bits([1]), bits({3}), max_cond=None)
 
-    @pytest.mark.parametrize("u, v, pool, error", [
-        (0, 2, {1, 7}, CiError),
-        (0, 2, [-1], CiError),
-        (0, 9, {1}, CiError),
-        (-1, 2, (), CiError),
-        (0, 2, {0, 7}, CiError),
-        (-1, 2, {2}, CiError),
-        (0, 2, frozenset({1, 7}), CiError),
-        (0, 2, frozenset({0, 7}), CiError),
-        (0, 9, frozenset({1}), CiError),
-        (1, 1, {2}, CiError),
-    ])
-    def test_bad_pool_raises(self, chain3, u, v, pool, error):
+    # (u, v, pool): an id out of range, a negative pool, a pool that holds
+    # the pair, u == v; the ids name each case by its position
+    BAD_POOLS = [
+        (0, 2, bits({1, 7})),
+        (0, 2, -1),
+        (0, 9, bits({1})),
+        (-1, 2, 0),
+        (0, 2, bits({0, 7})),
+        (-1, 2, bits({2})),
+        (0, 2, bits({2})),
+        (0, 2, 1 << 3),
+        (0, 9, bits({1, 9})),
+        (1, 1, bits({2})),
+    ]
+
+    @pytest.mark.parametrize("u, v, pool", BAD_POOLS, ids=[
+        f"{u}-{v}-pool{i}-CiError" for i, (u, v, _) in enumerate(BAD_POOLS)])
+    def test_bad_pool_raises(self, chain3, u, v, pool):
         # every oracle shares one check: both searches, and a query with the
-        # pool as its conditioning set, reject a bad id, u == v or a pool
-        # that holds the pair
+        # pool's ids as its conditioning set, reject a bad id, u == v or a
+        # pool that holds the pair
+        z = bit_ids(pool) if pool >= 0 else [pool]
         for o in _chain_oracles(chain3):
             for call, args in ((o.find_separator, (v, pool, 3)),
-                               (o.separable, ([v], pool, 3)), (o.query, (v, pool))):
-                with pytest.raises(error) as info:
+                               (o.separable, (1 << v, pool, 3)),
+                               (o.query, (v, z))):
+                with pytest.raises(CiError) as info:
                     call(u, *args)
-                assert info.type is error
+                assert info.type is CiError
 
     def test_pool_memo_reused_across_pairs(self, nine_node):
-        # one frozenset pool object serves many pairs, as in the cut growth;
-        # every answer equals the one a fresh oracle gives for a plain list
+        # one pool bitset serves many pairs, as in the cut growth; every
+        # answer equals the one a fresh oracle gives
         o = ExactCiOracle(nine_node)
-        pool = frozenset({2, 3, 7})
+        pool = bits({2, 3, 7})
         for u in range(9):
             for v in range(9):
-                if u == v or u in pool or v in pool:
+                if u == v or (pool >> u) & 1 or (pool >> v) & 1:
                     continue
                 fresh = ExactCiOracle(nine_node)
                 for cap in (0, 1, None):
-                    assert o.separable(u, [v], pool, cap) == fresh.separable(u, [v], list(pool), cap)
+                    assert o.separable(u, 1 << v, pool, cap) == fresh.separable(u, 1 << v, pool, cap)
                     assert o.find_separator(u, v, pool, cap) == \
-                        fresh.find_separator(u, v, list(pool), cap)
-                    assert o._pool_memo[0] is pool
+                        fresh.find_separator(u, v, pool, cap)
 
     def test_pool_memo_hit_still_checks_the_pair(self, nine_node):
         o = ExactCiOracle(nine_node)
-        pool = frozenset({2, 3})
-        o.separable(6, [1], pool, 3)
+        pool = bits({2, 3})
+        o.separable(6, bits([1]), pool, 3)
         for u, v in ((2, 7), (0, 3), (3, 2)):
-            assert o._pool_memo[0] is pool
             with pytest.raises(CiError):
                 o.find_separator(u, v, pool, 3)
             with pytest.raises(CiError):
-                o.separable(u, [v], pool, 3)
+                o.separable(u, 1 << v, pool, 3)
         for u, v in ((9, 1), (0, -1)):
             with pytest.raises(CiError):
                 o.find_separator(u, v, pool, 3)
             with pytest.raises(CiError):
-                o.separable(u, [v], pool, 3)
+                o.separable(u, 1 << v if v >= 0 else -1, pool, 3)
 
     def test_pool_out_of_range_is_never_remembered(self, chain3):
         o = ExactCiOracle(chain3)
-        pool = frozenset({1, 7})
+        pool = bits({1, 7})
         for _ in range(2):
             with pytest.raises(CiError) as info:
-                o.separable(0, [2], pool, 3)
+                o.separable(0, bits([2]), pool, 3)
             assert info.type is CiError
-            assert o._pool_memo[0] is not pool
 
     def test_equal_distinct_pools_agree(self, nine_node):
         o = ExactCiOracle(nine_node)
-        a, b = frozenset([2, 3]), frozenset([3, 2])
-        assert a == b and a is not b
+        a, b = bits([2, 3]), (1 << 3) | (1 << 2)
+        assert a == b
         assert o.find_separator(6, 1, a, 3) == o.find_separator(6, 1, b, 3) == {2, 3}
-        assert o._pool_memo[0] is b
-        assert not o.separable(6, [1], frozenset([3]), None)
-        assert o.separable(6, [1], a, 3) and o.separable(6, [1], b, 3)
+        assert not o.separable(6, bits([1]), bits([3]), None)
+        assert o.separable(6, bits([1]), a, 3) and o.separable(6, bits([1]), b, 3)
 
     def test_matches_bruteforce_scan(self):
         # the ancestor-restricted search must return the very same subset the
@@ -406,16 +409,16 @@ class TestExactOracle:
                 pool = [w for w in rng.permutation(g.n)[:pool_size] if w not in (u, v)]
                 for cap in (0, 1, 2, 3, None):
                     expect = exists_separator_brute(g, u, v, pool, cap)
-                    got = o.find_separator(u, v, pool, cap)
+                    got = o.find_separator(u, v, bits(pool), cap)
                     if expect is None:
                         assert got is None
                     else:
                         assert got == frozenset(expect)
-                    assert o.separable(u, [v], pool, cap) == (expect is not None)
+                    assert o.separable(u, 1 << v, bits(pool), cap) == (expect is not None)
                     for so in stats_oracles:
-                        got = so.find_separator(u, v, pool, cap)
+                        got = so.find_separator(u, v, bits(pool), cap)
                         assert got == _first_separating_subset(so, u, v, pool, cap)
-                        assert so.separable(u, [v], pool, cap) == (got is not None)
+                        assert so.separable(u, 1 << v, bits(pool), cap) == (got is not None)
 
 
 def _vstruct_oracles():
@@ -430,36 +433,70 @@ class TestSeparableSide:
 
     def test_empty_side_is_separable(self):
         for o in _vstruct_oracles():
-            assert o.separable(0, [], {1}, 3) is True
-            assert o.separable(2, set(), frozenset(), None) is True
+            assert o.separable(0, 0, bits({1}), 3) is True
+            assert o.separable(2, 0, 0, None) is True
 
-    @pytest.mark.parametrize("vs, pool", [
-        ([2, 7], ()),
-        ([2, -1], {1}),
-        ([2, 0], ()),
-        ([2, 1], {1}),
-        ([2, 1], frozenset({1})),
-        ([], {1, 7}),
-        ([], {0}),
-    ])
+    # (vs, pool) for u = 0: an id out of range, a negative side, a side that
+    # holds u, a pool that holds a member, a list side, an out-of-range and
+    # a u-holding pool next to an empty side; the ids name each case by its
+    # position
+    BAD_SIDES = [
+        (bits([2, 7]), 0),
+        (-5, bits({1})),
+        (bits([2, 0]), 0),
+        (bits([2, 1]), bits({1})),
+        ([2, 1], 0),
+        (0, bits({1, 7})),
+        (0, bits({0})),
+    ]
+
+    @pytest.mark.parametrize("vs, pool", BAD_SIDES,
+                             ids=[f"vs{i}-pool{i}" for i in range(len(BAD_SIDES))])
     def test_bad_member_raises_after_a_failing_one(self, vs, pool):
         # 0 and 2 are adjacent, so the first member is never separable; the
         # ids are all checked before any search stops the scan, and an empty
         # side still has u and the pool checked
         for o in _vstruct_oracles():
-            assert not o.separable(0, [2], set(pool) - {0, 2, 7}, 3)
+            assert not o.separable(0, bits([2]), pool & ~bits({0, 2, 7}), 3)
             with pytest.raises(CiError) as info:
                 o.separable(0, vs, pool, 3)
             assert info.type is CiError
+
+    @pytest.mark.parametrize("vs, pool, fault", [
+        (-4, 0, "vs must be a bitset"),
+        (True, 0, "vs must be a bitset .* got bool"),
+        ({2}, 0, "vs must be a bitset .* got set"),
+        ([2], 0, "vs must be a bitset .* got list"),
+        (1 << 3, 0, "vs holds variable id 3, out of range"),
+        (bits([2]), -2, "candidates must be a bitset"),
+        (bits([2]), False, "candidates must be a bitset .* got bool"),
+        (bits([2]), {1}, "candidates must be a bitset .* got set"),
+        (bits([2]), [1], "candidates must be a bitset .* got list"),
+        (bits([2]), 1 << 5, "candidates holds variable id 5, out of range"),
+        (bits([2]), bits([0]), "must exclude the queried pair"),
+        (bits([2]), bits([2]), "must exclude the queried pair"),
+        (bits([2, 1]), bits([1]), "must exclude the queried pair"),
+        (bits([2, 0]), 0, "vs holds u=0"),
+    ])
+    def test_bad_bitset_names_the_fault(self, vs, pool, fault):
+        # every oracle refuses a malformed side or pool before any search,
+        # naming the fault; find_separator takes its pool through one check
+        for o in _vstruct_oracles():
+            with pytest.raises(CiError, match=fault):
+                o.separable(0, vs, pool, 3)
+            if vs == bits([2]):
+                with pytest.raises(CiError, match=fault):
+                    o.find_separator(0, 2, pool, 3)
+            assert not o._cache
 
     def test_unreached_member_over_the_cap_takes_the_scan(self):
         # 4 separates from 0 only given both common parents 1 and 2, so the
         # set search does not reach it; under a cap of 1 no separator fits
         o = ExactCiOracle(Dag(5, [(1, 0), (2, 0), (1, 4), (2, 4)]))
-        pool = frozenset({1, 2})
-        assert o.separable(0, [3, 4], pool, None)
-        assert not o.separable(0, [3, 4], pool, 1)
-        assert o.separable(0, [3, 4], pool, 2)
+        pool = bits({1, 2})
+        assert o.separable(0, bits([3, 4]), pool, None)
+        assert not o.separable(0, bits([3, 4]), pool, 1)
+        assert o.separable(0, bits([3, 4]), pool, 2)
 
     def test_matches_per_member_scan(self):
         # every oracle answers as its own per-member `find_separator` scan,
@@ -478,11 +515,11 @@ class TestSeparableSide:
                 u = perm[0]
                 k = int(rng.integers(0, g.n))
                 vs = perm[1:1 + k]
-                pool = frozenset(w for w in perm[1 + k:] if rng.random() < 0.7)
+                pool = bits(w for w in perm[1 + k:] if rng.random() < 0.7)
                 for cap in (0, 1, 2, 3, None):
                     for o, ref in zip(tested, reference):
                         want = all(ref.find_separator(u, v, pool, cap) is not None for v in vs)
-                        assert o.separable(u, vs, pool, cap) == want, (g, u, vs, pool, cap)
+                        assert o.separable(u, bits(vs), pool, cap) == want, (g, u, vs, pool, cap)
                         outcomes[want] += len(vs) > 1
         assert outcomes[True] and outcomes[False]
 
@@ -491,14 +528,14 @@ class TestFindSeparatorDispatch:
     def test_statistical_chain(self):
         sm = generate_linear_nongaussian(CHAIN, m=2000, seed=21)
         o = PartialCorrelationOracle(sm)
-        assert o.find_separator(0, 2, {1}, 3) == {1}
+        assert o.find_separator(0, 2, bits({1}), 3) == {1}
 
     def test_candidate_pool_excludes_pair(self, chain3):
         with pytest.raises(CiError):
-            ExactCiOracle(chain3).find_separator(0, 2, {0, 1}, 3)
+            ExactCiOracle(chain3).find_separator(0, 2, bits({0, 1}), 3)
 
     def test_cap_zero_only_empty_subset(self, chain3):
-        assert ExactCiOracle(chain3).find_separator(0, 2, {1}, max_cond=0) is None
+        assert ExactCiOracle(chain3).find_separator(0, 2, bits({1}), max_cond=0) is None
 
     def test_unreliable_subsets_are_skipped(self):
         # m=100 makes |z|=1 unreliable for k=3, so only the empty set is
@@ -506,14 +543,53 @@ class TestFindSeparatorDispatch:
         rng = np.random.default_rng(2)
         sm = sample_from_cpts(CHAIN, _copy_chain_cpts(peak=0.9), 3, m=100, rng=rng)
         o = GSquaredOracle(sm)
-        assert o.find_separator(0, 2, {1}, 3) is None
+        assert o.find_separator(0, 2, bits({1}), 3) is None
         # an unlinked pair still separates through the decidable empty set
         free = SampleMatrix(
             np.column_stack([
                 rng.integers(0, 3, 100), rng.integers(0, 3, 100), rng.integers(0, 3, 100),
             ]), "discrete", num_states=3)
         o2 = GSquaredOracle(free)
-        assert o2.find_separator(0, 1, {2}, 3) == frozenset()
+        assert o2.find_separator(0, 1, bits({2}), 3) == frozenset()
+
+    def test_every_scanned_subset_goes_through_query(self, nine_node):
+        # a wrapper on the instance's `query`, as a tracer installs one, sees
+        # one call per scanned subset, in scan order, refused ones included;
+        # the verdicts it returns are the ones cached under `query`'s keys,
+        # and a statistical `separable` makes the same calls per member.
+        # The exact oracle scans only the ancestor part {2, 3} of its pool;
+        # the G2 chain refuses |z| = 1 at m = 100
+        chain = sample_from_cpts(CHAIN, _copy_chain_cpts(peak=0.9), 3, m=100,
+                                 rng=np.random.default_rng(2))
+        cases = (
+            (ExactCiOracle(nine_node), 6, 1, {2, 3, 5}, [2, 3]),
+            (PartialCorrelationOracle(generate_linear_nongaussian(nine_node, m=400, seed=3)),
+             6, 1, {2, 3, 5}, [2, 3, 5]),
+            (GSquaredOracle(chain), 0, 2, {1}, [1]),
+        )
+        for o, u, v, pool, scanned_pool in cases:
+            calls, verdicts, query = [], [], o.query
+
+            def traced(u, v, z=()):
+                calls.append((u, v, tuple(z)))
+                verdicts.append(None)  # stays None for a refused test
+                verdicts[-1] = query(u, v, z)
+                return verdicts[-1]
+
+            o.query = traced
+            sep = o.find_separator(u, v, bits(pool), 3)
+            scanned = [(u, v, z) for size in range(4)
+                       for z in itertools.combinations(scanned_pool, size)]
+            assert calls == (scanned if sep is None else
+                             scanned[:scanned.index((u, v, tuple(sorted(sep)))) + 1])
+            assert all(vd is None or o._cache[min(u, v), max(u, v), z] is vd
+                       for (_, _, z), vd in zip(calls, verdicts))
+            if not isinstance(o, ExactCiOracle):
+                found = list(calls)
+                del calls[:]
+                assert o.separable(u, 1 << v, bits(pool), 3) == (sep is not None)
+                assert calls == found
+        assert None in verdicts and sep is None
 
 
 class InverseFisherZ:
