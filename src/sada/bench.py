@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .citest import GSquaredOracle, PartialCorrelationOracle, is_real
-from .framework import _is_count, clean_unmerged, remove_conflicts_and_redundancy, run_sada
-from .graph import Dag, generate_random_dag
+from .framework import clean_unmerged, remove_conflicts_and_redundancy, run_sada
+from .graph import Dag, generate_random_dag, is_count
 from .solvers import EdgeSet, solve_discrete_anm, solve_lingam
 from .synth import CPT_FLOOR, cpt_states_ok, generate_discrete, generate_linear_nongaussian
 
@@ -114,6 +114,10 @@ class ExperimentGrid:
             raise BenchError(f"replicates must be a positive integer, got {self.replicates!r}")
         if self.model not in ("continuous", "discrete"):
             raise BenchError(f"model must be 'continuous' or 'discrete', got {self.model!r}")
+        if self.model == "discrete" and len(self.noise_weights) > 1:
+            # discrete data has no noise weight: each one would rerun the point
+            raise BenchError("noise_weights applies to continuous data; a discrete grid "
+                             f"takes one entry, got {self.noise_weights}")
         if not (_is_integer(self.num_states) and cpt_states_ok(self.num_states)):
             raise BenchError(f"num_states must be an integer >= 2 that CPT_FLOOR={CPT_FLOOR} "
                              f"leaves mass for, got {self.num_states!r}")
@@ -264,7 +268,7 @@ def run_experiment(grid: ExperimentGrid, cfg, seed: int, workers: Optional[int] 
     stream seeded by (seed, point index, replicate), so row content does not
     depend on scheduling; workers > 1 fans replicates out to processes, and
     None or 1 runs them in this one."""
-    if workers is not None and not _is_count(workers, 1):
+    if workers is not None and not is_count(workers, 1):
         raise BenchError(f"workers must be None or an integer >= 1, got {workers!r}")
     tasks = [(grid.model, n, m, d, w, grid.num_states, pi, rep, cfg, int(seed))
              for pi, n, m, d, w in grid.points()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc, ndtr
 
-from .graph import Dag, bit_ids
+from .graph import Dag, bit_ids, check_id
 from .synth import SampleMatrix
 
 
@@ -125,18 +125,18 @@ class CiOracle:
 
 
 def _checked_search(n: int, u, vs, candidates) -> int:
-    """u as an int, once u lies in 0..n-1, vs and candidates are bitsets
-    over 0..n-1 (non-negative ints, not bools), vs does not hold u and the
-    candidates hold neither u nor a member of vs."""
+    """u as an int, once u is a variable id of 0..n-1, vs and candidates
+    are bitsets over 0..n-1 (non-negative ints, not bools), vs does not hold
+    u and the candidates hold neither u nor a member of vs."""
     for name, bits in (("vs", vs), ("candidates", candidates)):
         if type(bits) is not int or bits < 0:
             got = bits if type(bits) is int else type(bits).__name__
             raise CiError(f"{name} must be a bitset (a non-negative int), got {got}")
         if bits >> n:
             raise CiError(f"{name} holds variable id {bits.bit_length() - 1}, out of range for n={n}")
-    if not 0 <= u < n:
-        raise CiError(f"variable id {u} out of range for n={n}")
-    u = int(u)
+    if type(u) is not int or not 0 <= u < n:
+        check_id(u, n, CiError)
+        u = int(u)
     if (vs >> u) & 1:
         raise CiError(f"need two distinct variables, but vs holds u={u}")
     if candidates & (vs | (1 << u)):
@@ -145,22 +145,26 @@ def _checked_search(n: int, u, vs, candidates) -> int:
 
 
 def _checked_pair(n: int, u, v, candidates) -> tuple:
-    """(u, v) as ints, once v lies in 0..n-1 and u, {v} and the candidates
-    pass _checked_search."""
-    if not 0 <= v < n:
-        raise CiError(f"variable id {v} out of range for n={n}")
-    return _checked_search(n, u, 1 << int(v), candidates), int(v)
+    """(u, v) as ints, once v is a variable id of 0..n-1 and u, {v} and the
+    candidates pass _checked_search."""
+    if type(v) is not int or not 0 <= v < n:
+        check_id(v, n, CiError)
+        v = int(v)
+    return _checked_search(n, u, 1 << v, candidates), v
 
 
 def _checked_ids(n: int, u: int, v: int, z) -> tuple:
-    """The distinct ids of z in ascending order, once u and v are distinct
-    and every id lies in 0..n-1 and z holds neither u nor v."""
+    """The distinct ids of z in ascending order, once u, v and every member
+    of z are variable ids of 0..n-1, u and v are distinct and z holds
+    neither u nor v."""
+    zt = tuple(z)
+    for w in (u, v) + zt:
+        # an int in range, as almost every id is, skips the full rule
+        if type(w) is not int or not 0 <= w < n:
+            check_id(w, n, CiError)
     if u == v:
         raise CiError("need two distinct variables")
-    zt = tuple(sorted(set(z)))
-    for w in (u, v) + zt:
-        if not (0 <= w < n):
-            raise CiError(f"variable id {w} out of range for n={n}")
+    zt = tuple(sorted(set(zt)))
     if u in zt or v in zt:
         raise CiError("conditioning set must exclude the queried pair")
     return zt

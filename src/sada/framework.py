@@ -6,7 +6,6 @@ solver, and merges partial edge sets while removing conflicts and
 redundant direct edges.
 """
 
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -14,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .citest import is_alpha_level
-from .graph import CausalCut, bit_ids
+from .graph import CausalCut, bit_ids, is_count
 from .solvers import EdgeSet
 
 
@@ -39,21 +38,28 @@ class SadaConfig:
     alpha_level: float = 0.05
 
     def __post_init__(self):
-        if not _is_count(self.theta, 2):
+        if not is_count(self.theta, 2):
             raise FrameworkError(f"theta must be an integer >= 2, got {self.theta!r}")
-        if not _is_count(self.k, 1):
+        if not is_count(self.k, 1):
             raise FrameworkError(f"k must be an integer >= 1, got {self.k!r}")
-        if self.max_cond is not None and not _is_count(self.max_cond, 0):
+        if self.max_cond is not None and not is_count(self.max_cond, 0):
             raise FrameworkError(f"max_cond must be None or an integer >= 0, got {self.max_cond!r}")
         if not is_alpha_level(self.alpha_level):
             raise FrameworkError(
                 f"alpha_level must be a real number in (0, 1), got {self.alpha_level!r}")
 
 
-def _is_count(x, floor) -> bool:
-    """True for an integral number (numpy integers included) of at least
-    floor; a float is refused even when whole, and a bool is no count."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= floor
+def _sorted_ids(variables) -> list:
+    """The variable ids as ints in ascending order, once each is a
+    nonnegative integer and none repeats."""
+    vs = list(variables)
+    for w in vs:
+        if not is_count(w, 0):
+            raise FrameworkError(f"variable ids must be nonnegative integers, got {w!r}")
+    vs = sorted(int(w) for w in vs)
+    if len(set(vs)) != len(vs):
+        raise FrameworkError("duplicate variable ids")
+    return vs
 
 
 def _grow_from_seed(oracle, ordered_vars, u, v, seed_separator, max_cond):
@@ -133,11 +139,9 @@ def find_causal_cut(oracle, variables, cfg: SadaConfig, rng):
     restart produces a separable seed pair.
     `rng` (a numpy Generator) shuffles the seed pairs.
     """
-    ordered = sorted(int(w) for w in variables)
+    ordered = _sorted_ids(variables)
     if len(ordered) < 3:
         raise FrameworkError(f"cut search needs at least 3 variables, got {len(ordered)}")
-    if len(set(ordered)) != len(ordered):
-        raise FrameworkError("duplicate variable ids")
     _check_rng(rng)
     best = None
     best_key = None
@@ -158,35 +162,15 @@ def find_causal_cut(oracle, variables, cfg: SadaConfig, rng):
 MAX_PATH_EDGES = 6
 
 
-def _distances_to(parents, target, limit):
-    """Fewest edges from each node to target over the current edges, by a
-    reverse breadth-first search; only nodes within `limit` edges appear."""
-    dist = {target: 0}
-    frontier = [target]
-    for d in range(1, limit + 1):
-        reached = []
-        for x in frontier:
-            for p in parents.get(x, ()):
-                if p not in dist:
-                    dist[p] = d
-                    reached.append(p)
-        if not reached:
-            break
-        frontier = reached
-    return dist
-
-
-def _simple_path_interiors(children, dist, source, target, max_edges):
+def _simple_path_interiors(children, reaches, source, target, max_edges):
     """Yield the interior variable sets, as bitsets, of simple directed paths
     source -> target with at least 2 and at most max_edges edges,
     deduplicated, in depth-first order.
 
-    dist[x] bounds the edges from x to target from below (it ignores the
-    simple-path rule); a node missing from dist is farther away than any
-    path may run.  A node is pushed only when the path so far, the step to
-    it and dist[it] fit in max_edges, so every branch that is cut could
-    never reach the target in time, and the yield order is that of the
-    unpruned search."""
+    reaches holds, as a bitset, every node that may still reach target. A
+    node is pushed only while the path has fewer than max_edges edges and
+    the node is in reaches, so every branch that is cut could never reach
+    the target in time, and the yield order is that of the unpruned search."""
     seen = set()
     start = 1 << source
     # (node, bitset of the path's nodes, edges once it takes one more step)
@@ -200,10 +184,8 @@ def _simple_path_interiors(children, dist, source, target, max_edges):
                     if inner not in seen:
                         seen.add(inner)
                         yield inner
-            elif not (path >> nxt) & 1:
-                d = dist.get(nxt)
-                if d is not None and edges + d <= max_edges:
-                    stack.append((nxt, path | (1 << nxt), edges + 1))
+            elif edges < max_edges and (reaches >> nxt) & 1 and not (path >> nxt) & 1:
+                stack.append((nxt, path | (1 << nxt), edges + 1))
 
 
 def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond) -> EdgeSet:
@@ -212,25 +194,25 @@ def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond) -> EdgeSet
     Conflict pass: accept edges one by one, dropping any edge whose child
     already reaches its parent through accepted edges (would close a cycle).
     Reachability is kept as a two-way transitive closure, reach[x] (what x
-    reaches) and back[x] (what reaches x), so accepting p -> c touches only
-    the rows of the nodes that reach p and of the nodes c reaches.
+    reaches) and back[x] (what reaches x), bitsets with bit w for variable
+    w, so accepting p -> c touches only the rows of the nodes that reach p
+    and of the nodes c reaches.
 
     Redundancy pass: for each surviving edge p -> c with a surviving longer
     directed path p -> ... -> c of at most MAX_PATH_EDGES edges, drop the
     edge if the oracle finds a separator among some path's interior
-    variables.  The interiors come lazily from a depth-first search that a
-    reverse breadth-first search from c prunes to the branches that can
-    still reach c, and the search stops at the first separating interior.
+    variables. The interiors come lazily from a depth-first search confined
+    to back[c], and the search stops at the first separating interior. The
+    pass only removes edges, so back[c] still holds every node that reaches c.
     """
     order = sorted(edges, key=lambda e: (-e.significance, e.parent, e.child))
-    index = {w: i for i, w in enumerate(sorted({x for e in order for x in (e.parent, e.child)}))}
-    # bitsets over the accepted edges, each excluding the node itself:
-    # reach[i] = nodes reachable from i, back[i] = nodes that reach i
-    reach = [0] * len(index)
-    back = [0] * len(index)
+    size = 1 + max((max(e.parent, e.child) for e in order), default=-1)
+    # over the accepted edges, each excluding the node itself
+    reach = [0] * size
+    back = [0] * size
     kept = []
     for e in order:
-        p, c = index[e.parent], index[e.child]
+        p, c = e.parent, e.child
         if (reach[c] >> p) & 1:
             continue
         kept.append(e)
@@ -258,8 +240,7 @@ def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond) -> EdgeSet
         parents[c].discard(p)
         # a detour needs another edge out of p and another into c
         if children[p] and parents[c]:
-            dist = _distances_to(parents, c, MAX_PATH_EDGES - 1)
-            interiors = _simple_path_interiors(children, dist, p, c, MAX_PATH_EDGES)
+            interiors = _simple_path_interiors(children, back[c], p, c, MAX_PATH_EDGES)
             if any(oracle.find_separator(p, c, inner, max_cond) is not None
                    for inner in interiors):
                 continue
@@ -283,7 +264,7 @@ def clean_unmerged(edges: EdgeSet, cuts, oracle, max_cond) -> EdgeSet:
 def merge_results(g1: EdgeSet, g2: EdgeSet, oracle, max_cond) -> EdgeSet:
     """Union two partial results (duplicate pairs keep the larger
     significance), then remove conflicts and redundant direct edges."""
-    merged = EdgeSet.union_max(g1, g2)
+    merged = EdgeSet([*g1, *g2])
     return remove_conflicts_and_redundancy(merged, oracle, max_cond)
 
 
@@ -301,13 +282,9 @@ def run_sada(data, variables, cfg: SadaConfig, solver, oracle, rng,
     `trace` (a list), when given, receives every accepted CausalCut; the
     variables a cut partitioned are left | cut_set | right.
     """
-    vs = sorted(int(w) for w in variables)
+    vs = _sorted_ids(variables)
     if not vs:
         raise FrameworkError("variables must be nonempty")
-    if len(set(vs)) != len(vs):
-        raise FrameworkError("duplicate variable ids")
-    if vs[0] < 0:
-        raise FrameworkError(f"negative variable id {vs[0]}")
     if data is not None and vs[-1] >= data.n:
         raise FrameworkError(f"variable id {vs[-1]} out of range for {data.n} columns")
     _check_rng(rng)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,22 @@ class EdgeListParseError(GraphError):
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def is_count(x, floor) -> bool:
+    """True for an integral number (numpy integers included) of at least
+    floor; a float is refused even when whole, and a bool is no count."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= floor
+
+
+def check_id(w, n, error) -> None:
+    """Raise `error` unless w is a variable id in 0..n-1. An id follows the
+    count rule: a bool or a float, even a whole one, is refused rather than
+    truncated."""
+    if not is_count(w, -math.inf):
+        raise error(f"variable id must be an integer, got {w!r}")
+    if not 0 <= w < n:
+        raise error(f"variable id {w} out of range for n={n}")
 
 
 def bit_ids(bits: int) -> list:
@@ -74,14 +91,14 @@ class Dag:
                  "_anc", "_dsep_cache")
 
     def __init__(self, n: int, edges=()):
-        if n < 0:
-            raise GraphError(f"variable count must be nonnegative, got {n}")
+        if not is_count(n, 0):
+            raise GraphError(f"variable count must be a nonnegative integer, got {n!r}")
         edge_list = []
         seen = set()
         for u, v in edges:
+            check_id(u, n, GraphError)
+            check_id(v, n, GraphError)
             u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self loop at {u}")
             if (u, v) in seen:
@@ -144,10 +161,10 @@ class Dag:
         bitset frontiers confined to that set, so a query costs time in its
         size rather than in n.
         """
-        u, v, zs = int(u), int(v), {int(w) for w in z}
+        zs = tuple(z)
         for w in (u, v, *zs):
-            if not 0 <= w < self.n:
-                raise GraphError(f"variable id {w} out of range for n={self.n}")
+            check_id(w, self.n, GraphError)
+        u, v, zs = int(u), int(v), {int(w) for w in zs}
         if u == v:
             raise GraphError("d-separation query needs two distinct variables")
         z_bits = sum(1 << w for w in zs)
@@ -233,8 +250,10 @@ def generate_random_dag(n: int, avg_in_degree: float, seed) -> Dag:
 
     The identity permutation is the topological order by construction.
     """
-    if n < 1:
-        raise GraphError(f"need at least one variable, got n={n}")
+    if not is_count(n, 1):
+        raise GraphError(f"need at least one variable, got n={n!r}")
+    if not math.isfinite(avg_in_degree):
+        raise GraphError(f"average in-degree must be finite, got {avg_in_degree}")
     if avg_in_degree < 0:
         raise GraphError(f"average in-degree must be nonnegative, got {avg_in_degree}")
     rng = np.random.default_rng(seed)

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .citest import PIVOT_TOL, G2Kernel
-from .graph import Dag
+from .graph import Dag, check_id, is_count
 from .synth import SampleMatrix
 
 
@@ -34,8 +34,9 @@ class Edge(NamedTuple):
 
 
 class EdgeSet:
-    """Directed edges keyed by ordered pair; a duplicate insertion keeps the
-    larger significance, so unions are well defined."""
+    """Directed edges keyed by ordered pair over nonnegative integer ids; a
+    duplicate insertion keeps the larger significance, so EdgeSet([*a, *b])
+    is the union of a and b."""
 
     __slots__ = ("_sig",)
 
@@ -45,7 +46,11 @@ class EdgeSet:
             self.add(parent, child, sig)
 
     def add(self, parent: int, child: int, significance: float) -> None:
-        parent, child = int(parent), int(child)
+        if not (type(parent) is int and type(child) is int and parent >= 0 and child >= 0):
+            if not (is_count(parent, 0) and is_count(child, 0)):
+                raise SolverError(f"variable ids must be nonnegative integers, "
+                                  f"got ({parent!r}, {child!r})")
+            parent, child = int(parent), int(child)
         if parent == child:
             raise SolverError(f"self loop at {parent}")
         sig = float(significance)
@@ -61,14 +66,6 @@ class EdgeSet:
 
     def pairs(self) -> frozenset:
         return frozenset(self._sig)
-
-    @classmethod
-    def union_max(cls, *sets) -> "EdgeSet":
-        out = cls()
-        for es in sets:
-            for e in es:
-                out.add(*e)
-        return out
 
     def __contains__(self, pair) -> bool:
         return (int(pair[0]), int(pair[1])) in self._sig
@@ -88,12 +85,12 @@ class EdgeSet:
 
 
 def _checked_vars(n: int, variables) -> list:
-    """The distinct ids in ascending order, once every one lies in 0..n-1."""
-    vs = sorted({int(v) for v in variables})
+    """The distinct ids in ascending order, once every one is a variable id
+    of 0..n-1."""
+    vs = list(variables)
     for v in vs:
-        if not (0 <= v < n):
-            raise SolverError(f"variable id {v} out of range for n={n}")
-    return vs
+        check_id(v, n, SolverError)
+    return sorted({int(v) for v in vs})
 
 
 # Candidates of one pick are scored a block at a time. Each of the three

@@ -56,6 +56,12 @@ def random_small_dags(count=24, max_n=7, seed=20240817):
     return out
 
 
+def value_id(x):
+    """A parametrize id naming a value and its type, so that 1.0 and
+    np.float64(1.0), or True and np.True_, stay apart."""
+    return f"{type(x).__module__}.{type(x).__name__}:{x}"
+
+
 def relabelled(g, rng):
     """The same graph under a random permutation of the ids, so that the
     identity is no longer a topological order."""

@@ -158,6 +158,14 @@ class TestExperimentGrid:
         with pytest.raises(BenchError, match=r"in_degrees entry 50 .*n=10"):
             ExperimentGrid(variable_sizes=(10,), in_degrees=(50,))
 
+    def test_discrete_grid_takes_one_noise_weight(self):
+        # the weight only shapes continuous data: a discrete grid sweeping
+        # it would rerun each point, its rows differing only by seed
+        assert ExperimentGrid(model="discrete", noise_weights=(0.9,)).noise_weights == (0.9,)
+        ExperimentGrid(model="continuous", noise_weights=(0.1, 0.9))
+        with pytest.raises(BenchError, match="noise_weights"):
+            ExperimentGrid.from_mapping({"model": "discrete", "noise_weights": [0.1, 0.9]})
+
     def test_from_mapping(self):
         grid = ExperimentGrid.from_mapping(
             {"variable_sizes": [12], "replicates": 2, "model": "discrete"})

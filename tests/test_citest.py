@@ -26,7 +26,7 @@ from sada.citest import (
     UnreliableTestError,
 )
 
-from conftest import bits, random_small_dags
+from conftest import bits, random_small_dags, value_id
 from oracles import exists_separator_brute, g2_from_tables_reference
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -344,6 +344,23 @@ class TestExactOracle:
                 with pytest.raises(CiError) as info:
                     call(u, *args)
                 assert info.type is CiError
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, np.float64(1.0), True, np.bool_(False), "1", None],
+                             ids=value_id)
+    def test_non_integral_id_is_refused(self, chain3, bad):
+        # one integer rule in every oracle: a float, even a whole one, or a
+        # bool is refused as u, v or a conditioning id, not truncated or
+        # taken for the int it equals, and before any test runs
+        for o in _chain_oracles(chain3):
+            for call, args in ((o.query, (bad, 2)), (o.query, (2, bad)),
+                               (o.query, (0, 2, (bad,))), (o.query, (0, 2, (1, bad))),
+                               (o.find_separator, (bad, 2, 0, 3)),
+                               (o.find_separator, (0, bad, 0, 3)),
+                               (o.separable, (bad, 1 << 2, 0, 3))):
+                with pytest.raises(CiError, match="variable id must be an integer"):
+                    call(*args)
+            assert not o._cache
+            assert o.query(np.int64(0), np.int32(2), (np.int64(1),)) == o.query(0, 2, (1,))
 
     def test_pool_memo_reused_across_pairs(self, nine_node):
         # one pool bitset serves many pairs, as in the cut growth; every

@@ -53,6 +53,16 @@ class TestGenDag:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("degree", ["inf", "nan"])
+    def test_non_finite_degree_fails_with_diagnostic(self, tmp_path, capsys, degree):
+        out = tmp_path / "g.edges"
+        assert run("gen-dag", "--n", 5, "--degree", degree, "--seed", 1, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "average in-degree must be finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestGenData:
     def test_continuous_roundtrip(self, data_file):
         sm = load_samples(data_file)

@@ -18,7 +18,7 @@ from sada.graph import CausalCut, Dag, generate_random_dag
 from sada.solvers import EdgeSet, make_oracle_solver, solve_lingam
 from sada.synth import generate_discrete, generate_linear_nongaussian
 
-from conftest import NINE_NODE_EDGES, TableOracle, bits, random_small_dags, relabelled
+from conftest import NINE_NODE_EDGES, TableOracle, bits, random_small_dags, relabelled, value_id
 from oracles import grow_from_seed_reference, remove_conflicts_and_redundancy_reference
 from property_suites import _AlwaysDependent, check_merge_invariants
 
@@ -307,8 +307,9 @@ class RecordingOracle:
 def random_cleanup_case(rng, kind):
     """A seeded edge set over n <= 40 nodes with cycles and reversed pairs,
     and an oracle of the given kind: exact d-separation on a random DAG
-    whose edges all appear in the set, always dependent, or a random table
-    of single-variable separators."""
+    whose edges all appear in the set, always dependent, a random table
+    of single-variable separators, or the exact case with its ids spread
+    over 0..4n - 1, as merges deep in a run see them."""
     n = int(rng.integers(5, 41))
     truth = generate_random_dag(n, float(rng.uniform(0.8, 2.5)), seed=rng)
     edges = EdgeSet()
@@ -317,6 +318,9 @@ def random_cleanup_case(rng, kind):
     for _ in range(int(rng.integers(0, 2 * n))):
         u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
         edges.add(u, v, float(rng.random()))
+    if kind == "sparse":
+        ids = [int(x) for x in rng.choice(4 * n, size=n, replace=False)]
+        return relabelled_case(edges, truth, ids, 4 * n)
     if kind == "exact":
         oracle = ExactCiOracle(truth)
     elif kind == "dependent":
@@ -328,7 +332,14 @@ def random_cleanup_case(rng, kind):
     return edges, oracle
 
 
-CLEANUP_ORACLES = ("exact", "dependent", "table")
+def relabelled_case(edges, truth, ids, n):
+    """The edge set and an exact oracle on the truth DAG, both with id w
+    renamed ids[w], over variables 0..n-1."""
+    moved = EdgeSet((ids[p], ids[c], s) for p, c, s in edges)
+    return moved, ExactCiOracle(Dag(n, [(ids[u], ids[v]) for u, v in truth.edges]))
+
+
+CLEANUP_ORACLES = ("exact", "dependent", "table", "sparse")
 
 
 class TestCleanupDifferential:
@@ -348,6 +359,25 @@ class TestCleanupDifferential:
             assert got_log.calls == want_log.calls, f"case {case}"
             removed += len(edges) - len(got)
         assert removed > 0
+
+    @pytest.mark.parametrize("max_cond", [3, None])
+    def test_relabelling_relabels_the_output(self, max_cond):
+        # with distinct significances no step of the cleanup breaks a tie
+        # by id, so renaming the ids, in the edge set and in the truth
+        # alike, renames the output
+        rng = np.random.default_rng([20261019, max_cond or 0])
+        for case in range(25):
+            edges, oracle = random_cleanup_case(rng, "exact")
+            sigs = [e.significance for e in edges]
+            assert len(set(sigs)) == len(sigs)
+            truth = oracle.graph
+            n = 4 * truth.n
+            ids = [int(x) for x in rng.choice(n, size=truth.n, replace=False)]
+            moved, moved_oracle = relabelled_case(edges, truth, ids, n)
+            want, _ = relabelled_case(remove_conflicts_and_redundancy(edges, oracle, max_cond),
+                                      truth, ids, n)
+            assert remove_conflicts_and_redundancy(moved, moved_oracle, max_cond) == want, \
+                f"case {case}"
 
 
 class OracleRun:
@@ -461,6 +491,19 @@ class TestRunSada:
         with pytest.raises(FrameworkError):
             run_sada(data, {0, 5}, SadaConfig(), make_oracle_solver(nine_node),
                      ExactCiOracle(nine_node), rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, np.float64(3.0), True, -1, "4", None], ids=value_id)
+    def test_non_integral_or_negative_variable_rejected(self, nine_node, bad):
+        # a float, even a whole one, or a bool is refused, not truncated,
+        # by the driver and by the cut search alike
+        data = generate_linear_nongaussian(nine_node, 50, seed=0)
+        for vs in ([bad, 5, 6, 7], [0.5, 1.5, 2.5, 3.5]):
+            with pytest.raises(FrameworkError, match="variable ids must be nonnegative integers"):
+                run_sada(data, vs, SadaConfig(), solve_lingam, PartialCorrelationOracle(data),
+                         rng=np.random.default_rng(0))
+            with pytest.raises(FrameworkError, match="variable ids must be nonnegative integers"):
+                find_causal_cut(ExactCiOracle(nine_node), vs, SadaConfig(),
+                                rng=np.random.default_rng(0))
 
     def test_rng_must_be_a_generator(self, nine_node):
         # a missing stream or a bare seed is refused, naming rng

@@ -14,7 +14,7 @@ from sada.graph import (
     save_dag,
 )
 
-from conftest import random_small_dags, relabelled
+from conftest import random_small_dags, relabelled, value_id
 from oracles import (
     brute_force_d_separated,
     closure_by_squaring,
@@ -41,6 +41,27 @@ class TestConstruction:
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError):
             Dag(2, [(0, 5)])
+
+    @pytest.mark.parametrize("bad", [0.9, 1.0, np.float64(2.0), True, np.bool_(True), "1", None],
+                             ids=value_id)
+    def test_non_integral_id_is_refused(self, bad):
+        # an id is an int or a numpy integer; anything else is refused, not
+        # truncated, in an edge, a d-separation pair or its conditioning set
+        g = Dag(3, [(0, 1)])
+        for call in (lambda: Dag(3, [(bad, 2)]), lambda: Dag(3, [(2, bad)]),
+                     lambda: g.d_separated(bad, 2, []), lambda: g.d_separated(2, bad, []),
+                     lambda: g.d_separated(0, 2, [bad])):
+            with pytest.raises(GraphError, match="variable id must be an integer"):
+                call()
+        assert g.d_separated(np.int64(0), np.int32(2), [np.int64(1)])
+        assert Dag(3, [(np.int64(0), np.uint8(2))]).edges == {(0, 2)}
+
+    def test_non_integral_count_is_refused(self):
+        for bad in (2.0, True, "3"):
+            with pytest.raises(GraphError, match="variable count"):
+                Dag(bad)
+            with pytest.raises(GraphError, match="at least one variable"):
+                generate_random_dag(bad, 1.0, seed=0)
 
     def test_empty_graph(self):
         g = Dag(4)
@@ -93,8 +114,12 @@ class TestGenerator:
     def test_bad_arguments(self):
         with pytest.raises(GraphError):
             generate_random_dag(0, 1.0, seed=0)
-        with pytest.raises(GraphError):
-            generate_random_dag(5, -0.5, seed=0)
+        # a negative or non-finite in-degree is refused, naming it; inf and
+        # nan would otherwise fail inside math.floor
+        for bad, fault in ((-0.5, "nonnegative"), (float("inf"), "finite"),
+                           (float("-inf"), "finite"), (float("nan"), "finite")):
+            with pytest.raises(GraphError, match=f"average in-degree must be {fault}"):
+                generate_random_dag(5, bad, seed=0)
 
 
 class TestTopologicalOrder:

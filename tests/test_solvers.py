@@ -15,7 +15,7 @@ from sada.solvers import (
     solve_lingam,
 )
 
-from conftest import NINE_NODE_EDGES
+from conftest import NINE_NODE_EDGES, value_id
 from oracles import discrete_anm_four_pass, exogeneity_order_reference
 
 PAIR = Dag(2, [(0, 1)])
@@ -50,11 +50,14 @@ class TestEdgeSet:
         assert es.pairs() == {(3, 1), (0, 2)}
 
     def test_union_max(self):
+        # the constructor is the union: a pair in both keeps the larger
+        # significance, whichever set holds it
         a = EdgeSet([(0, 1, 0.4), (1, 2, 0.9)])
         b = EdgeSet([(0, 1, 0.7)])
-        u = EdgeSet.union_max(a, b)
-        assert u.significance(0, 1) == 0.7
-        assert u.significance(1, 2) == 0.9
+        for u in (EdgeSet([*a, *b]), EdgeSet([*b, *a])):
+            assert u.significance(0, 1) == 0.7
+            assert u.significance(1, 2) == 0.9
+            assert len(u) == 2
 
     def test_rejects_bad_edges(self):
         es = EdgeSet()
@@ -64,6 +67,24 @@ class TestEdgeSet:
             es.add(0, 1, -0.1)
         with pytest.raises(SolverError):
             es.add(0, 1, float("nan"))
+
+    @pytest.mark.parametrize("bad", [0.7, 1.0, np.float64(2.0), True, -1, np.int64(-3), "1", None],
+                             ids=value_id)
+    def test_non_integral_or_negative_id_is_refused(self, bad):
+        for edge in ((bad, 1, 1.0), (1, bad, 1.0)):
+            with pytest.raises(SolverError, match="variable ids must be nonnegative integers"):
+                EdgeSet([edge])
+        es = EdgeSet([(np.int64(2), np.uint16(1), 0.5)])
+        assert es.pairs() == {(2, 1)} and all(type(x) is int for x in next(iter(es))[:2])
+
+    @pytest.mark.parametrize("bad", [0.5, 1.7, np.float64(1.0), True], ids=value_id)
+    def test_solver_refuses_non_integral_variables(self, bad):
+        sm = generate_linear_nongaussian(Dag(3, [(0, 1), (1, 2)]), m=200, noise_weight=0.3, seed=1)
+        dm = generate_discrete(Dag(3, [(0, 1), (1, 2)]), m=200, seed=1)
+        for call in (lambda: solve_lingam(sm, [bad, 2]), lambda: solve_discrete_anm(dm, [bad, 2]),
+                     lambda: oracle_solver(Dag(3), [bad, 2])):
+            with pytest.raises(SolverError, match="variable id must be an integer"):
+                call()
 
     def test_equality(self):
         assert EdgeSet([(0, 1, 0.5)]) == EdgeSet([(0, 1, 0.5)])
