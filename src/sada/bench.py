@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .citest import GSquaredOracle, PartialCorrelationOracle, is_real
-from .framework import clean_unmerged, remove_conflicts_and_redundancy, run_sada
-from .graph import Dag, generate_random_dag, is_count
+from .citest import GSquaredOracle, PartialCorrelationOracle
+from .framework import discover, remove_conflicts_and_redundancy
+from .graph import Dag, generate_random_dag, is_count, is_real
 from .solvers import EdgeSet, solve_discrete_anm, solve_lingam
 from .synth import CPT_FLOOR, cpt_states_ok, generate_discrete, generate_linear_nongaussian
 
@@ -195,7 +195,7 @@ def _run_replicate(task):
         rows.append(_error_row(base, "baseline", 0.0, exc))
         return rows, subs
 
-    trace, log = [], []
+    log = []
 
     def logged_solver(data, variables):
         edges = solver(data, variables)
@@ -204,14 +204,12 @@ def _run_replicate(task):
 
     start = time.perf_counter()
     try:
-        edges = run_sada(data, range(n), cfg, logged_solver, oracle,
-                         rng=np.random.default_rng(s_run), trace=trace)
-        if model == "discrete":
-            edges = clean_unmerged(edges, trace, oracle, max_cond=cfg.max_cond)
+        edges, cuts = discover(data, range(n), cfg, logged_solver, oracle,
+                               np.random.default_rng(s_run))
         wall = (time.perf_counter() - start) * 1000.0
         metrics = score(edges, g_true)
         metrics = Metrics(metrics.recall, metrics.precision, metrics.f1,
-                          cut_error_ratio(trace, g_true))
+                          cut_error_ratio(cuts, g_true))
         rows.append(_metric_row(base, "sada", metrics, wall))
         subs = _subproblem_scores(log, g_true)
     except Exception as exc:

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln
 
-from .citest import is_real
+from .graph import is_real
 
 
 class BoundsError(ValueError):

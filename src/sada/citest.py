@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtrc, ndtr
 
-from .graph import Dag, bit_ids, check_id
+from .graph import Dag, bit_ids, check_id, is_alpha_level
 from .synth import SampleMatrix
 
 
@@ -33,17 +32,6 @@ class SingularConditioningError(CiError):
 
 class UnreliableTestError(CiError):
     """Sample size is below the reliability heuristic for the table size."""
-
-
-def is_real(x) -> bool:
-    """True for a finite real number (numpy's included) that is not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def is_alpha_level(a) -> bool:
-    """True for a real number, not a bool, strictly between 0 and 1: the
-    levels a CI test and SadaConfig accept."""
-    return is_real(a) and 0.0 < a < 1.0
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from .bench import ExperimentGrid, cut_error_ratio, run_experiment, score, \
     write_rows_csv, write_summary_json
 from .bounds import ErrorModel, bounds_report
 from .citest import ExactCiOracle, GSquaredOracle, PartialCorrelationOracle
-from .framework import FrameworkError, SadaConfig, clean_unmerged, run_sada
+from .framework import FrameworkError, SadaConfig, discover
 from .graph import Dag, generate_random_dag, load_dag, save_dag
 from .solvers import make_oracle_solver, solve_discrete_anm, solve_lingam
 from .synth import generate_discrete, generate_linear_nongaussian, \
@@ -196,11 +196,8 @@ def _cmd_discover(args):
     seed = _resolve_seed(args.seed)
     cfg = SadaConfig(theta=args.theta, k=args.k, max_cond=args.max_cond,
                      alpha_level=args.alpha)
-    trace = []
-    edges = run_sada(data, range(data.n), cfg, solver, oracle,
-                     np.random.default_rng(seed), trace=trace)
-    if solver_name == "anm":
-        edges = clean_unmerged(edges, trace, oracle, max_cond=cfg.max_cond)
+    edges, cuts = discover(data, range(data.n), cfg, solver, oracle,
+                           np.random.default_rng(seed))
 
     result = Dag(data.n, edges.pairs())
     report = {
@@ -220,7 +217,7 @@ def _cmd_discover(args):
             "recall": metrics.recall,
             "precision": metrics.precision,
             "f1": metrics.f1,
-            "cut_error_ratio": cut_error_ratio(trace, truth),
+            "cut_error_ratio": cut_error_ratio(cuts, truth),
         }
     if args.trace:
         report["cuts"] = [
@@ -228,7 +225,7 @@ def _cmd_discover(args):
              "left": sorted(cut.left),
              "cut": sorted(cut.cut_set),
              "right": sorted(cut.right)}
-            for cut in trace
+            for cut in cuts
         ]
     text = json.dumps(report, indent=2)
     if args.out:

@@ -12,8 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .citest import is_alpha_level
-from .graph import CausalCut, bit_ids, is_count
+from .graph import CausalCut, bit_ids, is_alpha_level, is_count
 from .solvers import EdgeSet
 
 
@@ -250,17 +249,6 @@ def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond) -> EdgeSet
     return out
 
 
-def clean_unmerged(edges: EdgeSet, cuts, oracle, max_cond) -> EdgeSet:
-    """The final result of a run whose leaf solver may return cycles (the
-    discrete ANM solver). A run that accepted no cut returns its one leaf's
-    raw output, which no merge has cleaned, so it gets the conflict and
-    redundancy cleanup here; a merged root is clean already and is returned
-    as it is. `cuts` is the run's trace list of accepted cuts."""
-    if cuts:
-        return edges
-    return remove_conflicts_and_redundancy(edges, oracle, max_cond)
-
-
 def merge_results(g1: EdgeSet, g2: EdgeSet, oracle, max_cond) -> EdgeSet:
     """Union two partial results (duplicate pairs keep the larger
     significance), then remove conflicts and redundant direct edges."""
@@ -275,7 +263,8 @@ def run_sada(data, variables, cfg: SadaConfig, solver, oracle, rng,
     Solves `variables` directly once it is no bigger than cfg.theta or no cut
     can be found; otherwise recurses on both sides of the cut (each side plus
     the cut set) and merges the partial results.  `solver` is called as
-    solver(data, variable_set) and must return an EdgeSet.
+    solver(data, variable_set) and must return an EdgeSet.  A run that
+    accepts no cut returns that raw output; library callers want `discover`.
 
     `rng` (a numpy Generator) is the run's only source of randomness; each
     split spawns one child stream per side, so a run replays from its seed.
@@ -301,3 +290,15 @@ def _run(data, vs, cfg, solver, oracle, rng, trace):
     g1 = _run(data, sorted(cut.left | cut.cut_set), cfg, solver, oracle, rng1, trace)
     g2 = _run(data, sorted(cut.right | cut.cut_set), cfg, solver, oracle, rng2, trace)
     return merge_results(g1, g2, oracle, max_cond=cfg.max_cond)
+
+
+def discover(data, variables, cfg: SadaConfig, solver, oracle, rng):
+    """A run of run_sada as (edges, cuts), cuts being its accepted CausalCuts
+    in order. Every edge set it returns has had the conflict and redundancy
+    cleanup, whatever the solver: a merged root comes back as run_sada
+    returned it, and a run that accepted no cut is cleaned here."""
+    cuts = []
+    edges = run_sada(data, variables, cfg, solver, oracle, rng, trace=cuts)
+    if not cuts:
+        edges = remove_conflicts_and_redundancy(edges, oracle, cfg.max_cond)
+    return edges, cuts

@@ -38,6 +38,17 @@ def is_count(x, floor) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= floor
 
 
+def is_real(x) -> bool:
+    """True for a finite real number (numpy's included) that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def is_alpha_level(a) -> bool:
+    """True for a real number, not a bool, strictly between 0 and 1: the
+    levels a CI test and SadaConfig accept."""
+    return is_real(a) and 0.0 < a < 1.0
+
+
 def check_id(w, n, error) -> None:
     """Raise `error` unless w is a variable id in 0..n-1. An id follows the
     count rule: a bool or a float, even a whole one, is refused rather than
@@ -252,6 +263,8 @@ def generate_random_dag(n: int, avg_in_degree: float, seed) -> Dag:
     """
     if not is_count(n, 1):
         raise GraphError(f"need at least one variable, got n={n!r}")
+    if not isinstance(avg_in_degree, numbers.Real) or isinstance(avg_in_degree, bool):
+        raise GraphError(f"average in-degree must be a real number, got {avg_in_degree!r}")
     if not math.isfinite(avg_in_degree):
         raise GraphError(f"average in-degree must be finite, got {avg_in_degree}")
     if avg_in_degree < 0:

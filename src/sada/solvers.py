@@ -33,6 +33,17 @@ class Edge(NamedTuple):
     significance: float
 
 
+def _edge_ids(parent, child) -> tuple:
+    """(parent, child) as ints, once both are nonnegative integer ids; a
+    float, even a whole one, or a bool raises SolverError, not truncated."""
+    if not (type(parent) is int and type(child) is int and parent >= 0 and child >= 0):
+        if not (is_count(parent, 0) and is_count(child, 0)):
+            raise SolverError(f"variable ids must be nonnegative integers, "
+                              f"got ({parent!r}, {child!r})")
+        parent, child = int(parent), int(child)
+    return parent, child
+
+
 class EdgeSet:
     """Directed edges keyed by ordered pair over nonnegative integer ids; a
     duplicate insertion keeps the larger significance, so EdgeSet([*a, *b])
@@ -46,11 +57,7 @@ class EdgeSet:
             self.add(parent, child, sig)
 
     def add(self, parent: int, child: int, significance: float) -> None:
-        if not (type(parent) is int and type(child) is int and parent >= 0 and child >= 0):
-            if not (is_count(parent, 0) and is_count(child, 0)):
-                raise SolverError(f"variable ids must be nonnegative integers, "
-                                  f"got ({parent!r}, {child!r})")
-            parent, child = int(parent), int(child)
+        parent, child = _edge_ids(parent, child)
         if parent == child:
             raise SolverError(f"self loop at {parent}")
         sig = float(significance)
@@ -68,7 +75,7 @@ class EdgeSet:
         return frozenset(self._sig)
 
     def __contains__(self, pair) -> bool:
-        return (int(pair[0]), int(pair[1])) in self._sig
+        return _edge_ids(*pair) in self._sig
 
     def __len__(self) -> int:
         return len(self._sig)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Dag
+from .graph import Dag, is_count
 
 
 class SynthError(ValueError):
@@ -84,8 +84,8 @@ def generate_linear_nongaussian(g: Dag, m: int, noise_weight: float = 0.3, *, se
     """Each variable is noise_weight times its own standardized uniform noise
     plus the sum of its parents' stored columns, then normalized in place, so
     a root column equals its standardized noise exactly."""
-    if m < 2:
-        raise SynthError(f"need at least two samples to normalize, got m={m}")
+    if not is_count(m, 2):
+        raise SynthError(f"m must be an integer >= 2 to normalize, got m={m!r}")
     if not (0 < noise_weight <= 1):
         raise SynthError(f"noise weight must lie in (0, 1], got {noise_weight}")
     rng = np.random.default_rng(seed)
@@ -124,8 +124,8 @@ def draw_random_cpts(g: Dag, num_states: int, rng) -> dict:
 def sample_from_cpts(g: Dag, cpts: dict, num_states: int, m: int, rng) -> SampleMatrix:
     """Ancestral sampling: resolve each variable's parent configuration row,
     then invert the row's CDF against one uniform draw per sample."""
-    if m < 1:
-        raise SynthError(f"need at least one sample, got m={m}")
+    if not is_count(m, 1):
+        raise SynthError(f"m must be an integer >= 1, got m={m!r}")
     data = np.zeros((m, g.n), dtype=np.int64)
     for v in g.topological_order():
         parents = g.parents(v)

@@ -58,6 +58,17 @@ class TestErrorModel:
     def test_side_sizes_must_fit(self):
         with pytest.raises(BoundsError):
             ErrorModel(n=10, n1=6, n2=5)
+        with pytest.raises(BoundsError, match="nc = 11 exceeds n = 10"):
+            ErrorModel(n=10, nc=11)
+
+    @pytest.mark.parametrize("fields, fault", [
+        ({"n": 0}, "n must be a positive integer"),
+        ({"n": 2.5}, "n must be a positive integer"),
+        ({"n1": 2.5}, "n1 must be an integer"),
+        ({"n1": -1}, "n1 must be nonnegative")])
+    def test_bad_counts_refused(self, fields, fault):
+        with pytest.raises(BoundsError, match=fault):
+            ErrorModel(**{"n": 10, **fields})
 
     def test_probability_ranges(self):
         with pytest.raises(BoundsError):
@@ -166,6 +177,8 @@ class TestCutErrorBound:
     def test_degenerate_models_rejected(self):
         with pytest.raises(UndefinedModelError):
             cut_error_bound(ErrorModel(n=20, e=380))
+        with pytest.raises(UndefinedModelError, match="alpha = 1"):
+            cut_error_bound(ErrorModel(**{**AT_SCALE, "alpha": 1.0}))
 
 
 class TestMergeCounts:
@@ -225,6 +238,14 @@ class TestMergePrecisionCondition:
         m = ErrorModel(**{**PRECISION_CASE, "P": 1.0}, delta=0.5, gamma=0.5)
         with pytest.raises(UndefinedModelError):
             merge_precision_condition(m)
+
+    def test_zero_counts_divide_by_zero(self):
+        no_true = ErrorModel(**{**PRECISION_CASE, "e1": 0, "e2": 0, "ec": 0})
+        with pytest.raises(UndefinedModelError, match="e1 \\+ e2 \\+ ec = 0"):
+            merge_delta_threshold(no_true)
+        no_false = ErrorModel(**{**PRECISION_CASE, "f1": 0, "f2": 0, "fc": 0})
+        with pytest.raises(UndefinedModelError, match="f1 \\+ f2 \\+ 2\\*fc = 0"):
+            merge_gamma_threshold(no_false)
 
 
 class TestRemovalBounds:

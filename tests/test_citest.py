@@ -361,6 +361,9 @@ class TestExactOracle:
                     call(*args)
             assert not o._cache
             assert o.query(np.int64(0), np.int32(2), (np.int64(1),)) == o.query(0, 2, (1,))
+            # a numpy integer u or v is taken as the int it is
+            assert o.find_separator(0, np.int64(2), 1 << 1, 3) == o.find_separator(0, 2, 1 << 1, 3)
+            assert o.separable(np.int32(0), 1 << 2, 1 << 1, 3) == o.separable(0, 1 << 2, 1 << 1, 3)
 
     def test_pool_memo_reused_across_pairs(self, nine_node):
         # one pool bitset serves many pairs, as in the cut growth; every

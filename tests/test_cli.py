@@ -1,11 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from sada.cli import main
-from sada.graph import load_dag
-from sada.synth import generate_linear_nongaussian, load_samples, save_samples
+from sada.graph import Dag, load_dag, save_dag
+from sada.synth import SampleMatrix, generate_linear_nongaussian, load_samples, save_samples
 
 from conftest import NINE_NODE_EDGES
 
@@ -142,6 +143,27 @@ class TestDiscover:
         assert report["metrics"]["precision"] == 1.0
         assert report["oracle"] == "exact"
         assert report["solver"] == "oracle"
+
+    def test_oracle_result_follows_a_relabelling(self, tmp_path, capsys):
+        # permuting the CSV columns and relabelling the truth the same way
+        # relabels the result: the answer does not depend on variable order
+        truth = tmp_path / "g.edges"
+        data = tmp_path / "g.csv"
+        assert run("gen-dag", "--n", 24, "--degree", 1.25, "--seed", 8, "--out", truth) == 0
+        assert run("gen-data", "--truth", truth, "--samples", 20, "--seed", 8, "--out", data) == 0
+        perm = np.random.default_rng(8).permutation(24)
+        moved_truth = tmp_path / "moved.edges"
+        moved_data = tmp_path / "moved.csv"
+        save_dag(Dag(24, [(perm[u], perm[v]) for u, v in load_dag(truth).edges]), moved_truth)
+        sm = load_samples(data)
+        save_samples(SampleMatrix(sm.values[:, np.argsort(perm)], sm.kind), moved_data)
+        found = []
+        for d, t in ((data, truth), (moved_data, moved_truth)):
+            assert run("discover", "--data", d, "--truth", t, "--theta", 6, "--max-cond", "none",
+                       "--seed", 2, "--oracle-ci", "--oracle-solver") == 0
+            found.append({(u, v) for u, v, _ in json.loads(capsys.readouterr().out)["edges"]})
+        assert found[0] == load_dag(truth).edges
+        assert found[1] == {(perm[u], perm[v]) for u, v in found[0]}
 
     def test_out_prefix_writes_edge_list_and_report(self, data_file, truth_file,
                                                     tmp_path, capsys):

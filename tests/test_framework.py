@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from sada.citest import ExactCiOracle, GSquaredOracle, PartialCorrelationOracle
+import sada.framework
 from sada.framework import (
     FrameworkError,
     SadaConfig,
     _decode_pair,
     _grow_from_seed,
     _pair_row_starts,
-    clean_unmerged,
+    discover,
     find_causal_cut,
     merge_results,
     remove_conflicts_and_redundancy,
@@ -278,18 +279,50 @@ class TestMerge:
     def test_invariant_suite(self):
         assert check_merge_invariants(num_cases=2000, seed=11) == 2000
 
-    def test_clean_unmerged_cleans_only_an_uncut_run(self):
-        # with no accepted cut the one leaf's raw output gets the merge
-        # cleanup; after a cut the merged root is clean and comes back as is
+
+class TestDiscover:
+    def test_cleans_only_an_uncut_run(self, nine_node, monkeypatch):
+        # a run that accepts no cut returns its one leaf's raw output, so
+        # discover cleans it, whatever the solver
         edges = edge_set((0, 1, 0.9), (1, 2, 0.8), (2, 0, 0.7),
                          (3, 6, 0.9), (6, 7, 0.8), (3, 7, 0.6))
         oracle = TableOracle(independent=[(3, 7, (6,))])
         want = remove_conflicts_and_redundancy(edges, oracle, 3)
         assert want.pairs() == {(0, 1), (1, 2), (3, 6), (6, 7)}
-        assert clean_unmerged(edges, [], oracle, 3) == want
-        cut = CausalCut(frozenset({0, 1, 2}), frozenset(), frozenset({3, 6, 7}))
-        kept = clean_unmerged(edges, [cut], oracle, 3)
-        assert kept is edges and len(kept) == 6
+        got, cuts = discover(None, range(8), SadaConfig(), lambda data, vs: edges,
+                             oracle, np.random.default_rng(0))
+        assert got == want and cuts == []
+
+        # a merge that only unions keeps a cycle at the root of a run that
+        # cut, and discover hands that root back as run_sada returned it
+        monkeypatch.setattr(sada.framework, "merge_results",
+                            lambda g1, g2, oracle, max_cond: EdgeSet([*g1, *g2]))
+
+        def cyclic(data, vs):
+            a, b = min(vs), max(vs)
+            return edge_set((a, b, 0.5), (b, a, 0.4))
+
+        cfg = SadaConfig(theta=4, max_cond=None)
+        raw_cuts = []
+        raw = run_sada(None, range(9), cfg, cyclic, ExactCiOracle(nine_node),
+                       np.random.default_rng(3), trace=raw_cuts)
+        got, cuts = discover(None, range(9), cfg, cyclic, ExactCiOracle(nine_node),
+                             np.random.default_rng(3))
+        assert raw_cuts and cuts == raw_cuts
+        assert got == raw and any((b, a) in got for a, b in got.pairs())
+
+    def test_uncut_exact_runs_return_the_truth(self):
+        # with n <= theta no cut is tried; the true subgraph is acyclic and
+        # no true edge is d-separated, so the cleanup leaves it as it is
+        rng = np.random.default_rng(20261019)
+        cfg = SadaConfig(theta=10, max_cond=None)
+        for case in range(60):
+            n = int(rng.integers(2, 11))
+            g = relabelled(generate_random_dag(n, float(rng.uniform(0, 2.5)), seed=rng), rng)
+            edges, cuts = discover(None, range(n), cfg, make_oracle_solver(g),
+                                   ExactCiOracle(g), rng)
+            assert cuts == []
+            assert edges.pairs() == g.edges, f"case {case}"
 
 
 class RecordingOracle:
@@ -480,6 +513,11 @@ class TestRunSada:
         true_sub = {(u, v) for u, v in NINE_NODE_EDGES
                     if {u, v} <= {0, 2, 5, 6}}
         assert run.result.pairs() == frozenset(true_sub)
+
+    def test_duplicate_variables_rejected(self, nine_node):
+        with pytest.raises(FrameworkError, match="duplicate variable ids"):
+            run_sada(None, [1, 1, 2], SadaConfig(), make_oracle_solver(nine_node),
+                     ExactCiOracle(nine_node), rng=np.random.default_rng(0))
 
     def test_empty_variables_rejected(self, nine_node):
         with pytest.raises(FrameworkError):

@@ -116,8 +116,12 @@ class TestGenerator:
             generate_random_dag(0, 1.0, seed=0)
         # a negative or non-finite in-degree is refused, naming it; inf and
         # nan would otherwise fail inside math.floor
+        # a bool or a non-number is refused by type rather than read as
+        # 1.0 or left to fail inside math with a bare TypeError
         for bad, fault in ((-0.5, "nonnegative"), (float("inf"), "finite"),
-                           (float("-inf"), "finite"), (float("nan"), "finite")):
+                           (float("-inf"), "finite"), (float("nan"), "finite"),
+                           (True, "a real number"), ("1", "a real number"),
+                           (None, "a real number"), ([1], "a real number")):
             with pytest.raises(GraphError, match=f"average in-degree must be {fault}"):
                 generate_random_dag(5, bad, seed=0)
 

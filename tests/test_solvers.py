@@ -77,6 +77,15 @@ class TestEdgeSet:
         es = EdgeSet([(np.int64(2), np.uint16(1), 0.5)])
         assert es.pairs() == {(2, 1)} and all(type(x) is int for x in next(iter(es))[:2])
 
+    @pytest.mark.parametrize("pair", [(0.5, 1.9), (True, 1), (-1, 0), ("0", 1)], ids=value_id)
+    def test_membership_refuses_a_bad_pair(self, pair):
+        # a membership test takes the ids as `add` does: before, (0.5, 1.9)
+        # was truncated to (0, 1) and found
+        es = EdgeSet([(0, 1, 1.0)])
+        with pytest.raises(SolverError, match="variable ids must be nonnegative integers"):
+            pair in es
+        assert (np.int64(0), np.uint8(1)) in es and (np.int32(1), 0) not in es
+
     @pytest.mark.parametrize("bad", [0.5, 1.7, np.float64(1.0), True], ids=value_id)
     def test_solver_refuses_non_integral_variables(self, bad):
         sm = generate_linear_nongaussian(Dag(3, [(0, 1), (1, 2)]), m=200, noise_weight=0.3, seed=1)

@@ -59,6 +59,12 @@ class TestContinuous:
         g = Dag(2, [(0, 1)])
         with pytest.raises(SynthError):
             generate_linear_nongaussian(g, m=1, seed=0)
+        # a sample count follows the integer rule, naming m, rather than
+        # ending in numpy's bare TypeError or passing as a bool
+        for bad in (10.5, np.float64(10.0), True, "10", None):
+            with pytest.raises(SynthError, match="m must be an integer >= 2"):
+                generate_linear_nongaussian(g, m=bad, seed=0)
+        assert generate_linear_nongaussian(g, m=np.int64(10), seed=0).m == 10
         with pytest.raises(SynthError):
             generate_linear_nongaussian(g, m=10, noise_weight=0.0, seed=0)
         with pytest.raises(SynthError):
@@ -122,6 +128,18 @@ class TestDiscrete:
             generate_discrete(g, m=10, num_states=1, seed=0)
         with pytest.raises(SynthError):
             draw_random_cpts(g, 30, np.random.default_rng(0))
+        for bad in (0, 10.5, np.float64(10.0), True, "10", None):
+            with pytest.raises(SynthError, match="m must be an integer >= 1"):
+                generate_discrete(g, m=bad, seed=0)
+        assert generate_discrete(g, m=np.int64(10), seed=0).m == 10
+
+    def test_table_of_the_wrong_shape_is_refused(self):
+        # a child of one parent over 3 states takes a 3 x 3 table
+        g = Dag(2, [(0, 1)])
+        root = np.full((1, 3), 1 / 3)
+        with pytest.raises(SynthError, match="table for variable 1 has shape"):
+            sample_from_cpts(g, {0: root, 1: np.full((1, 3), 1 / 3)}, 3, m=10,
+                             rng=np.random.default_rng(0))
 
     def test_seed_is_required(self):
         g = Dag(2, [(0, 1)])
@@ -154,6 +172,7 @@ class TestCsv:
     def test_format_errors(self, tmp_path):
         cases = [
             ("", 1),
+            ("\n1,2\n", 1),
             ("v0,v1\n", 2),
             ("v0,v1\n1.0\n", 2),
             ("v0,v1\n1.0,x\n", 2),
@@ -168,9 +187,18 @@ class TestCsv:
                 load_samples(p)
             assert err.value.line_no == line_no
 
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        p = tmp_path / "gaps.csv"
+        p.write_text("v0,v1\n0.5,1.0\n\n-0.25,2.0\n\n")
+        back = load_samples(p)
+        assert back.kind == "continuous"
+        assert back.values.tolist() == [[0.5, 1.0], [-0.25, 2.0]]
+
     def test_kind_validation(self):
         with pytest.raises(SynthError):
             SampleMatrix(np.zeros((2, 2)), "weird")
+        with pytest.raises(SynthError, match="2-dimensional"):
+            SampleMatrix(np.zeros(3), "continuous")
         with pytest.raises(SynthError):
             SampleMatrix(np.zeros((2, 2), dtype=np.int64), "discrete")
         # discrete states must be integers in [0, num_states); the message
