@@ -74,11 +74,6 @@ _GRID_LISTS = ("variable_sizes", "sample_sizes", "in_degrees", "noise_weights")
 _GRID_COUNTS = ("variable_sizes", "sample_sizes")
 
 
-def _is_integer(x) -> bool:
-    """True for an integral real number; False for a bool, which is not a count."""
-    return is_real(x) and float(x).is_integer()
-
-
 @dataclass(frozen=True)
 class ExperimentGrid:
     """Sweep description. The defaults pin the reference setting: 100
@@ -101,24 +96,24 @@ class ExperimentGrid:
             value = tuple(value)
             if not value:
                 raise BenchError(f"{name} must be nonempty")
-            if not all(is_real(x) for x in value):
-                raise BenchError(f"{name} entries must be finite real numbers, got {value}")
-            if any(x <= 0 for x in value):
-                raise BenchError(f"{name} entries must be positive, got {value}")
-            if name in _GRID_COUNTS and not all(_is_integer(x) for x in value):
-                raise BenchError(f"{name} entries must be integers, got {value}")
+            if name in _GRID_COUNTS:
+                if not all(is_count(x, 1) for x in value):
+                    raise BenchError(f"{name} entries must be integers >= 1, got {value}")
+            elif not all(is_real(x) and x > 0 for x in value):
+                raise BenchError(f"{name} entries must be positive finite real numbers, "
+                                 f"got {value}")
             if name == "noise_weights" and any(x > 1 for x in value):
                 raise BenchError(f"noise_weights entries must be at most 1, got {value}")
             set_(self, name, value)
-        if not _is_integer(self.replicates) or self.replicates < 1:
-            raise BenchError(f"replicates must be a positive integer, got {self.replicates!r}")
+        if not is_count(self.replicates, 1):
+            raise BenchError(f"replicates must be an integer >= 1, got {self.replicates!r}")
         if self.model not in ("continuous", "discrete"):
             raise BenchError(f"model must be 'continuous' or 'discrete', got {self.model!r}")
         if self.model == "discrete" and len(self.noise_weights) > 1:
             # discrete data has no noise weight: each one would rerun the point
             raise BenchError("noise_weights applies to continuous data; a discrete grid "
                              f"takes one entry, got {self.noise_weights}")
-        if not (_is_integer(self.num_states) and cpt_states_ok(self.num_states)):
+        if not cpt_states_ok(self.num_states):
             raise BenchError(f"num_states must be an integer >= 2 that CPT_FLOOR={CPT_FLOOR} "
                              f"leaves mass for, got {self.num_states!r}")
         for n, d in itertools.product(self.variable_sizes, self.in_degrees):

@@ -8,13 +8,13 @@ significance advantage that keeps recall intact.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
 
-from .graph import is_real
+from .graph import is_count, is_real
 
 
 class BoundsError(ValueError):
@@ -28,24 +28,17 @@ class UndefinedModelError(BoundsError):
 def _prob(name, value):
     if value is None:
         return None
-    value = float(value)
-    if not (0.0 <= value <= 1.0):
-        raise BoundsError(f"{name} must lie in [0, 1], got {value}")
-    return value
+    if not (is_real(value) and 0.0 <= value <= 1.0):
+        raise BoundsError(f"{name} must be a real number in [0, 1], got {value!r}")
+    return float(value)
 
 
-def _count(name, value, integral=False):
+def _count(name, value):
     if value is None:
         return None
-    if integral:
-        if int(value) != value:
-            raise BoundsError(f"{name} must be an integer, got {value}")
-        value = int(value)
-    else:
-        value = float(value)
-    if value < 0:
-        raise BoundsError(f"{name} must be nonnegative, got {value}")
-    return value
+    if not (is_real(value) and value >= 0):
+        raise BoundsError(f"{name} must be a finite real number >= 0, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -90,50 +83,40 @@ class ErrorModel:
 
     def __post_init__(self):
         set_ = object.__setattr__
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not (is_real(value) or (value is None and field.name != "n")):
-                raise BoundsError(f"{field.name} must be a finite real number, got {value!r}")
-        if int(self.n) != self.n or self.n < 1:
-            raise BoundsError(f"n must be a positive integer, got {self.n}")
+        if not is_count(self.n, 1):
+            raise BoundsError(f"n must be a positive integer, got {self.n!r}")
         set_(self, "n", int(self.n))
         pairs = self.n * self.n - self.n
-        e, d, f = self.e, self.d, self.f
+        e, d, f = _count("e", self.e), _count("d", self.d), _count("f", self.f)
         if e is None and d is not None:
-            e = self.n * float(d)
+            e = self.n * d
         if e is not None:
-            e = _count("e", e)
             if e > pairs:
                 raise BoundsError(f"e={e} exceeds the {pairs} ordered pairs")
             if d is None:
                 d = e / self.n
             if f is None:
                 f = pairs - e
-            f = _count("f", f)
             if abs(e + f - pairs) > 1e-9:
                 raise BoundsError(f"e + f must equal n^2 - n = {pairs}, got {e + f}")
         elif f is not None:
             raise BoundsError("f given without e or d")
         set_(self, "e", e)
         set_(self, "f", f)
-        set_(self, "d", None if d is None else _count("d", d))
-        set_(self, "n1", _count("n1", self.n1, integral=True))
-        set_(self, "n2", _count("n2", self.n2, integral=True))
-        set_(self, "nc", _count("nc", self.nc, integral=True))
+        set_(self, "d", d)
+        for name in ("n1", "n2", "nc"):
+            value = getattr(self, name)
+            if value is not None:
+                if not is_count(value, 0):
+                    raise BoundsError(f"{name} must be an integer >= 0, got {value!r}")
+                set_(self, name, int(value))
         if self.n1 is not None and self.n2 is not None and self.n1 + self.n2 > self.n:
             raise BoundsError(f"side sizes n1 + n2 = {self.n1 + self.n2} exceed n = {self.n}")
         if self.nc is not None and self.nc > self.n:
             raise BoundsError(f"nc = {self.nc} exceeds n = {self.n}")
         for name in ("alpha", "beta", "epsilon", "R", "P", "r"):
             set_(self, name, _prob(name, getattr(self, name)))
-        for name in ("delta", "gamma"):
-            value = getattr(self, name)
-            if value is not None:
-                value = float(value)
-                if value < 0:
-                    raise BoundsError(f"{name} must be nonnegative, got {value}")
-                set_(self, name, value)
-        for name in ("e1", "e2", "ec", "f1", "f2", "fc"):
+        for name in ("delta", "gamma", "e1", "e2", "ec", "f1", "f2", "fc"):
             set_(self, name, _count(name, getattr(self, name)))
 
 
@@ -171,8 +154,8 @@ def cut_error_posterior(model: ErrorModel, i: int) -> float:
     n1, n2 = _need(model, "n1", "n2")
     rho = _pair_odds(model)
     total = n1 * n2
-    if int(i) != i or not (0 <= i <= total):
-        raise BoundsError(f"i must be an integer in [0, {total}], got {i}")
+    if not (is_count(i, 0) and i <= total):
+        raise BoundsError(f"i must be an integer in [0, {total}], got {i!r}")
     i = int(i)
     if rho == 0.0:
         return 1.0 if i == 0 else 0.0
@@ -201,20 +184,14 @@ def cut_error_bound(model: ErrorModel) -> int:
     return int(math.ceil((n * n * e * beta) / (4.0 * f * (1.0 - alpha)))) + 1
 
 
-def merge_counts(model: ErrorModel, e1=None, e2=None, ec=None, f1=None,
-                 f2=None, fc=None, R1=None, R2=None, r1=None, r2=None):
+def merge_counts(model: ErrorModel, R1=None, R2=None, r1=None, r2=None):
     """Expected true and false edge counts after merging two subresults.
 
     e_m = e1*R1 + e2*R2 + ec*(R1 + R2 - R1*R2), and f_m the same with the
-    f counts and false-edge rates. Arguments left as None fall back to the
-    model's fields (R and r serving as the shared rates).
+    f counts and false-edge rates. The counts are the model's fields; the
+    per-side rates left as None fall back to its R and r.
     """
-    e1 = model.e1 if e1 is None else _count("e1", e1)
-    e2 = model.e2 if e2 is None else _count("e2", e2)
-    ec = model.ec if ec is None else _count("ec", ec)
-    f1 = model.f1 if f1 is None else _count("f1", f1)
-    f2 = model.f2 if f2 is None else _count("f2", f2)
-    fc = model.fc if fc is None else _count("fc", fc)
+    e1, e2, ec, f1, f2, fc = model.e1, model.e2, model.ec, model.f1, model.f2, model.fc
     R1 = model.R if R1 is None else _prob("R1", R1)
     R2 = model.R if R2 is None else _prob("R2", R2)
     r1 = model.r if r1 is None else _prob("r1", r1)

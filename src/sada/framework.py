@@ -228,23 +228,18 @@ def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond) -> EdgeSet
             rest ^= low
             back[low.bit_length() - 1] |= sources
 
-    children, parents = {}, {}
+    children = {}
     for e in kept:
         children.setdefault(e.parent, set()).add(e.child)
-        parents.setdefault(e.child, set()).add(e.parent)
     out = EdgeSet()
     for e in kept:
         p, c = e.parent, e.child
         children[p].discard(c)
-        parents[c].discard(p)
-        # a detour needs another edge out of p and another into c
-        if children[p] and parents[c]:
-            interiors = _simple_path_interiors(children, back[c], p, c, MAX_PATH_EDGES)
-            if any(oracle.find_separator(p, c, inner, max_cond) is not None
-                   for inner in interiors):
-                continue
+        interiors = _simple_path_interiors(children, back[c], p, c, MAX_PATH_EDGES)
+        if any(oracle.find_separator(p, c, inner, max_cond) is not None
+               for inner in interiors):
+            continue
         children[p].add(c)
-        parents[c].add(p)
         out.add(p, c, e.significance)
     return out
 

@@ -263,12 +263,9 @@ def generate_random_dag(n: int, avg_in_degree: float, seed) -> Dag:
     """
     if not is_count(n, 1):
         raise GraphError(f"need at least one variable, got n={n!r}")
-    if not isinstance(avg_in_degree, numbers.Real) or isinstance(avg_in_degree, bool):
-        raise GraphError(f"average in-degree must be a real number, got {avg_in_degree!r}")
-    if not math.isfinite(avg_in_degree):
-        raise GraphError(f"average in-degree must be finite, got {avg_in_degree}")
-    if avg_in_degree < 0:
-        raise GraphError(f"average in-degree must be nonnegative, got {avg_in_degree}")
+    if not (is_real(avg_in_degree) and avg_in_degree >= 0):
+        raise GraphError(f"average in-degree must be a finite real number >= 0, "
+                         f"got {avg_in_degree!r}")
     rng = np.random.default_rng(seed)
     lo = math.floor(avg_in_degree)
     hi = math.ceil(avg_in_degree)

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .citest import PIVOT_TOL, G2Kernel
-from .graph import Dag, check_id, is_count
+from .graph import Dag, check_id, is_count, is_real
 from .synth import SampleMatrix
 
 
@@ -60,9 +60,10 @@ class EdgeSet:
         parent, child = _edge_ids(parent, child)
         if parent == child:
             raise SolverError(f"self loop at {parent}")
+        if not (is_real(significance) and significance >= 0):
+            raise SolverError(f"significance must be a finite real number >= 0, "
+                              f"got {significance!r}")
         sig = float(significance)
-        if not np.isfinite(sig) or sig < 0:
-            raise SolverError(f"significance must be finite and nonnegative, got {sig}")
         key = (parent, child)
         old = self._sig.get(key)
         if old is None or sig > old:

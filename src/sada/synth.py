@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Dag, is_count
+from .graph import Dag, is_count, is_real
 
 
 class SynthError(ValueError):
@@ -42,9 +42,15 @@ class SampleMatrix:
         if self.values.ndim != 2:
             raise SynthError("sample matrix must be 2-dimensional")
         if self.kind == "discrete":
-            if self.num_states is None or self.num_states < 2:
-                raise SynthError("discrete samples need num_states >= 2")
+            if not is_count(self.num_states, 2):
+                raise SynthError(f"discrete samples need num_states to be an integer >= 2, "
+                                 f"got {self.num_states!r}")
             self._check_states()
+        else:
+            # one NaN would leave every test on its column undecidable
+            bad = np.flatnonzero(~np.isfinite(self.values).all(axis=0))
+            if bad.size:
+                raise SynthError(f"column {int(bad[0])} holds a non-finite value")
 
     def _check_states(self):
         """Discrete states must be integers in [0, num_states): the count
@@ -86,8 +92,8 @@ def generate_linear_nongaussian(g: Dag, m: int, noise_weight: float = 0.3, *, se
     a root column equals its standardized noise exactly."""
     if not is_count(m, 2):
         raise SynthError(f"m must be an integer >= 2 to normalize, got m={m!r}")
-    if not (0 < noise_weight <= 1):
-        raise SynthError(f"noise weight must lie in (0, 1], got {noise_weight}")
+    if not (is_real(noise_weight) and 0 < noise_weight <= 1):
+        raise SynthError(f"noise_weight must be a real number in (0, 1], got {noise_weight!r}")
     rng = np.random.default_rng(seed)
     data = np.empty((m, g.n))
     for v in g.topological_order():
@@ -102,8 +108,9 @@ CPT_FLOOR = 0.05
 
 
 def cpt_states_ok(num_states) -> bool:
-    """At least two states, and CPT_FLOOR leaves probability mass for them."""
-    return num_states >= 2 and CPT_FLOOR * num_states < 1
+    """An integer of at least two states, and CPT_FLOOR leaves probability
+    mass for them."""
+    return is_count(num_states, 2) and CPT_FLOOR * num_states < 1
 
 
 def draw_random_cpts(g: Dag, num_states: int, rng) -> dict:
@@ -111,8 +118,8 @@ def draw_random_cpts(g: Dag, num_states: int, rng) -> dict:
     (ascending parent ids, first parent is the least significant digit),
     each row uniform on the simplex then pushed away from zero by CPT_FLOOR."""
     if not cpt_states_ok(num_states):
-        raise SynthError(f"need 2 or more states that floor {CPT_FLOOR} leaves mass for, "
-                         f"got {num_states}")
+        raise SynthError(f"num_states must be an integer >= 2 that CPT_FLOOR={CPT_FLOOR} "
+                         f"leaves mass for, got {num_states!r}")
     cpts = {}
     for v in range(g.n):
         rows = num_states ** len(g.parents(v))
@@ -126,6 +133,8 @@ def sample_from_cpts(g: Dag, cpts: dict, num_states: int, m: int, rng) -> Sample
     then invert the row's CDF against one uniform draw per sample."""
     if not is_count(m, 1):
         raise SynthError(f"m must be an integer >= 1, got m={m!r}")
+    if not is_count(num_states, 2):
+        raise SynthError(f"num_states must be an integer >= 2, got {num_states!r}")
     data = np.zeros((m, g.n), dtype=np.int64)
     for v in g.topological_order():
         parents = g.parents(v)

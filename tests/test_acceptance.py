@@ -148,8 +148,8 @@ def test_criterion_5_bounds_match_monte_carlo():
     dummy = ErrorModel(n=50, e=0)
     for i, s in enumerate(merge_settings):
         e1, e2, ec, f1, f2, fc, R1, R2, r1, r2 = s
-        em, fm = merge_counts(dummy, e1=e1, e2=e2, ec=ec, f1=f1, f2=f2, fc=fc,
-                              R1=R1, R2=R2, r1=r1, r2=r2)
+        model = dataclasses.replace(dummy, e1=e1, e2=e2, ec=ec, f1=f1, f2=f2, fc=fc)
+        em, fm = merge_counts(model, R1=R1, R2=R2, r1=r1, r2=r2)
         (me, see), (mf, sef) = mc_merge_counts(e1, e2, ec, f1, f2, fc,
                                                R1, R2, r1, r2, trials,
                                                np.random.default_rng(600 + i))

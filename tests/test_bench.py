@@ -136,7 +136,11 @@ class TestExperimentGrid:
                           ("variable_sizes", ["10"]), ("sample_sizes", "200"),
                           ("in_degrees", None), ("noise_weights", [[0.3]]),
                           ("in_degrees", [float("nan")]), ("replicates", "3"),
-                          ("replicates", [3]), ("num_states", "3")):
+                          ("replicates", [3]), ("num_states", "3"),
+                          # a whole float is no count, as for an id
+                          ("variable_sizes", [10.0]), ("sample_sizes", [np.float64(100.0)]),
+                          ("replicates", 3.0), ("num_states", 3.0), ("num_states", 2.5),
+                          ("num_states", True)):
             with pytest.raises(BenchError, match=name):
                 ExperimentGrid.from_mapping({name: bad})
 

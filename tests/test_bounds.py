@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -65,7 +66,11 @@ class TestErrorModel:
         ({"n": 0}, "n must be a positive integer"),
         ({"n": 2.5}, "n must be a positive integer"),
         ({"n1": 2.5}, "n1 must be an integer"),
-        ({"n1": -1}, "n1 must be nonnegative")])
+        ({"n1": -1}, "n1 must be an integer >= 0"),
+        # a whole float is no count either, as for an id
+        ({"n": 3.0}, "n must be a positive integer"),
+        ({"n": np.float64(100.0)}, "n must be a positive integer"),
+        ({"nc": 2.0}, "nc must be an integer >= 0")])
     def test_bad_counts_refused(self, fields, fault):
         with pytest.raises(BoundsError, match=fault):
             ErrorModel(**{"n": 10, **fields})
@@ -86,7 +91,8 @@ class TestErrorModel:
 
     @pytest.mark.parametrize("name, bad", [
         ("e1", [1]), ("alpha", "0.5"), ("alpha", True), ("nc", np.True_),
-        ("n", None), ("n", "10"), ("d", math.nan), ("delta", math.inf)])
+        ("n", None), ("n", "10"), ("d", math.nan), ("delta", math.inf),
+        ("e", "25"), ("f", True), ("gamma", "0.1"), ("fc", np.nan)])
     def test_wrong_type_refused(self, name, bad):
         # a value that is no finite real number is refused, naming the field,
         # not coerced ("0.5" to 0.5, True to 1.0) or left to crash a formula
@@ -118,10 +124,11 @@ class TestCutErrorPosterior:
 
     def test_count_out_of_range(self):
         m = ErrorModel(**SMALL)
-        with pytest.raises(BoundsError):
-            cut_error_posterior(m, 65)
-        with pytest.raises(BoundsError):
-            cut_error_posterior(m, -1)
+        # a bool or a float is no count: True is not read as i = 1
+        for bad in (65, -1, True, 1.0, math.nan, "1"):
+            with pytest.raises(BoundsError, match=r"i must be an integer in \[0, 64\]"):
+                cut_error_posterior(m, bad)
+        assert cut_error_posterior(m, np.int64(1)) == cut_error_posterior(m, 1)
 
     def test_degenerate_models_rejected(self):
         full = ErrorModel(n=20, e=380, n1=8, n2=8)  # f = 0
@@ -183,25 +190,26 @@ class TestCutErrorBound:
 
 class TestMergeCounts:
     def test_perfect_recall_no_noise(self):
-        m = ErrorModel(n=100)
-        e_m, f_m = merge_counts(m, e1=50, e2=40, ec=10, f1=100, f2=90, fc=20,
-                                R1=1.0, R2=1.0, r1=0.0, r2=0.0)
+        m = replace(ErrorModel(n=100), e1=50, e2=40, ec=10, f1=100, f2=90, fc=20)
+        e_m, f_m = merge_counts(m, R1=1.0, R2=1.0, r1=0.0, r2=0.0)
         assert e_m == 100
         assert f_m == 0
 
     def test_zero_recall(self):
-        m = ErrorModel(n=100)
-        e_m, _ = merge_counts(m, e1=50, e2=40, ec=10, f1=1, f2=1, fc=1,
-                              R1=0.0, R2=0.0, r1=0.0, r2=0.0)
+        m = replace(ErrorModel(n=100), e1=50, e2=40, ec=10, f1=1, f2=1, fc=1)
+        e_m, _ = merge_counts(m, R1=0.0, R2=0.0, r1=0.0, r2=0.0)
         assert e_m == 0
 
     def test_model_fields_fill_in(self):
         m = ErrorModel(**PRECISION_CASE, R=0.9)
         e_m, f_m = merge_counts(m)
-        direct = merge_counts(m, e1=56.25, e2=56.25, ec=12.5,
-                              f1=2823.75, f2=2823.75, fc=77.5,
-                              R1=0.9, R2=0.9, r1=0.149, r2=0.149)
+        direct = merge_counts(m, R1=0.9, R2=0.9, r1=0.149, r2=0.149)
         assert (e_m, f_m) == direct
+        # a per-side rate takes the probability rule of the model's fields
+        for bad in ("0.5", True, math.nan, 1.5, -0.1):
+            for name in ("R1", "R2", "r1", "r2"):
+                with pytest.raises(BoundsError, match=f"{name} must be a real number in"):
+                    merge_counts(m, **{name: bad})
 
     def test_missing_inputs_reported(self):
         with pytest.raises(UndefinedModelError):
@@ -209,9 +217,8 @@ class TestMergeCounts:
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(4)
-        m = ErrorModel(n=100)
-        e_m, f_m = merge_counts(m, e1=30, e2=25, ec=8, f1=60, f2=50, fc=12,
-                                R1=0.8, R2=0.6, r1=0.1, r2=0.2)
+        m = replace(ErrorModel(n=100), e1=30, e2=25, ec=8, f1=60, f2=50, fc=12)
+        e_m, f_m = merge_counts(m, R1=0.8, R2=0.6, r1=0.1, r2=0.2)
         (me, se_e), (mf, se_f) = mc_merge_counts(
             30, 25, 8, 60, 50, 12, 0.8, 0.6, 0.1, 0.2, 20_000, rng)
         assert abs(e_m - me) <= 3 * se_e

@@ -107,6 +107,13 @@ class TestPartialCorrelation:
                         (1, 6, (0, 3, 4, 5))]:
             with pytest.raises(SingularConditioningError):
                 o.query(u, v, z)
+        # two finite columns whose squares overflow have no finite
+        # correlation: the marginal query meets the check on r itself
+        with np.errstate(over="ignore"):
+            o = PartialCorrelationOracle(SampleMatrix(np.column_stack([x * 1e200, y * 1e200]),
+                                                      "continuous"))
+        with pytest.raises(SingularConditioningError, match="not identifiable"):
+            o.query(0, 1)
 
     def test_constant_column(self):
         # the std of a column of 0.1 or 0.7 is about 1e-17, not 0, so only

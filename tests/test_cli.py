@@ -59,7 +59,7 @@ class TestGenDag:
         out = tmp_path / "g.edges"
         assert run("gen-dag", "--n", 5, "--degree", degree, "--seed", 1, "--out", out) == 1
         err = capsys.readouterr().err
-        assert "average in-degree must be finite" in err
+        assert "average in-degree must be a finite real number" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -247,7 +247,8 @@ class TestBounds:
         assert run("bounds", model) == 1
         assert "dd" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, bad", [("e1", [1]), ("alpha", "0.5"), ("alpha", True)])
+    @pytest.mark.parametrize("field, bad", [("e1", [1]), ("alpha", "0.5"), ("alpha", True),
+                                            ("n1", 2.0)])
     def test_wrong_type_names_field(self, tmp_path, field, bad, capsys):
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"n": 100, "d": 1.25, field: bad}))
@@ -284,7 +285,8 @@ class TestBench:
         assert run("bench", grid, "--seed", 1, "--out", tmp_path / "s") == 1
         assert "variable_size" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, bad", [("variable_sizes", ["10"]), ("replicates", "3")])
+    @pytest.mark.parametrize("field, bad", [("variable_sizes", ["10"]), ("replicates", "3"),
+                                            ("replicates", 3.0)])
     def test_wrong_type_names_field(self, tmp_path, field, bad, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({field: bad}))

@@ -118,11 +118,8 @@ class TestGenerator:
         # nan would otherwise fail inside math.floor
         # a bool or a non-number is refused by type rather than read as
         # 1.0 or left to fail inside math with a bare TypeError
-        for bad, fault in ((-0.5, "nonnegative"), (float("inf"), "finite"),
-                           (float("-inf"), "finite"), (float("nan"), "finite"),
-                           (True, "a real number"), ("1", "a real number"),
-                           (None, "a real number"), ([1], "a real number")):
-            with pytest.raises(GraphError, match=f"average in-degree must be {fault}"):
+        for bad in (-0.5, float("inf"), float("-inf"), float("nan"), True, "1", None, [1]):
+            with pytest.raises(GraphError, match="in-degree must be a finite real number >= 0"):
                 generate_random_dag(5, bad, seed=0)
 
 

@@ -63,10 +63,14 @@ class TestEdgeSet:
         es = EdgeSet()
         with pytest.raises(SolverError):
             es.add(2, 2, 0.5)
-        with pytest.raises(SolverError):
-            es.add(0, 1, -0.1)
-        with pytest.raises(SolverError):
-            es.add(0, 1, float("nan"))
+        # a significance follows the real-number rule: "0.5" and True are
+        # refused, not stored as 0.5 and 1.0
+        for bad in (-0.1, float("nan"), float("inf"), "0.5", True, np.True_, None):
+            with pytest.raises(SolverError, match="significance must be a finite real number >= 0"):
+                es.add(0, 1, bad)
+        assert len(es) == 0
+        es.add(0, 1, np.float32(0.5))
+        assert es.significance(0, 1) == 0.5 and type(es.significance(0, 1)) is float
 
     @pytest.mark.parametrize("bad", [0.7, 1.0, np.float64(2.0), True, -1, np.int64(-3), "1", None],
                              ids=value_id)

@@ -65,10 +65,17 @@ class TestContinuous:
             with pytest.raises(SynthError, match="m must be an integer >= 2"):
                 generate_linear_nongaussian(g, m=bad, seed=0)
         assert generate_linear_nongaussian(g, m=np.int64(10), seed=0).m == 10
-        with pytest.raises(SynthError):
-            generate_linear_nongaussian(g, m=10, noise_weight=0.0, seed=0)
-        with pytest.raises(SynthError):
-            generate_linear_nongaussian(g, m=10, noise_weight=1.5, seed=0)
+        # a weight follows the real-number rule: True is not read as 1
+        for bad in (0.0, 1.5, True, "0.3", None, float("nan")):
+            with pytest.raises(SynthError, match=r"noise_weight must be a real number in \(0, 1\]"):
+                generate_linear_nongaussian(g, m=10, noise_weight=bad, seed=0)
+
+    def test_cancelling_column_is_refused(self):
+        # at m = 2 every standardized column is (1, -1) or (-1, 1) up to
+        # rounding; at weight 1 a child whose noise is its parent's negation
+        # sums to a constant column, which cannot be normalized
+        with pytest.raises(SynthError, match="cannot normalize a constant column"):
+            generate_linear_nongaussian(Dag(2, [(0, 1)]), m=2, noise_weight=1.0, seed=2)
 
     def test_seed_is_required(self):
         # no silent OS-entropy draw: data without a seed cannot be redrawn
@@ -132,6 +139,12 @@ class TestDiscrete:
             with pytest.raises(SynthError, match="m must be an integer >= 1"):
                 generate_discrete(g, m=bad, seed=0)
         assert generate_discrete(g, m=np.int64(10), seed=0).m == 10
+        for bad in (3.0, 2.5, True, "3"):
+            with pytest.raises(SynthError, match="num_states must be an integer >= 2"):
+                generate_discrete(g, m=10, num_states=bad, seed=0)
+            with pytest.raises(SynthError, match="num_states must be an integer >= 2"):
+                sample_from_cpts(Dag(2, [(0, 1)]), {}, bad, m=10, rng=np.random.default_rng(0))
+        assert generate_discrete(g, m=10, num_states=np.int64(4), seed=0).num_states == 4
 
     def test_table_of_the_wrong_shape_is_refused(self):
         # a child of one parent over 3 states takes a 3 x 3 table
@@ -214,3 +227,15 @@ class TestCsv:
             with pytest.raises(SynthError, match=column):
                 SampleMatrix(values, "discrete", num_states=3)
         assert SampleMatrix(vals, "discrete", num_states=3).num_states == 3
+        # a state count follows the integer rule: 2.5 is not read as 2 states
+        for bad in (2.5, 3.0, np.float64(3.0), True, "3", None, 1):
+            with pytest.raises(SynthError, match="num_states to be an integer >= 2"):
+                SampleMatrix(vals, "discrete", num_states=bad)
+        # continuous values must be finite: a NaN would leave every query
+        # on its column undecidable
+        cont = np.random.default_rng(0).random((20, 4))
+        for bad in (np.nan, np.inf, -np.inf):
+            values = cont.copy()
+            values[7, 2] = bad
+            with pytest.raises(SynthError, match="column 2 holds a non-finite value"):
+                SampleMatrix(values, "continuous")
