@@ -263,6 +263,8 @@ def run_experiment(grid: ExperimentGrid, cfg, seed: int, workers: Optional[int] 
     None or 1 runs them in this one."""
     if workers is not None and not is_count(workers, 1):
         raise BenchError(f"workers must be None or an integer >= 1, got {workers!r}")
+    if not is_count(seed, 0):
+        raise BenchError(f"seed must be an integer >= 0, got {seed!r}")
     tasks = [(grid.model, n, m, d, w, grid.num_states, pi, rep, cfg, int(seed))
              for pi, n, m, d, w in grid.points()
              for rep in range(grid.replicates)]

@@ -46,11 +46,17 @@ class CiOracle:
     `find_separator` runs the one subset scan, `_scan`, over the pool `_pool`
     returns, and `separable` asks `_scan` whether u separates from every
     member of a whole side. Sides and pools are bitsets (bit w for variable
-    w). A subclass sets `_n` (the variable count) and `_cache` (a dict) and
-    supplies `_p_value`; it may narrow `_pool` and shortcut `separable`,
-    which must answer as its per-member scan would."""
+    w). The constructor sets the variable count `_n`, the verdict cache
+    `_cache` and `alpha_level`; a subclass calls it and supplies `_p_value`.
+    It may narrow `_pool` and shortcut `separable`, which must answer as its
+    per-member scan would."""
 
-    alpha_level: float = 0.05
+    def __init__(self, n: int, alpha_level: float = 0.05):
+        if not is_alpha_level(alpha_level):
+            raise CiError(f"alpha_level must be a real number in (0, 1), got {alpha_level!r}")
+        self.alpha_level = alpha_level
+        self._n = n
+        self._cache: dict = {}
 
     def query(self, u: int, v: int, z=()) -> CiVerdict:
         """Independence of u and v given z, as p_value > alpha_level.
@@ -171,11 +177,8 @@ class PartialCorrelationOracle(CiOracle):
     def __init__(self, data: SampleMatrix, alpha_level: float = 0.05):
         if data.kind != "continuous":
             raise CiError("partial correlation needs continuous samples")
-        if not is_alpha_level(alpha_level):
-            raise CiError(f"alpha_level must be a real number in (0, 1), got {alpha_level!r}")
-        self.alpha_level = alpha_level
+        super().__init__(data.n, alpha_level)
         self._m = data.m
-        self._n = data.n
         # by max == min: the std of a constant column such as 0.1 is
         # rounding noise, not 0
         vals = data.values
@@ -183,7 +186,6 @@ class PartialCorrelationOracle(CiOracle):
         with np.errstate(invalid="ignore", divide="ignore"):
             # nested lists: the per-query arithmetic runs on Python floats
             self._corr = np.corrcoef(data.values, rowvar=False).tolist()
-        self._cache: dict = {}
 
     def _p_value(self, u, v, zt) -> float:
         eff = self._m - len(zt) - 3
@@ -299,16 +301,12 @@ class GSquaredOracle(CiOracle):
     def __init__(self, data: SampleMatrix, alpha_level: float = 0.05):
         if data.kind != "discrete":
             raise CiError("G-squared needs discrete samples")
-        if not is_alpha_level(alpha_level):
-            raise CiError(f"alpha_level must be a real number in (0, 1), got {alpha_level!r}")
-        self.alpha_level = alpha_level
+        super().__init__(data.n, alpha_level)
         # one contiguous code array per column
         self._cols = np.ascontiguousarray(data.values.T)
         self._m = data.m
-        self._n = data.n
         self._k = int(data.num_states)
         self._g2 = G2Kernel(self._k, self._m)
-        self._cache: dict = {}
 
     def _p_value(self, u, v, zt) -> float:
         k = self._k
@@ -332,9 +330,8 @@ class ExactCiOracle(CiOracle):
     ancestor part, and nothing when even all of it does not separate."""
 
     def __init__(self, g: Dag):
+        super().__init__(g.n)
         self.graph = g
-        self._n = g.n
-        self._cache: dict = {}
 
     def _p_value(self, u, v, zt) -> float:
         # uncached: `query` already keeps the verdict
@@ -345,7 +342,7 @@ class ExactCiOracle(CiOracle):
         # any separating subset shrinks to its ancestor part without getting
         # bigger or later in the scan order, so the first hit lives in it
         u, v = _checked_pair(self._n, u, v, candidates)
-        anc = self.graph._ancestor_bits()
+        anc = self.graph._anc
         zstar = candidates & (anc[u] | anc[v])
         return bit_ids(zstar) if self.graph._d_separated_bits(u, v, zstar) else None
 
@@ -359,7 +356,7 @@ class ExactCiOracle(CiOracle):
         u = _checked_search(self._n, u, vs, candidates)
         if not vs:
             return True
-        anc = self.graph._ancestor_bits()
+        anc = self.graph._anc
         first = vs & -vs
         v = first.bit_length() - 1
         if not self._pair_separable(u, v, candidates & (anc[u] | anc[v]), max_cond):

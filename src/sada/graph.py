@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VariableId = int
-
 
 class GraphError(ValueError):
     """Structural problem with a graph or a query against it."""
@@ -91,81 +89,69 @@ class CausalCut:
 
 
 class Dag:
-    """Immutable DAG over variables 0..n-1 with bitset-backed queries.
+    """Immutable DAG over variables 0..n-1, complete at construction.
 
-    Parent and neighbour (parent or child) sets are also kept as Python ints
-    used as bitsets, and so is the ancestor closure, which is built lazily
-    and shared by every d-separation query on the instance.
+    Parent and neighbour (parent or child) sets are Python ints used as
+    bitsets. The topological order and the ancestor closure are built once,
+    in the constructor, and shared by every query on the instance.
     """
 
-    __slots__ = ("n", "edges", "_parents", "_children", "_pa_bits", "_nb_bits",
-                 "_anc", "_dsep_cache")
+    __slots__ = ("n", "edges", "_order", "_pa_bits", "_nb_bits", "_anc", "_dsep_cache")
 
     def __init__(self, n: int, edges=()):
         if not is_count(n, 0):
             raise GraphError(f"variable count must be a nonnegative integer, got {n!r}")
-        edge_list = []
-        seen = set()
+        pairs = set()
+        pa = [0] * n
+        ch = [0] * n
         for u, v in edges:
             check_id(u, n, GraphError)
             check_id(v, n, GraphError)
             u, v = int(u), int(v)
             if u == v:
                 raise GraphError(f"self loop at {u}")
-            if (u, v) in seen:
+            if (u, v) in pairs:
                 raise GraphError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            edge_list.append((u, v))
-        parents = [[] for _ in range(n)]
-        children = [[] for _ in range(n)]
-        for u, v in edge_list:
-            parents[v].append(u)
-            children[u].append(v)
-        self.n = n
-        self.edges = frozenset(edge_list)
-        self._parents = tuple(tuple(sorted(p)) for p in parents)
-        self._children = tuple(tuple(sorted(c)) for c in children)
-        self._pa_bits = [sum(1 << p for p in ps) for ps in parents]
-        # parents and children: a node's neighbours in the skeleton
-        self._nb_bits = [pb | sum(1 << c for c in cs)
-                         for pb, cs in zip(self._pa_bits, children)]
-        self._anc = None
-        self._dsep_cache = {}
-        self.topological_order()  # rejects cycles at construction time
-
-    def parents(self, v: VariableId) -> tuple:
-        return self._parents[v]
-
-    def topological_order(self) -> list:
-        """Kahn's algorithm; ties broken by smallest id, so the order is
-        deterministic for a given edge set."""
-        indeg = [len(self._parents[v]) for v in range(self.n)]
-        ready = [v for v in range(self.n) if indeg[v] == 0]
-        heapq.heapify(ready)
+            pairs.add((u, v))
+            pa[v] |= 1 << u
+            ch[u] |= 1 << v
+        # Kahn's algorithm with ties broken by smallest id, so the order is
+        # deterministic for a given edge set; each node's ancestors are
+        # complete once it is placed
+        indeg = [b.bit_count() for b in pa]
+        ready = [v for v in range(n) if not indeg[v]]
         order = []
+        anc = [0] * n
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
-            for c in self._children[v]:
+            a = pa[v]
+            for p in bit_ids(a):
+                a |= anc[p]
+            anc[v] = a
+            for c in bit_ids(ch[v]):
                 indeg[c] -= 1
-                if indeg[c] == 0:
+                if not indeg[c]:
                     heapq.heappush(ready, c)
-        if len(order) != self.n:
+        if len(order) != n:
             raise CycleError("edge set contains a directed cycle")
-        return order
+        self.n = n
+        self.edges = frozenset(pairs)
+        self._order = tuple(order)
+        self._pa_bits = pa
+        # parents and children: a node's neighbours in the skeleton
+        self._nb_bits = [p | c for p, c in zip(pa, ch)]
+        self._anc = anc
+        self._dsep_cache = {}
 
-    def _ancestor_bits(self):
-        if self._anc is None:
-            anc = [0] * self.n
-            for v in self.topological_order():
-                a = 0
-                for p in self._parents[v]:
-                    a |= anc[p] | (1 << p)
-                anc[v] = a
-            self._anc = anc
-        return self._anc
+    def parents(self, v: int) -> tuple:
+        return tuple(bit_ids(self._pa_bits[v]))
 
-    def d_separated(self, u: VariableId, v: VariableId, z) -> bool:
+    def topological_order(self) -> list:
+        """Kahn's order with ties broken by smallest id, as a new list."""
+        return list(self._order)
+
+    def d_separated(self, u: int, v: int, z) -> bool:
         """Lauritzen's moral-graph criterion: u and v are d-separated by z
         exactly when they are disconnected in the moral graph of the
         ancestral set An({u, v} | z) once z is removed. The search runs on
@@ -194,7 +180,7 @@ class Dag:
 
     def _ancestral_set(self, u: int, bits: int) -> int:
         """An({u} | bits), the nodes and their ancestors, as a bitset."""
-        anc = self._ancestor_bits()
+        anc = self._anc
         inside = (1 << u) | anc[u]
         # a node already inside brings no new ancestors
         rest = bits & ~inside

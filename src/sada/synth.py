@@ -51,6 +51,16 @@ class SampleMatrix:
             bad = np.flatnonzero(~np.isfinite(self.values).all(axis=0))
             if bad.size:
                 raise SynthError(f"column {int(bad[0])} holds a non-finite value")
+            if self.values.size:
+                # no deviation from the mean exceeds 2 max|x|, so below this
+                # bound no sum of m squared deviations overflows; above it a
+                # correlation could come out as 0 and read as independence
+                limit = math.sqrt(np.finfo(float).max / (4 * self.m))
+                big = np.flatnonzero(np.abs(self.values).max(axis=0) > limit)
+                if big.size:
+                    raise SynthError(f"column {int(big[0])} holds a value above {limit:.3g} "
+                                     f"in magnitude, whose squares over m={self.m} samples "
+                                     f"would overflow")
 
     def _check_states(self):
         """Discrete states must be integers in [0, num_states): the count

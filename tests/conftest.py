@@ -33,8 +33,7 @@ class TableOracle(CiOracle):
     dependent (p-value 0). Order of u, v is ignored."""
 
     def __init__(self, independent=(), n=64):
-        self._n = n
-        self._cache = {}
+        super().__init__(n)
         self._table = {(min(u, v), max(u, v), tuple(sorted(set(z)))) for u, v, z in independent}
 
     def _p_value(self, u, v, zt):

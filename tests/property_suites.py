@@ -17,8 +17,7 @@ from oracles import brute_force_d_separated
 
 class _AlwaysDependent(CiOracle):
     def __init__(self, n=64):
-        self._n = n
-        self._cache = {}
+        super().__init__(n)
 
     def _p_value(self, u, v, zt):
         return 0.0

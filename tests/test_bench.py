@@ -21,7 +21,7 @@ from sada.framework import SadaConfig, run_sada
 from sada.graph import CausalCut, Dag, generate_random_dag
 from sada.solvers import EdgeSet, make_oracle_solver
 
-from conftest import NINE_NODE_EDGES
+from conftest import NINE_NODE_EDGES, value_id
 
 
 def edge_set(*triples):
@@ -344,6 +344,24 @@ class TestRunExperiment:
         grid = ExperimentGrid(**SMALL_GRID)
         with pytest.raises(BenchError, match="workers"):
             run_experiment(grid, SadaConfig(theta=6), seed=11, workers=workers)
+
+    @pytest.mark.parametrize("seed", [2.5, True, -1, "3"], ids=value_id)
+    def test_bad_seed_refused(self, monkeypatch, seed):
+        # refused before any replicate runs, not truncated to the seed below
+        def no_run(task):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sada.bench, "_run_replicate", no_run)
+        grid = ExperimentGrid(**SMALL_GRID)
+        with pytest.raises(BenchError, match="seed"):
+            run_experiment(grid, SadaConfig(theta=6), seed=seed)
+
+    def test_numpy_integer_seed_runs(self):
+        grid = ExperimentGrid(**{**SMALL_GRID, "replicates": 1})
+        rows, summary = run_experiment(grid, SadaConfig(theta=6), seed=np.int64(3))
+        want, _ = run_experiment(grid, SadaConfig(theta=6), seed=3)
+        assert summary["seed"] == 3 and type(summary["seed"]) is int
+        assert [r["recall"] for r in rows] == [r["recall"] for r in want]
 
 
 class TestOutputFiles:

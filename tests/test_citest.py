@@ -13,7 +13,7 @@ import sada.solvers
 
 from sada.graph import Dag, bit_ids, generate_random_dag
 from sada.solvers import solve_lingam
-from sada.synth import SampleMatrix, generate_discrete, generate_linear_nongaussian, sample_from_cpts
+from sada.synth import SampleMatrix, SynthError, generate_discrete, generate_linear_nongaussian, sample_from_cpts
 from sada.citest import (
     CiError,
     CiVerdict,
@@ -108,12 +108,9 @@ class TestPartialCorrelation:
             with pytest.raises(SingularConditioningError):
                 o.query(u, v, z)
         # two finite columns whose squares overflow have no finite
-        # correlation: the marginal query meets the check on r itself
-        with np.errstate(over="ignore"):
-            o = PartialCorrelationOracle(SampleMatrix(np.column_stack([x * 1e200, y * 1e200]),
-                                                      "continuous"))
-        with pytest.raises(SingularConditioningError, match="not identifiable"):
-            o.query(0, 1)
+        # correlation: the sample matrix refuses them before any query
+        with pytest.raises(SynthError, match="column 0 holds a value above"):
+            SampleMatrix(np.column_stack([x * 1e200, y * 1e200]), "continuous")
 
     def test_constant_column(self):
         # the std of a column of 0.1 or 0.7 is about 1e-17, not 0, so only
@@ -128,6 +125,23 @@ class TestPartialCorrelation:
                 with pytest.raises(SingularConditioningError):
                     o.query(u, v, z)
             o.query(a, b, (c,))
+
+    def test_overflowing_columns_are_refused(self):
+        # at 1e200 a sum of 50 squared deviations overflows, so a dependent
+        # pair's correlation would come out as 0 and read as independent:
+        # the sample matrix refuses the column, naming it. At 1e100 the sums
+        # stay finite, the dependence is found and LiNGAM runs, with no
+        # overflow warning, which the suite turns into a failure.
+        rng = np.random.default_rng(7)
+        x, y = rng.standard_normal((2, 50))
+        w = x + 0.01 * rng.standard_normal(50)
+        with pytest.raises(SynthError, match="column 0 holds a value above"):
+            SampleMatrix(np.column_stack([x * 1e200, y * 1e200, w]), "continuous")
+        data = SampleMatrix(np.column_stack([x * 1e100, y * 1e100, w]), "continuous")
+        o = PartialCorrelationOracle(data)
+        assert not o.query(0, 2).independent
+        assert o.query(1, 2).p_value < 1.0
+        solve_lingam(data, [0, 1, 2])
 
     def test_validation(self):
         data = SampleMatrix(np.random.default_rng(0).random((50, 3)), "continuous")

@@ -190,6 +190,19 @@ class TestDiscover:
         assert "line 6" in captured.err
         assert captured.out == ""
 
+    def test_overflowing_column_fails_naming_it(self, tmp_path, capsys):
+        # squares of 1e200 over 40 samples overflow float64; the column is
+        # refused rather than read as independent of every other
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((2, 40)).tolist()
+        bad = tmp_path / "huge.csv"
+        bad.write_text("v0,v1,v2\n" + "".join(
+            f"{a!r},{b * 1e200!r},{a + b!r}\n" for a, b in zip(x, y)))
+        assert run("discover", "--data", bad, "--seed", 1) == 1
+        captured = capsys.readouterr()
+        assert "column 1" in captured.err
+        assert captured.out == ""
+
     def test_oracle_ci_requires_truth(self, data_file, capsys):
         assert run("discover", "--data", data_file, "--oracle-ci") == 1
         assert "--truth" in capsys.readouterr().err

@@ -134,6 +134,48 @@ class TestTopologicalOrder:
                 assert pos[u] < pos[v]
 
 
+def smallest_ready_order(n, edges):
+    """The topological order from the edge set alone: at each step, the
+    smallest id whose parents are all placed."""
+    parents = [{u for u, w in edges if w == v} for v in range(n)]
+    order, placed = [], set()
+    while len(order) < n:
+        v = min(v for v in range(n) if v not in placed and parents[v] <= placed)
+        order.append(v)
+        placed.add(v)
+    return order
+
+
+class TestBuiltFacts:
+    """What a Dag builds at construction, against references from its edges:
+    the order and its tie-break, the parents and the ancestor closure."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 200])
+    def test_match_references(self, n):
+        rng = np.random.default_rng(n)
+        for seed in range(4):
+            g = relabelled(generate_random_dag(n, 1.5, seed=seed), rng) if n else Dag(0)
+            assert g.topological_order() == smallest_ready_order(n, g.edges)
+            closure = closure_by_squaring(g)
+            anc = g._anc
+            for v in range(n):
+                assert anc[v] == sum(1 << u for u in range(n) if closure[u, v])
+                assert g.parents(v) == tuple(sorted(u for u, w in g.edges if w == v))
+
+    def test_returned_order_is_a_copy(self):
+        g = relabelled(generate_random_dag(7, 1.5, seed=1), np.random.default_rng(2))
+        order = g.topological_order()
+        want = list(order)
+        order.reverse()
+        order.append(99)
+        assert g.topological_order() == want == smallest_ready_order(7, g.edges)
+
+    def test_cycle_behind_a_root_raises(self):
+        # the order places 0 before it stalls on the cycle 1 -> 2 -> 3 -> 1
+        with pytest.raises(CycleError):
+            Dag(4, [(0, 1), (1, 2), (2, 3), (3, 1)])
+
+
 class TestReachable:
     """Directed reachability in the brute-force d-separation reference: its
     descendants walk against the matrix closure."""
@@ -237,7 +279,7 @@ class TestConnectedBits:
         reached = {True: 0, False: 0}
         extra = 0
         for g in graphs:
-            anc = g._ancestor_bits()
+            anc = g._anc
             for trial in range(40):
                 u = int(rng.integers(g.n))
                 others = [w for w in range(g.n) if w != u]

@@ -23,10 +23,18 @@ when a source change breaks one of them. A simplification must keep every
   `generate_linear_nongaussian`, `generate_discrete`, and `sada.bench`'s
   `score` and `cut_error_ratio`."""
 
+import inspect
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+import sada.framework
+from sada.citest import ExactCiOracle, GSquaredOracle, PartialCorrelationOracle
+from sada.graph import CausalCut, Dag
+from sada.synth import SampleMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,6 +74,30 @@ for name, wl in WORKLOADS.items():
         out[name + " baseline"] = combined_digest(flat, 0)
 print(json.dumps(out))
 """
+
+
+def params(f):
+    return list(inspect.signature(f).parameters)
+
+
+def test_names_the_benchmark_reads():
+    # the quick check of the contract above; the self-test below runs it
+    fw = sada.framework
+    assert params(fw.run_sada) == ["data", "variables", "cfg", "solver", "oracle", "rng", "trace"]
+    assert params(fw.find_causal_cut) == ["oracle", "variables", "cfg", "rng"]
+    assert params(fw.merge_results) == ["g1", "g2", "oracle", "max_cond"]
+    assert params(fw.remove_conflicts_and_redundancy) == ["edges", "oracle", "max_cond"]
+    assert params(PartialCorrelationOracle) == params(GSquaredOracle) == ["data", "alpha_level"]
+    assert params(ExactCiOracle) == ["g"]
+    exact = ExactCiOracle(Dag(2))
+    assert type(exact.graph._dsep_cache) is dict
+    continuous = SampleMatrix(np.random.default_rng(0).random((20, 2)), "continuous")
+    discrete = SampleMatrix(np.zeros((20, 2), dtype=np.int64), "discrete", num_states=2)
+    for oracle in (exact, PartialCorrelationOracle(continuous), GSquaredOracle(discrete)):
+        assert type(oracle._cache) is dict
+        assert params(oracle.find_separator) == ["u", "v", "candidates", "max_cond"]
+        assert params(oracle.separable) == ["u", "vs", "candidates", "max_cond"]
+    assert CausalCut(frozenset({0}), frozenset(), frozenset({1, 2})).min_side == 1
 
 
 def test_benchmark_selftest_passes():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,18 @@ from sada.synth import (
     sample_from_cpts,
     save_samples,
 )
+
+from conftest import relabelled
+
+
+def pinned_dag():
+    """A seeded n = 40 DAG whose ids are relabelled, so the generators'
+    order and parent lists are not the identity's."""
+    return relabelled(generate_random_dag(40, 1.5, seed=11), np.random.default_rng(40))
+
+
+def sha256_of(values):
+    return hashlib.sha256(values.tobytes()).hexdigest()
 
 
 class TestContinuous:
@@ -54,6 +68,13 @@ class TestContinuous:
         x = generate_linear_nongaussian(g, m=64, seed=5)
         y = generate_linear_nongaussian(g, m=64, seed=5)
         assert np.array_equal(x.values, y.values)
+
+    def test_pinned_bits(self):
+        # each column sums its parents in the order parents() lists them,
+        # over variables in topological order; float sums change with either
+        sm = generate_linear_nongaussian(pinned_dag(), m=50, seed=12)
+        assert sha256_of(sm.values) == (
+            "8dec3cc8349f531f6c1b85dfba7bb861c167a79be65e83f8fec070dece50d290")
 
     def test_bad_arguments(self):
         g = Dag(2, [(0, 1)])
@@ -128,6 +149,14 @@ class TestDiscrete:
         x = generate_discrete(g, m=120, seed=8)
         y = generate_discrete(g, m=120, seed=8)
         assert np.array_equal(x.values, y.values)
+
+    def test_pinned_bits(self):
+        # each row of a table is picked by the parent configuration, read in
+        # the order parents() lists them, and variables draw in topological
+        # order; a change to either redraws the samples
+        sm = generate_discrete(pinned_dag(), m=50, seed=13)
+        assert sha256_of(sm.values) == (
+            "497eb008b37f9c1c6872bda3d8a07db362e4d6c0ff9cacb8ad35a8dcfb9c4255")
 
     def test_bad_arguments(self):
         g = Dag(1)
