@@ -46,21 +46,18 @@ class SampleMatrix:
                 raise SynthError(f"discrete samples need num_states to be an integer >= 2, "
                                  f"got {self.num_states!r}")
             self._check_states()
-        else:
-            # one NaN would leave every test on its column undecidable
-            bad = np.flatnonzero(~np.isfinite(self.values).all(axis=0))
+        elif self.values.size:
+            # no deviation from the mean exceeds 2 max|x|, so below this
+            # bound no sum of m squared deviations overflows; above it a
+            # correlation could come out as 0 and read as independence.
+            # NaN and inf fail the same test: one NaN would leave every
+            # test on its column undecidable
+            limit = math.sqrt(np.finfo(float).max / (4 * self.m))
+            bad = np.flatnonzero(~(np.abs(self.values).max(axis=0) <= limit))
             if bad.size:
-                raise SynthError(f"column {int(bad[0])} holds a non-finite value")
-            if self.values.size:
-                # no deviation from the mean exceeds 2 max|x|, so below this
-                # bound no sum of m squared deviations overflows; above it a
-                # correlation could come out as 0 and read as independence
-                limit = math.sqrt(np.finfo(float).max / (4 * self.m))
-                big = np.flatnonzero(np.abs(self.values).max(axis=0) > limit)
-                if big.size:
-                    raise SynthError(f"column {int(big[0])} holds a value above {limit:.3g} "
-                                     f"in magnitude, whose squares over m={self.m} samples "
-                                     f"would overflow")
+                raise SynthError(f"column {int(bad[0])} holds a non-finite value or one "
+                                 f"above {limit:.3g} in magnitude, whose squares over "
+                                 f"m={self.m} samples would overflow")
 
     def _check_states(self):
         """Discrete states must be integers in [0, num_states): the count

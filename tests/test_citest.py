@@ -107,10 +107,13 @@ class TestPartialCorrelation:
                         (1, 6, (0, 3, 4, 5))]:
             with pytest.raises(SingularConditioningError):
                 o.query(u, v, z)
-        # two finite columns whose squares overflow have no finite
-        # correlation: the sample matrix refuses them before any query
-        with pytest.raises(SynthError, match="column 0 holds a value above"):
-            SampleMatrix(np.column_stack([x * 1e200, y * 1e200]), "continuous")
+        # two finite, non-constant columns whose squared deviations and
+        # cross products all underflow to 0 have no finite correlation: the
+        # marginal query meets the check on r itself
+        o = PartialCorrelationOracle(SampleMatrix(np.column_stack([x * 1e-170, y * 1e-170]),
+                                                  "continuous"))
+        with pytest.raises(SingularConditioningError, match="not identifiable"):
+            o.query(0, 1)
 
     def test_constant_column(self):
         # the std of a column of 0.1 or 0.7 is about 1e-17, not 0, so only
@@ -135,7 +138,7 @@ class TestPartialCorrelation:
         rng = np.random.default_rng(7)
         x, y = rng.standard_normal((2, 50))
         w = x + 0.01 * rng.standard_normal(50)
-        with pytest.raises(SynthError, match="column 0 holds a value above"):
+        with pytest.raises(SynthError, match="column 0 holds a non-finite value or one above"):
             SampleMatrix(np.column_stack([x * 1e200, y * 1e200, w]), "continuous")
         data = SampleMatrix(np.column_stack([x * 1e100, y * 1e100, w]), "continuous")
         o = PartialCorrelationOracle(data)
