@@ -248,18 +248,27 @@ def _partial_corr(c, u, v, zt) -> float:
     return uv / math.sqrt(uu * vv)
 
 
+# The G2 callers score their count tables a block at a time. A block's code
+# array, one code per sample per table, holds about this many entries, though
+# a block never takes fewer than one table: that spreads numpy's per-call
+# cost over many tables while peak memory stays bounded whatever n and m are.
+G2_BLOCK_CODES = 1 << 14
+
+
 class G2Kernel:
     """G2 and its degrees of freedom over stacked (stratum, k, k) count tables
-    of at most m samples, for every stratum at once:
+    of at most m samples:
 
         G2 = 2 * [sum of x log x over the cells - the same over the row
                   marginals - the same over the column marginals + the
                   same over the stratum totals],
 
     with x log x read from a table of m + 1 entries. One matrix product
-    spreads each stratum's cells into cells, row and column marginals and
-    total; the dof sums (nonzero rows - 1) * (nonzero columns - 1) over the
-    non-empty strata, so empty strata and zero marginals add nothing."""
+    spreads each table's cells into cells, row and column marginals and
+    total, and each table's signed sum is reduced along its own row, so a
+    table's terms carry the same bits whatever other tables share the call.
+    The dof is (nonzero rows - 1) * (nonzero columns - 1) per non-empty
+    table, so empty tables and zero marginals add nothing."""
 
     __slots__ = ("_xlogx", "_spread", "_sign", "_free")
 
@@ -273,30 +282,51 @@ class G2Kernel:
         self._spread = np.hstack((np.eye(k * k, dtype=np.int64), np.kron(eye, ones),
                                   np.kron(ones, eye), np.ones((k * k, 1), dtype=np.int64)))
         self._sign = np.concatenate((np.ones(k * k), -np.ones(2 * k), [1.0]))
-        # nonzero rows - [stratum non-empty], nonzero columns - [stratum non-empty]
+        # nonzero rows - [table non-empty], nonzero columns - [table non-empty]
         free = np.zeros((k * k + 2 * k + 1, 2), dtype=np.int64)
         free[k * k:k * k + k, 0] = 1
         free[k * k + k:-1, 1] = 1
         free[-1] = -1
         self._free = free
 
-    def __call__(self, tables) -> tuple:
-        """(G2, dof) of the (stratum, k, k) count tables."""
+    def _terms(self, tables) -> tuple:
+        """Each table's G2 / 2 and its two free counts, the (table, 2) array
+        whose row product is the table's dof."""
         spread = tables.reshape(len(tables), -1) @ self._spread
-        g2 = 2.0 * float((self._xlogx[spread] @ self._sign).sum())
-        free = (spread > 0) @ self._free
-        return max(g2, 0.0), int(free[:, 0] @ free[:, 1])
+        # a row-wise reduce, not a matrix-vector product: BLAS may round a
+        # row differently with other rows beside it
+        half = np.add.reduce(self._xlogx[spread] * self._sign, axis=1)
+        return half, (spread > 0) @ self._free
+
+    def __call__(self, tables) -> tuple:
+        """(G2, dof) of the (stratum, k, k) count tables as one stratified test."""
+        half, free = self._terms(tables)
+        return max(2.0 * float(half.sum()), 0.0), int(free[:, 0] @ free[:, 1])
 
     def p_value(self, tables) -> float:
-        """chi2 survival of G2; a degenerate table (dof 0) carries no evidence
-        against independence."""
+        """chi2 survival of the stratified G2; a degenerate test (dof 0)
+        carries no evidence against independence."""
         g2, dof = self(tables)
         return 1.0 if dof == 0 else float(chdtrc(dof, g2))
+
+    def table_p_values(self, tables) -> np.ndarray:
+        """Each (k, k) table's own p-value, bit for bit what `p_value` gives
+        for it as a one-stratum stack; dof 0 gives 1.0."""
+        half, free = self._terms(tables)
+        g2 = np.maximum(2.0 * half, 0.0)
+        dof = free[:, 0] * free[:, 1]
+        p = np.ones(len(tables))
+        live = dof > 0
+        p[live] = chdtrc(dof[live], g2[live])
+        return p
 
 
 class GSquaredOracle(CiOracle):
     """Log-likelihood-ratio independence test on stratified contingency
-    tables, for discrete samples with a shared state count."""
+    tables, for discrete samples with a shared state count. A marginal test
+    of (u, v), u < v, reads u's row: the p-values of (u, w) for every w > u,
+    scored a block of tables per kernel call on the first marginal test
+    with u as the lower id, and kept, as Fisher-z keeps its correlations."""
 
     def __init__(self, data: SampleMatrix, alpha_level: float = 0.05):
         if data.kind != "discrete":
@@ -307,6 +337,7 @@ class GSquaredOracle(CiOracle):
         self._m = data.m
         self._k = int(data.num_states)
         self._g2 = G2Kernel(self._k, self._m)
+        self._rows = [None] * data.n
 
     def _p_value(self, u, v, zt) -> float:
         k = self._k
@@ -314,6 +345,11 @@ class GSquaredOracle(CiOracle):
         if self._m < 10 * nominal_dof:
             raise UnreliableTestError(
                 f"m={self._m} below 10*dof={10 * nominal_dof} for |z|={len(zt)}")
+        if not zt:
+            row = self._rows[u]
+            if row is None:
+                row = self._rows[u] = self._marginal_row(u)
+            return row[v - u - 1]
         cols = self._cols
         code = cols[v] + k * cols[u]
         base = k * k
@@ -321,6 +357,20 @@ class GSquaredOracle(CiOracle):
             code += base * cols[w]
             base *= k
         return self._g2.p_value(np.bincount(code, minlength=base).reshape(-1, k, k))
+
+    def _marginal_row(self, u) -> list:
+        """The marginal p-values of (u, w) for w = u + 1, ..., n - 1: each
+        block's tables come from one offset bincount and one kernel call."""
+        k, cols = self._k, self._cols
+        block = max(1, G2_BLOCK_CODES // self._m)
+        code_u = k * cols[u]
+        row = []
+        for lo in range(u + 1, self._n, block):
+            hi = min(lo + block, self._n)
+            codes = cols[lo:hi] + code_u + (k * k) * np.arange(hi - lo)[:, None]
+            tables = np.bincount(codes.ravel(), minlength=(hi - lo) * k * k)
+            row += self._g2.table_p_values(tables.reshape(-1, k, k)).tolist()
+        return row
 
 
 class ExactCiOracle(CiOracle):

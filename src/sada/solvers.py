@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import chdtrc
 
-from .citest import PIVOT_TOL, G2Kernel
+from .citest import G2_BLOCK_CODES, PIVOT_TOL, G2Kernel
 from .graph import Dag, check_id, is_count, is_real
 from .synth import SampleMatrix
 
@@ -240,17 +240,23 @@ def solve_discrete_anm(data: SampleMatrix, variables) -> EdgeSet:
     Both directions of a pair come from one joint count table: the (x,
     residual) table is each row of the (x, y) table rotated left by that
     row's mode (the first maximum), and the (y, residual) table is the same
-    rotation of the transposed table.
+    rotation of the transposed table. The unordered pairs are taken a block
+    at a time: one offset bincount counts the block's joint tables, and one
+    kernel call scores both directions of every pair in it.
     """
     if data.kind != "discrete":
         raise SolverError("additive-noise solver needs discrete samples")
     vs = _checked_vars(data.n, variables)
     if len(vs) < 2:
         return EdgeSet()
+    x = data.values[:, vs].T
+    keep = x.min(axis=1) != x.max(axis=1)
+    usable = [v for v, ok in zip(vs, keep) if ok]
+    if len(usable) < 2:
+        return EdgeSet()
+    cols = np.ascontiguousarray(x[keep])
     k = int(data.num_states)
     g2 = G2Kernel(k, data.m)
-    cols = {v: data.values[:, v] for v in vs}
-    usable = [v for v in vs if cols[v].min() != cols[v].max()]
     # indices into the flat (x, y) table: its k rows, then the k rows of the
     # transposed table; rotate[row, mode] is that row rotated left by mode
     cells = np.arange(k * k).reshape(k, k)
@@ -258,17 +264,27 @@ def solve_discrete_anm(data: SampleMatrix, variables) -> EdgeSet:
     shift = np.arange(k)
     rank = np.arange(2 * k)
     rotate = rows[rank[:, None, None], (shift[:, None] + shift) % k]
+    # the pairs (a, b), a < b, of positions in usable, in row-major order:
+    # row a starts at flat pair index start[a]
+    count = len(usable)
+    start = np.concatenate(([0], np.cumsum(np.arange(count - 1, 0, -1))))
+    total = count * (count - 1) // 2
+    block = max(1, G2_BLOCK_CODES // data.m)
     result = EdgeSet()
-    for i, a in enumerate(usable):
-        for b in usable[i + 1:]:
-            joint = np.bincount(cols[b] + k * cols[a], minlength=k * k)
-            modes = joint[rows].argmax(axis=1)
-            resid = joint[rotate[rank, modes]].reshape(2, k, k)
-            p_ab, p_ba = g2.p_value(resid[:1]), g2.p_value(resid[1:])
-            if p_ab > LEAF_ALPHA and p_ba <= LEAF_ALPHA:
-                result.add(a, b, p_ab)
-            elif p_ba > LEAF_ALPHA and p_ab <= LEAF_ALPHA:
-                result.add(b, a, p_ba)
+    for lo in range(0, total, block):
+        flat = np.arange(lo, min(lo + block, total))
+        a = np.searchsorted(start, flat, side="right") - 1
+        b = flat - start[a] + a + 1
+        offset = (k * k) * np.arange(len(flat))
+        codes = cols[b] + k * cols[a] + offset[:, None]
+        joint = np.bincount(codes.ravel(), minlength=len(flat) * k * k)
+        modes = joint.reshape(-1, k * k)[:, rows].argmax(axis=2)
+        resid = joint[rotate[rank, modes] + offset[:, None, None]]
+        p_ab, p_ba = g2.table_p_values(resid.reshape(-1, k, k)).reshape(-1, 2).T
+        for t in np.flatnonzero((p_ab > LEAF_ALPHA) & (p_ba <= LEAF_ALPHA)):
+            result.add(usable[a[t]], usable[b[t]], float(p_ab[t]))
+        for t in np.flatnonzero((p_ba > LEAF_ALPHA) & (p_ab <= LEAF_ALPHA)):
+            result.add(usable[b[t]], usable[a[t]], float(p_ba[t]))
     return result
 
 

@@ -52,12 +52,24 @@ class SampleMatrix:
             # correlation could come out as 0 and read as independence.
             # NaN and inf fail the same test: one NaN would leave every
             # test on its column undecidable
+            vals = self.values
             limit = math.sqrt(np.finfo(float).max / (4 * self.m))
-            bad = np.flatnonzero(~(np.abs(self.values).max(axis=0) <= limit))
+            bad = np.flatnonzero(~(np.abs(vals).max(axis=0) <= limit))
             if bad.size:
                 raise SynthError(f"column {int(bad[0])} holds a non-finite value or one "
                                  f"above {limit:.3g} in magnitude, whose squares over "
                                  f"m={self.m} samples would overflow")
+            # the mirror case: below this bound a non-constant column's
+            # variance can leave the normal range while its cross terms with
+            # another column do not, so a correlation could come out as +-1
+            # and read as dependence on every other column
+            floor = math.sqrt(self.m * np.finfo(float).tiny)
+            spread = np.abs(vals - vals.mean(axis=0)).max(axis=0)
+            bad = np.flatnonzero((spread < floor) & (vals.max(axis=0) != vals.min(axis=0)))
+            if bad.size:
+                raise SynthError(f"column {int(bad[0])} deviates from its mean by at most "
+                                 f"{spread[bad[0]]:.3g}, below {floor:.3g}, so its variance "
+                                 f"over m={self.m} samples would underflow")
 
     def _check_states(self):
         """Discrete states must be integers in [0, num_states): the count

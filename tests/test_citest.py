@@ -107,11 +107,11 @@ class TestPartialCorrelation:
                         (1, 6, (0, 3, 4, 5))]:
             with pytest.raises(SingularConditioningError):
                 o.query(u, v, z)
-        # two finite, non-constant columns whose squared deviations and
-        # cross products all underflow to 0 have no finite correlation: the
-        # marginal query meets the check on r itself
-        o = PartialCorrelationOracle(SampleMatrix(np.column_stack([x * 1e-170, y * 1e-170]),
-                                                  "continuous"))
+        # a correlation that is not finite has no verdict: the marginal
+        # query meets the check on r itself. SampleMatrix refuses the
+        # columns that would give one, so the entry is set by hand
+        o = PartialCorrelationOracle(SampleMatrix(np.column_stack([x, y]), "continuous"))
+        o._corr[0][1] = o._corr[1][0] = float("nan")
         with pytest.raises(SingularConditioningError, match="not identifiable"):
             o.query(0, 1)
 
@@ -145,6 +145,29 @@ class TestPartialCorrelation:
         assert not o.query(0, 2).independent
         assert o.query(1, 2).p_value < 1.0
         solve_lingam(data, [0, 1, 2])
+
+    def test_underflowing_columns_are_refused(self):
+        # at 1e-170 a column's squared deviations underflow while its cross
+        # terms with another column do not, so its correlations would come
+        # out as +-1 and read as dependence on every column: the sample
+        # matrix refuses it, naming it. At 1e-150 its variance stays in the
+        # normal range and every verdict is the unscaled column's. A
+        # constant column that small is left to the constant-column check
+        rng = np.random.default_rng(7)
+        x, y = rng.standard_normal((2, 50))
+        w = x + 0.3 * rng.standard_normal(50)
+        with pytest.raises(SynthError, match="column 1 deviates from its mean by at most"):
+            SampleMatrix(np.column_stack([y, x * 1e-170, w]), "continuous")
+        SampleMatrix(np.column_stack([y, np.full(50, 1e-170), w]), "continuous")
+        plain, tiny = (PartialCorrelationOracle(SampleMatrix(np.column_stack([s * x, y, w]),
+                                                             "continuous"))
+                       for s in (1.0, 1e-150))
+        verdicts = []
+        for u, v, z in [(0, 1, ()), (0, 2, ()), (1, 2, ()), (0, 1, (2,)), (0, 2, (1,)),
+                        (1, 2, (0,))]:
+            verdicts.append(plain.query(u, v, z).independent)
+            assert tiny.query(u, v, z).independent == verdicts[-1], (u, v, z)
+        assert True in verdicts and False in verdicts
 
     def test_validation(self):
         data = SampleMatrix(np.random.default_rng(0).random((50, 3)), "continuous")
@@ -222,6 +245,53 @@ class TestGSquared:
         v = GSquaredOracle(sm).query(0, 1)
         assert v.independent and v.p_value == 1.0
 
+    def test_marginal_rows_match_the_one_table_kernel(self, monkeypatch):
+        # a marginal p-value read from u's row carries the bits of the
+        # kernel on that pair's table alone, with one block per row and with
+        # rows cut into blocks of three tables
+        g = generate_random_dag(12, 1.25, seed=8)
+        default = sada.citest.G2_BLOCK_CODES
+        for k, m in ((2, 60), (3, 200), (4, 400), (5, 700)):
+            sm = generate_discrete(g, m=m, num_states=k, seed=k)
+            kernel = G2Kernel(k, m)
+            want = {}
+            for u, v in itertools.combinations(range(12), 2):
+                code = sm.values[:, v] + k * sm.values[:, u]
+                want[u, v] = kernel.p_value(np.bincount(code, minlength=k * k).reshape(1, k, k))
+            for codes in (default, 3 * m):
+                monkeypatch.setattr(sada.citest, "G2_BLOCK_CODES", codes)
+                o = GSquaredOracle(sm)
+                assert {(u, v): o.query(v, u).p_value for u, v in want} == want
+
+    def test_marginal_row_is_scored_once(self):
+        # the first marginal test with u as the lower id scores u's whole
+        # row in one kernel call; a second pair from that row reads it, and
+        # a repeated query returns the verdict it cached. Below the
+        # reliability floor nothing is scored
+        sm = generate_discrete(generate_random_dag(10, 1.25, seed=2), m=200, seed=3)
+        o = GSquaredOracle(sm)
+        kernel, calls = o._g2, []
+
+        class Counting:
+            def table_p_values(self, tables):
+                calls.append(len(tables))
+                return kernel.table_p_values(tables)
+
+        o._g2 = Counting()
+        first = o.query(5, 2)
+        assert calls == [7]
+        o.query(2, 9)
+        o.query(7, 2)
+        assert calls == [7]
+        assert o.query(2, 5) is first is o._cache[2, 5, ()]
+        o.query(3, 4)
+        assert calls == [7, 6]
+        few = GSquaredOracle(SampleMatrix(sm.values[:39], "discrete", num_states=3))
+        few._g2 = Counting()
+        with pytest.raises(UnreliableTestError):
+            few.query(0, 1)  # marginal dof 4 needs m >= 40
+        assert calls == [7, 6] and few._rows[0] is None
+
     def test_symmetric_in_pair(self):
         g = generate_random_dag(6, 1.25, seed=5)
         sm = generate_discrete(g, m=2000, seed=6)
@@ -270,6 +340,25 @@ class TestG2Kernel:
                         empty += bool((tables.sum(axis=(1, 2)) == 0).any())
                         shrunk += want_dof < (k - 1) ** 2 * k ** z
         assert cases == 810 and empty > 100 and shrunk > 300
+
+    def test_table_p_values_match_one_table_p_value(self):
+        # each table's p-value from a batch carries the bits of p_value on
+        # that table alone, wherever it sits in the batch; empty tables,
+        # zero marginals and dof 0 among them
+        rng = np.random.default_rng(29)
+        empty = degenerate = 0
+        for k in (2, 3, 4, 5):
+            for m in (5, 40, 300):
+                kernel = G2Kernel(k, m)
+                for count in (1, 2, 7, 60):
+                    tables = self._tables(rng, k, count, m)
+                    want = [kernel.p_value(t[None]) for t in tables]
+                    assert kernel.table_p_values(tables).tolist() == want
+                    perm = rng.permutation(count)
+                    assert kernel.table_p_values(tables[perm]).tolist() == [want[i] for i in perm]
+                    empty += int((tables.sum(axis=(1, 2)) == 0).sum())
+                    degenerate += sum(g2_from_tables_reference(t[None])[1] == 0 for t in tables)
+        assert empty > 100 and degenerate > 300
 
     def test_oracle_verdicts_match_reference(self):
         # the oracle's verdicts are the reference statistic's, query by query

@@ -203,6 +203,20 @@ class TestDiscover:
         assert "column 1" in captured.err
         assert captured.out == ""
 
+    def test_underflowing_column_fails_naming_it(self, tmp_path, capsys):
+        # the squared deviations of a 1e-170 column underflow while its
+        # cross terms do not; the column is refused rather than read as
+        # dependent on every other
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((2, 40)).tolist()
+        bad = tmp_path / "tiny.csv"
+        bad.write_text("v0,v1,v2\n" + "".join(
+            f"{a!r},{b * 1e-170!r},{a + b!r}\n" for a, b in zip(x, y)))
+        assert run("discover", "--data", bad, "--seed", 1) == 1
+        captured = capsys.readouterr()
+        assert "column 1 deviates from its mean" in captured.err
+        assert captured.out == ""
+
     def test_oracle_ci_requires_truth(self, data_file, capsys):
         assert run("discover", "--data", data_file, "--oracle-ci") == 1
         assert "--truth" in capsys.readouterr().err

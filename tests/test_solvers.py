@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,39 @@ class TestDiscreteAnm:
                     joint = np.bincount(vals[:, b] + k * vals[:, a], minlength=k * k).reshape(k, k)
                     ties += int((joint == joint.max(axis=1, keepdims=True)).sum(axis=1).max() > 1)
         assert ties > 50 and edges > 50
+
+    # sha256 of the sorted edge pairs of a seeded n = 40 solve per state
+    # count, recorded before the pairs were scored in blocks: significances
+    # may move in the last bit, the pairs may not
+    PAIR_DIGESTS = {
+        2: "5e0d217e7affdc71820dccd1464ebab9a8fa96a49244e884aa53df2a79a91a35",
+        3: "909880c68d20291c3f8cce47c58bc85f89a8ac6c2bb00590bc8ca86df6191e5f",
+        4: "2ad08670d620264d9f4f4adba0903ee57a943c46f58dc39905b8ddccd4279808",
+    }
+
+    @pytest.mark.parametrize("k", sorted(PAIR_DIGESTS))
+    def test_edge_pairs_are_pinned(self, k, monkeypatch):
+        # blocks of 7 pairs end inside rows as well as between them, and
+        # give the same edges, bit for bit, as the default blocks
+        g = generate_random_dag(40, 1.25, seed=40 + k)
+        sm = generate_discrete(g, m=200, num_states=k, seed=400 + k)
+        got = solve_discrete_anm(sm, range(40))
+        text = ";".join(f"{u}>{v}" for u, v in sorted(got.pairs()))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PAIR_DIGESTS[k]
+        monkeypatch.setattr(solvers, "G2_BLOCK_CODES", 7 * sm.m)
+        assert solve_discrete_anm(sm, range(40)) == got
+
+    def test_degenerate_columns_run_quietly(self):
+        # a constant column, and one that uses two of four states at m = 12:
+        # their tables have empty rows, zero marginals and dof 0. A numpy
+        # warning would fail the test
+        rng = np.random.default_rng(11)
+        vals = np.column_stack([rng.integers(0, 4, 12), np.full(12, 3),
+                                1 + np.arange(12) % 2, rng.integers(0, 4, 12)])
+        sm = SampleMatrix(vals, "discrete", num_states=4)
+        got = solve_discrete_anm(sm, range(4))
+        assert got == discrete_anm_four_pass(sm, range(4))
+        assert all(1 not in pair for pair in got.pairs())
 
     def test_small_variable_sets_empty(self):
         sm = anm_pair_samples(m=100, seed=0)
