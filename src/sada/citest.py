@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc, ndtr
 
-from .graph import Dag, bit_ids, check_id, is_alpha_level
+from .graph import Dag, bit_ids, check_id, is_alpha_level, is_cap
 from .synth import SampleMatrix
 
 
@@ -47,7 +47,8 @@ class CiOracle:
     returns, and `separable` asks `_scan` whether u separates from every
     member of a whole side. Sides and pools are bitsets (bit w for variable
     w). The constructor sets the variable count `_n`, the verdict cache
-    `_cache` and `alpha_level`; a subclass calls it and supplies `_p_value`.
+    `_cache`, the memo of failed searches `_failed` and `alpha_level`; a
+    subclass calls it and supplies `_p_value`.
     It may narrow `_pool` and shortcut `separable`, which must answer as its
     per-member scan would."""
 
@@ -57,6 +58,8 @@ class CiOracle:
         self.alpha_level = alpha_level
         self._n = n
         self._cache: dict = {}
+        # (u, v, candidates, max_cond) of every find_separator that found nothing
+        self._failed: set = set()
 
     def query(self, u: int, v: int, z=()) -> CiVerdict:
         """Independence of u and v given z, as p_value > alpha_level.
@@ -88,9 +91,22 @@ class CiOracle:
         0..min(max_cond, pool size) in ascending-id lexicographic order;
         max_cond=None lifts the cap. Subsets the test cannot decide (unreliable,
         singular, too few samples) are skipped: independence needs affirmative
-        evidence. Returns a frozenset of ids, or None when nothing separates."""
+        evidence. Returns a frozenset of ids, or None when nothing separates.
+
+        Verdicts are cached and refusals repeat, so a search is a function of
+        its arguments: one that found nothing is remembered, once they have
+        passed their checks, and a repeat returns None without a scan."""
+        _check_cap(max_cond)
         pool = self._pool(u, v, candidates)
-        return None if pool is None else self._scan(u, v, pool, max_cond)
+        if pool is None:
+            return None
+        key = (u, v, candidates, max_cond)
+        if key in self._failed:
+            return None
+        sep = self._scan(u, v, pool, max_cond)
+        if sep is None:
+            self._failed.add(key)
+        return sep
 
     def _scan(self, u, v, pool, max_cond):
         """The subset scan of find_separator over the checked, ascending ids
@@ -113,9 +129,15 @@ class CiOracle:
         for an empty vs. Every argument is checked before the first search;
         the searches then run in ascending id order and stop at the first
         member that fails."""
+        _check_cap(max_cond)
         u = _checked_search(self._n, u, vs, candidates)
         pool = bit_ids(candidates)
         return all(self._scan(u, v, pool, max_cond) is not None for v in bit_ids(vs))
+
+
+def _check_cap(max_cond) -> None:
+    if not is_cap(max_cond):
+        raise CiError(f"max_cond must be None or an integer >= 0, got {max_cond!r}")
 
 
 def _checked_search(n: int, u, vs, candidates) -> int:
@@ -403,6 +425,7 @@ class ExactCiOracle(CiOracle):
         # reach is separated by its own ancestor pool, whose moral graph is
         # a subgraph of that one. Reached members, and under a cap unreached
         # ones whose ancestor pool exceeds it, take the per-pair check.
+        _check_cap(max_cond)
         u = _checked_search(self._n, u, vs, candidates)
         if not vs:
             return True

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import CausalCut, bit_ids, is_alpha_level, is_count
+from .graph import CausalCut, bit_ids, is_alpha_level, is_cap, is_count
 from .solvers import EdgeSet
 
 
@@ -41,7 +41,7 @@ class SadaConfig:
             raise FrameworkError(f"theta must be an integer >= 2, got {self.theta!r}")
         if not is_count(self.k, 1):
             raise FrameworkError(f"k must be an integer >= 1, got {self.k!r}")
-        if self.max_cond is not None and not is_count(self.max_cond, 0):
+        if not is_cap(self.max_cond):
             raise FrameworkError(f"max_cond must be None or an integer >= 0, got {self.max_cond!r}")
         if not is_alpha_level(self.alpha_level):
             raise FrameworkError(
@@ -187,34 +187,52 @@ def _simple_path_interiors(children, reaches, source, target, max_edges):
                 stack.append((nxt, path | (1 << nxt), edges + 1))
 
 
-def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond) -> EdgeSet:
-    """Two cleanup passes over an edge set, in descending significance.
+def _adjacency(items, size) -> tuple:
+    """The children of each parent, as sets filled in the order of `items`,
+    ((parent, child), significance) pairs, and each node's parents as a
+    bitset over 0..size-1. The detour search walks the sets in their
+    iteration order, so the filling order fixes the order of its searches."""
+    children, parents = {}, [0] * size
+    for (p, c), _ in items:
+        children.setdefault(p, set()).add(c)
+        parents[c] |= 1 << p
+    return children, parents
 
-    Conflict pass: accept edges one by one, dropping any edge whose child
-    already reaches its parent through accepted edges (would close a cycle).
-    Reachability is kept as a two-way transitive closure, reach[x] (what x
-    reaches) and back[x] (what reaches x), bitsets with bit w for variable
-    w, so accepting p -> c touches only the rows of the nodes that reach p
-    and of the nodes c reaches.
 
-    Redundancy pass: for each surviving edge p -> c with a surviving longer
-    directed path p -> ... -> c of at most MAX_PATH_EDGES edges, drop the
-    edge if the oracle finds a separator among some path's interior
-    variables. The interiors come lazily from a depth-first search confined
-    to back[c], and the search stops at the first separating interior. The
-    pass only removes edges, so back[c] still holds every node that reaches c.
-    """
-    order = sorted(edges, key=lambda e: (-e.significance, e.parent, e.child))
-    size = 1 + max((max(e.parent, e.child) for e in order), default=-1)
+def _acyclic_closure(children, parents, size):
+    """back[x], the bitset of the nodes that reach x, from one topological
+    (Kahn) sweep, or None when the edges hold a cycle. A node's row is whole
+    once its last parent is placed, and it is pushed to its children then."""
+    indegree = [bits.bit_count() for bits in parents]
+    back = [0] * size
+    ready = [x for x in children if not indegree[x]]
+    while ready:
+        x = ready.pop()
+        up = back[x] | (1 << x)
+        for y in children.get(x, ()):
+            back[y] |= up
+            indegree[y] -= 1
+            if not indegree[y]:
+                ready.append(y)
+    return None if any(indegree) else back
+
+
+def _greedy_acyclic(order, size) -> tuple:
+    """The edges of `order` accepted one by one, dropping any edge whose
+    child already reaches its parent through accepted edges (it would close
+    a cycle), and back over the accepted edges. Reachability is kept as a
+    two-way transitive closure, reach[x] (what x reaches) and back[x] (what
+    reaches x), so accepting p -> c touches only the rows of the nodes that
+    reach p and of the nodes c reaches."""
     # over the accepted edges, each excluding the node itself
     reach = [0] * size
     back = [0] * size
     kept = []
-    for e in order:
-        p, c = e.parent, e.child
+    for item in order:
+        p, c = item[0]
         if (reach[c] >> p) & 1:
             continue
-        kept.append(e)
+        kept.append(item)
         sources = (1 << p) | back[p]
         sinks = (1 << c) | reach[c]
         rest = sources
@@ -227,28 +245,59 @@ def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond) -> EdgeSet
             low = rest & -rest
             rest ^= low
             back[low.bit_length() - 1] |= sources
+    return kept, back
 
-    children = {}
-    for e in kept:
-        children.setdefault(e.parent, set()).add(e.child)
-    out = EdgeSet()
-    for e in kept:
-        p, c = e.parent, e.child
-        children[p].discard(c)
-        interiors = _simple_path_interiors(children, back[c], p, c, MAX_PATH_EDGES)
-        if any(oracle.find_separator(p, c, inner, max_cond) is not None
-               for inner in interiors):
-            continue
-        children[p].add(c)
-        out.add(p, c, e.significance)
-    return out
+
+def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond) -> EdgeSet:
+    """Two cleanup passes over an edge set, in descending significance.
+
+    Conflict pass: accept edges one by one, dropping any edge whose child
+    already reaches its parent through accepted edges (would close a cycle).
+    An acyclic set loses no edge, so when one topological sweep places every
+    node, the pass is skipped and the sweep builds back[x], the bitset of the
+    nodes that reach x; otherwise the greedy pass keeps it as it goes.
+
+    Redundancy pass: for each surviving edge p -> c with a surviving longer
+    directed path p -> ... -> c of at most MAX_PATH_EDGES edges, drop the
+    edge if the oracle finds a separator among some path's interior
+    variables. The interiors come lazily from a depth-first search confined
+    to back[c], and the search stops at the first separating interior. The
+    pass only removes edges, so back[c] still holds every node that reaches
+    c. No search runs while p has no other child or c no other parent left,
+    since no detour can exist then.
+    """
+    if not is_cap(max_cond):
+        raise FrameworkError(f"max_cond must be None or an integer >= 0, got {max_cond!r}")
+    order = sorted(edges._items(), key=lambda item: (-item[1], item[0]))
+    size = 1 + max((max(pair) for pair, _ in order), default=-1)
+    children, parents = _adjacency(order, size)
+    back = _acyclic_closure(children, parents, size)
+    kept = order
+    if back is None:
+        kept, back = _greedy_acyclic(order, size)
+        children, parents = _adjacency(kept, size)
+
+    out = {}
+    for (p, c), sig in kept:
+        others = children[p]
+        others.discard(c)
+        if others and parents[c] != 1 << p:
+            interiors = _simple_path_interiors(children, back[c], p, c, MAX_PATH_EDGES)
+            if any(oracle.find_separator(p, c, inner, max_cond) is not None
+                   for inner in interiors):
+                parents[c] ^= 1 << p
+                continue
+        others.add(c)
+        out[p, c] = sig
+    return EdgeSet._trusted(out)
 
 
 def merge_results(g1: EdgeSet, g2: EdgeSet, oracle, max_cond) -> EdgeSet:
     """Union two partial results (duplicate pairs keep the larger
-    significance), then remove conflicts and redundant direct edges."""
-    merged = EdgeSet([*g1, *g2])
-    return remove_conflicts_and_redundancy(merged, oracle, max_cond)
+    significance), then remove conflicts and redundant direct edges. Both
+    sets' edges passed EdgeSet's checks already, so they are not checked
+    again."""
+    return remove_conflicts_and_redundancy(EdgeSet._union(g1, g2), oracle, max_cond)
 
 
 def run_sada(data, variables, cfg: SadaConfig, solver, oracle, rng,

@@ -36,6 +36,12 @@ def is_count(x, floor) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= floor
 
 
+def is_cap(x) -> bool:
+    """True for None (no cap) or a count of at least 0: the conditioning-size
+    caps SadaConfig, the separator searches and the cleanup accept."""
+    return x is None or is_count(x, 0)
+
+
 def is_real(x) -> bool:
     """True for a finite real number (numpy's included) that is not a bool."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)

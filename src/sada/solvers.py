@@ -69,6 +69,28 @@ class EdgeSet:
         if old is None or sig > old:
             self._sig[key] = sig
 
+    def _items(self):
+        """((parent, child), significance) for each edge, in no set order."""
+        return self._sig.items()
+
+    @classmethod
+    def _trusted(cls, items) -> EdgeSet:
+        """The EdgeSet of ((parent, child), significance) items of distinct
+        pairs that all came from EdgeSets, without checking them again."""
+        out = cls()
+        out._sig = dict(items)
+        return out
+
+    @classmethod
+    def _union(cls, a: EdgeSet, b: EdgeSet) -> EdgeSet:
+        """EdgeSet([*a, *b]), where a shared pair keeps the larger
+        significance, without checking a's and b's edges again."""
+        out = cls._trusted(a._sig)
+        for pair, sig in b._sig.items():
+            if sig > out._sig.get(pair, -1.0):
+                out._sig[pair] = sig
+        return out
+
     def significance(self, parent: int, child: int) -> float:
         return self._sig[(parent, child)]
 

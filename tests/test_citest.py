@@ -26,7 +26,7 @@ from sada.citest import (
     UnreliableTestError,
 )
 
-from conftest import bits, random_small_dags, value_id
+from conftest import TableOracle, bits, random_small_dags, value_id
 from oracles import exists_separator_brute, g2_from_tables_reference
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -723,6 +723,94 @@ class TestFindSeparatorDispatch:
                 assert o.separable(u, 1 << v, bits(pool), 3) == (sep is not None)
                 assert calls == found
         assert None in verdicts and sep is None
+
+
+def _counted_queries(o):
+    """The list each `query` call on o is appended to from now on."""
+    calls, query = [], o.query
+
+    def counted(u, v, z=()):
+        calls.append((u, v, tuple(z)))
+        return query(u, v, z)
+
+    o.query = counted
+    return calls
+
+
+class TestFailedSearchMemo:
+    """find_separator remembers the searches that found nothing."""
+
+    def test_repeat_of_a_failed_search_makes_no_query(self):
+        # TableOracle finds every pair dependent; in the exact oracle's graph
+        # 0 and 4 separate only given both 1 and 2, past a cap of 1, so its
+        # pool check passes and the scan fails
+        cases = ((TableOracle(n=5), 0, 4, bits({1, 2, 3})),
+                 (ExactCiOracle(Dag(5, [(1, 0), (2, 0), (1, 4), (2, 4)])), 0, 4, bits({1, 2})))
+        for o, u, v, pool in cases:
+            calls = _counted_queries(o)
+            assert o.find_separator(u, v, pool, 1) is None
+            assert calls
+            del calls[:]
+            assert o.find_separator(u, v, pool, 1) is None
+            assert calls == []
+            assert o._failed == {(u, v, pool, 1)}
+            # another cap is another search
+            assert o.find_separator(u, v, pool, 2) == (None if isinstance(o, TableOracle)
+                                                       else frozenset({1, 2}))
+            assert calls
+
+    def test_a_found_separator_is_not_stored(self):
+        o = TableOracle(independent=[(0, 1, (2,))], n=4)
+        calls = _counted_queries(o)
+        assert o.find_separator(0, 1, bits({2, 3}), 3) == {2}
+        first = len(calls)
+        assert o.find_separator(0, 1, bits({2, 3}), 3) == {2}
+        assert len(calls) == 2 * first and not o._failed
+
+    @pytest.mark.parametrize("u, pool, cap", [
+        (True, bits({0, 2}), 1),
+        (np.True_, bits({0, 2}), 1),
+        (1, [0, 2], 1),
+        (1, bits({0, 2}), True),
+    ], ids=["bool-u", "numpy-bool-u", "list-pool", "bool-cap"])
+    def test_a_bad_repeat_still_raises(self, u, pool, cap):
+        # the memo is read only once the arguments pass their checks: the
+        # entry stored for (1, 4, {0, 2}, 1) answers neither u=True, nor an
+        # unhashable list pool, nor max_cond=True
+        for o in (TableOracle(n=5), ExactCiOracle(Dag(5, [(0, 1), (2, 1), (0, 4), (2, 4)]))):
+            assert o.find_separator(1, 4, bits({0, 2}), 1) is None
+            assert o._failed == {(1, 4, bits({0, 2}), 1)}
+            for _ in range(2):
+                with pytest.raises(CiError) as info:
+                    o.find_separator(u, 4, pool, cap)
+                assert info.type is CiError
+            assert len(o._failed) == 1
+
+
+class TestCapRule:
+    """Every search takes max_cond by the one rule: None or a count >= 0."""
+
+    # 0 and 2 separate only given both 1 and 3
+    DIAMOND = Dag(4, [(0, 1), (1, 2), (0, 3), (3, 2)])
+
+    @pytest.mark.parametrize("bad", [True, np.True_, -1, np.int64(-2), 2.5, "3", 1.0,
+                                     np.float64(2.0)], ids=value_id)
+    def test_bad_cap_is_refused(self, bad):
+        for o in (ExactCiOracle(self.DIAMOND), TableOracle(n=4),
+                  PartialCorrelationOracle(generate_linear_nongaussian(self.DIAMOND, m=100, seed=1))):
+            with pytest.raises(CiError, match="max_cond must be None or an integer >= 0"):
+                o.find_separator(0, 2, bits({1, 3}), bad)
+            with pytest.raises(CiError, match="max_cond must be None or an integer >= 0"):
+                o.separable(0, bits([2]), bits({1, 3}), bad)
+            assert not o._cache and not o._failed
+
+    @pytest.mark.parametrize("cap", [None, 0, 1, 2, np.int64(2), np.uint8(1)], ids=value_id)
+    def test_good_cap_is_taken(self, cap):
+        o = ExactCiOracle(self.DIAMOND)
+        want = frozenset({1, 3}) if cap is None or cap >= 2 else None
+        assert o.find_separator(0, 2, bits({1, 3}), cap) == want
+        assert o.separable(0, bits([2]), bits({1, 3}), cap) == (want is not None)
+        assert TableOracle(n=4).separable(0, bits([2]), bits({1, 3}), cap) is False
 
 
 class InverseFisherZ:

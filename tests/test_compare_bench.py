@@ -51,3 +51,35 @@ def test_missing_records_exit_2(tmp_path, capsys):
     assert compare_bench.main([str(tmp_path / "parent"), str(tmp_path / "empty")]) == 2
     assert "no benchmark records" in capsys.readouterr().err
     assert compare_bench.main([str(tmp_path / "parent")]) == 2
+
+
+def _replicate_record(rows, seed=2026):
+    return {"workload": "continuous-n30", "seed": seed, "trace": 0,
+            "attempted": len(rows), "failed": 0, "metrics": {},
+            "rows": [dict(replicate=r, digest=f"d{r}", **row) for r, row in enumerate(rows)]}
+
+
+def test_quality_and_paired_times_over_shared_replicates(tmp_path, capsys):
+    # the parent reached replicates 0-1, the change 0-2: replicate 2 counts
+    # on neither side, so equal per-replicate quality reads equal
+    row = lambda f1, cut, ref: {"f1": f1, "baseline_f1": f1 / 2, "cut_error": cut,
+                                "sada_ref": ref, "baseline_ref": 2 * ref}
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _write(parent, "a.json", _replicate_record([row(0.4, 0.1, 2.0), row(0.6, 0.3, 4.0)]))
+    _write(parent, "b.json", _replicate_record([row(0.4, 0.1, 4.0)]))
+    _write(change, "a.json", _replicate_record(
+        [row(0.4, 0.1, 1.5), row(0.6, 0.3, 3.6), row(0.0, 1.0, 9.0)]))
+    assert compare_bench.main([str(parent), str(change)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    def line(label):
+        return next(x.split() for x in lines if x.strip().startswith(label))
+
+    assert line("f1")[1:] == ["0.5", "0.5", "mean", "of", "2"]
+    assert line("baseline_f1")[1:3] == ["0.25", "0.25"]
+    assert line("1 - cut_error")[3:5] == ["0.8", "0.8"]
+    # replicate 0 pairs 1.5 with the parent's median 3.0, replicate 1 pairs
+    # 3.6 with 4.0: ratios 0.5 and 0.9
+    assert line("sada_ref change/parent")[2:] == ["0.700", "median", "of", "2"]
+    assert line("baseline_ref change/parent")[2] == "0.700"
+    assert not any("half_ref" in x for x in lines)

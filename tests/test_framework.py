@@ -15,7 +15,7 @@ from sada.framework import (
     remove_conflicts_and_redundancy,
     run_sada,
 )
-from sada.graph import CausalCut, Dag, generate_random_dag
+from sada.graph import CausalCut, CycleError, Dag, generate_random_dag
 from sada.solvers import EdgeSet, make_oracle_solver, solve_lingam
 from sada.synth import generate_discrete, generate_linear_nongaussian
 
@@ -279,6 +279,63 @@ class TestMerge:
     def test_invariant_suite(self):
         assert check_merge_invariants(num_cases=2000, seed=11) == 2000
 
+    @pytest.mark.parametrize("bad", [True, -1, 2.5, "3", 1.0], ids=value_id)
+    def test_bad_cap_is_refused(self, bad):
+        # before, -1 read as "nothing separates" and kept the redundant
+        # 0 -> 2, True read as 1 and 2.5 as a cap
+        edges = edge_set((0, 1, 0.9), (1, 2, 0.8), (0, 2, 0.7))
+        oracle = ExactCiOracle(Dag(3, [(0, 1), (1, 2)]))
+        for cleanup in (lambda: remove_conflicts_and_redundancy(edges, oracle, bad),
+                        lambda: merge_results(edges, EdgeSet(), oracle, bad)):
+            with pytest.raises(FrameworkError, match="max_cond must be None or an integer >= 0"):
+                cleanup()
+
+    def test_cap_none_zero_and_numpy_are_taken(self):
+        edges = edge_set((0, 1, 0.9), (1, 2, 0.8), (0, 2, 0.7))
+        oracle = ExactCiOracle(Dag(3, [(0, 1), (1, 2)]))
+        # {1} separates 0 and 2, but not within a cap of 0
+        assert remove_conflicts_and_redundancy(edges, oracle, 0) == edges
+        for cap in (None, np.int64(1)):
+            assert remove_conflicts_and_redundancy(edges, oracle, cap).pairs() == {(0, 1), (1, 2)}
+
+    def test_merge_is_the_cleanup_of_the_union(self):
+        # the union is taken from both sets' maps at once, without their
+        # checks: it is EdgeSet's union, whichever set a shared pair's
+        # larger significance is in, and neither input changes
+        rng = np.random.default_rng(20261020)
+        shared = 0
+        for case in range(25):
+            edges, oracle = random_cleanup_case(rng, "table")
+            g1, g2 = EdgeSet(), EdgeSet()
+            for p, c, sig in edges:
+                side = rng.random()
+                if side < 0.6:
+                    g1.add(p, c, sig)
+                if side > 0.4:
+                    g2.add(p, c, float(rng.random()))
+            shared += len(g1.pairs() & g2.pairs())
+            before = EdgeSet(g1), EdgeSet(g2)
+            want = remove_conflicts_and_redundancy(EdgeSet([*g1, *g2]), oracle, 3)
+            assert merge_results(g1, g2, oracle, 3) == want, f"case {case}"
+            assert merge_results(g2, g1, oracle, 3) == want, f"case {case}"
+            assert (g1, g2) == before
+        assert shared > 0
+
+    def test_no_search_without_a_possible_detour(self, monkeypatch):
+        # in 0 -> 1 -> 2 with 0 -> 2, only 0 -> 2 has a detour: 1 has no
+        # other parent than 0, and no other child than 2
+        searched = []
+        search = sada.framework._simple_path_interiors
+
+        def recorded(children, reaches, source, target, max_edges):
+            searched.append((source, target))
+            return search(children, reaches, source, target, max_edges)
+
+        monkeypatch.setattr(sada.framework, "_simple_path_interiors", recorded)
+        edges = edge_set((0, 1, 0.9), (1, 2, 0.8), (0, 2, 0.7))
+        out = remove_conflicts_and_redundancy(edges, TableOracle(), 3)
+        assert out == edges and searched == [(0, 2)]
+
 
 class TestDiscover:
     def test_cleans_only_an_uncut_run(self, nine_node, monkeypatch):
@@ -375,6 +432,31 @@ def relabelled_case(edges, truth, ids, n):
 CLEANUP_ORACLES = ("exact", "dependent", "table", "sparse")
 
 
+def random_acyclic_case(rng, kind):
+    """A seeded acyclic edge set over n <= 40 nodes, the edges of a random
+    DAG under a random relabelling with distinct random significances, and
+    an oracle: exact d-separation on a random subgraph of that DAG, a random
+    table of single-variable separators, or the exact case with its ids
+    spread over 0..4n - 1."""
+    n = int(rng.integers(5, 41))
+    dag = relabelled(generate_random_dag(n, float(rng.uniform(1.0, 3.0)), seed=rng), rng)
+    pairs = sorted(dag.edges)
+    sigs = rng.random(len(pairs))
+    assert len(set(sigs)) == len(sigs)
+    edges = EdgeSet((p, c, float(s)) for (p, c), s in zip(pairs, sigs))
+    truth = Dag(n, [pair for pair in pairs if rng.random() < 0.7])
+    if kind == "sparse":
+        ids = [int(x) for x in rng.choice(4 * n, size=n, replace=False)]
+        return relabelled_case(edges, truth, ids, 4 * n)
+    if kind == "exact":
+        return edges, ExactCiOracle(truth)
+    return edges, TableOracle(independent=[
+        (p, c, (w,)) for p, c in pairs for w in range(n) if w not in (p, c) and rng.random() < 0.1])
+
+
+ACYCLIC_ORACLES = ("exact", "table", "sparse")
+
+
 class TestCleanupDifferential:
     @pytest.mark.parametrize("max_cond", [3, None])
     @pytest.mark.parametrize("kind", CLEANUP_ORACLES)
@@ -392,6 +474,55 @@ class TestCleanupDifferential:
             assert got_log.calls == want_log.calls, f"case {case}"
             removed += len(edges) - len(got)
         assert removed > 0
+
+    @pytest.mark.parametrize("max_cond", [3, None])
+    @pytest.mark.parametrize("kind", ACYCLIC_ORACLES)
+    def test_acyclic_sets_take_the_sweep(self, kind, max_cond, monkeypatch):
+        # an acyclic set loses no edge to the conflict pass, so its closure
+        # comes from the topological sweep and the greedy pass never runs;
+        # output and searches are the reference's all the same
+        def greedy(order, size):
+            raise AssertionError("greedy conflict pass on an acyclic set")
+
+        monkeypatch.setattr(sada.framework, "_greedy_acyclic", greedy)
+        rng = np.random.default_rng([20261020, ACYCLIC_ORACLES.index(kind), max_cond or 0])
+        removed = 0
+        for case in range(25):
+            edges, oracle = random_acyclic_case(rng, kind)
+            want_log, got_log = RecordingOracle(oracle), RecordingOracle(oracle)
+            want = remove_conflicts_and_redundancy_reference(edges, want_log, max_cond)
+            got = remove_conflicts_and_redundancy(edges, got_log, max_cond)
+            assert got == want, f"case {case}"
+            assert got_log.calls == want_log.calls, f"case {case}"
+            removed += len(edges) - len(got)
+        assert removed > 0
+
+    def test_cyclic_sets_take_the_greedy_pass(self, monkeypatch):
+        passes = []
+        greedy = sada.framework._greedy_acyclic
+
+        def counted(order, size):
+            passes.append(len(order))
+            return greedy(order, size)
+
+        monkeypatch.setattr(sada.framework, "_greedy_acyclic", counted)
+        rng = np.random.default_rng(20261021)
+        cyclic = 0
+        for case in range(25):
+            edges, oracle = random_cleanup_case(rng, "exact")
+            try:
+                Dag(oracle.graph.n, edges.pairs())
+                has_cycle = False
+            except CycleError:
+                has_cycle = True
+            cyclic += has_cycle
+            del passes[:]
+            want_log, got_log = RecordingOracle(oracle), RecordingOracle(oracle)
+            want = remove_conflicts_and_redundancy_reference(edges, want_log, 3)
+            assert remove_conflicts_and_redundancy(edges, got_log, 3) == want, f"case {case}"
+            assert got_log.calls == want_log.calls, f"case {case}"
+            assert passes == ([len(edges)] if has_cycle else []), f"case {case}"
+        assert cyclic > 0
 
     @pytest.mark.parametrize("max_cond", [3, None])
     def test_relabelling_relabels_the_output(self, max_cond):

@@ -74,6 +74,19 @@ class TestEdgeSet:
         es.add(0, 1, np.float32(0.5))
         assert es.significance(0, 1) == 0.5 and type(es.significance(0, 1)) is float
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5, -1e-300,
+                                     np.float64("nan"), np.float64("inf"), np.float64(-0.5),
+                                     True, False, np.True_], ids=value_id)
+    def test_significance_rule_refuses_and_converts(self, bad):
+        es = EdgeSet([(0, 1, 0.5)])
+        with pytest.raises(SolverError, match="significance must be a finite real number >= 0"):
+            es.add(0, 1, bad)
+        assert es.significance(0, 1) == 0.5
+        for good in (np.float64(0.75), 2, np.int64(3), 0.0, 1e308):
+            es.add(1, 2, good)
+            assert type(es.significance(1, 2)) is float
+        assert es.significance(1, 2) == 1e308
+
     @pytest.mark.parametrize("bad", [0.7, 1.0, np.float64(2.0), True, -1, np.int64(-3), "1", None],
                              ids=value_id)
     def test_non_integral_or_negative_id_is_refused(self, bad):

@@ -10,8 +10,16 @@ sides and the change/parent ratio, the `failed` and `attempted` counts, and
 how many per-replicate `digest`, `baseline_digest` and `half_digest` values
 both sides ran and how many of those differ. A replicate is identified by
 workload, seed and replicate number; its value on one side must be the same
-in every run of that side. Exits 1 when a digest differs, 2 when a side has
-no records, 0 otherwise. Standard library only.
+in every run of that side.
+
+The end-to-end quality metrics average over every replicate a run reached,
+so a faster side averages over more of them. The script therefore also
+prints, over the replicates both sides ran, the mean per-replicate `f1`,
+`baseline_f1` and 1 - `cut_error` of each side, and the median over those
+replicates of the change/parent ratio of `sada_ref`, `baseline_ref` and
+`half_ref`, each side's value being its median over its runs. Exits 1 when a
+digest differs, 2 when a side has no records, 0 otherwise. Standard library
+only.
 """
 
 from __future__ import annotations
@@ -23,6 +31,10 @@ from collections import defaultdict
 from pathlib import Path
 
 DIGEST_FIELDS = ("digest", "baseline_digest", "half_digest")
+# per-replicate quality, averaged over the replicates both sides ran
+QUALITY_FIELDS = ("f1", "baseline_f1", "cut_error")
+# per-replicate times, compared replicate by replicate
+PAIRED_FIELDS = ("sada_ref", "baseline_ref", "half_ref")
 
 
 def record_files(arg: str) -> list:
@@ -41,9 +53,11 @@ def load(arg: str) -> list:
 
 def summarize(records: list) -> dict:
     """Per (workload, trace): each metric's values, the failed and attempted
-    counts, and each replicate digest's set of values."""
+    counts, each replicate digest's set of values, and each replicate's
+    quality and time values by field."""
     out = defaultdict(lambda: {"metrics": defaultdict(list), "failed": 0, "attempted": 0,
-                               "runs": 0, "digests": defaultdict(set)})
+                               "runs": 0, "digests": defaultdict(set),
+                               "replicates": defaultdict(lambda: defaultdict(list))})
     for rec in records:
         group = out[rec["workload"], rec.get("trace", 0)]
         group["runs"] += 1
@@ -56,7 +70,19 @@ def summarize(records: list) -> dict:
                 if row.get(field) is not None:
                     key = (rec.get("seed"), row.get("replicate"), field)
                     group["digests"][key].add(row[field])
+            values = group["replicates"][rec.get("seed"), row.get("replicate")]
+            for field in QUALITY_FIELDS + PAIRED_FIELDS:
+                if row.get(field) is not None:
+                    values[field].append(row[field])
     return out
+
+
+def paired(parent: dict, change: dict, field: str) -> list:
+    """(parent, change) values of `field` on each replicate both sides ran
+    with it, each side's value being its median over its runs."""
+    keys = sorted(set(parent) & set(change), key=str)
+    return [(statistics.median(parent[k][field]), statistics.median(change[k][field]))
+            for k in keys if parent[k].get(field) and change[k].get(field)]
 
 
 def compare(parent: dict, change: dict) -> int:
@@ -89,7 +115,26 @@ def compare(parent: dict, change: dict) -> int:
         print(f"   replicate digests both sides ran: {shared + differ}, "
               f"identical {shared}, different {differ}")
         mismatches += differ
+        print_replicates(p["replicates"], c["replicates"])
     return mismatches
+
+
+def print_replicates(parent: dict, change: dict) -> None:
+    print("   over the replicates both sides ran:")
+    for field in QUALITY_FIELDS:
+        pairs = paired(parent, change, field)
+        if pairs:
+            means = [statistics.fmean(side) for side in zip(*pairs)]
+            label = field
+            if field == "cut_error":
+                label, means = "1 - cut_error", [1.0 - x for x in means]
+            print(f"   {label:28s} {_num(means[0]):>12s} {_num(means[1]):>12s}"
+                  f"   mean of {len(pairs)}")
+    for field in PAIRED_FIELDS:
+        ratios = [c / p for p, c in paired(parent, change, field) if p]
+        if ratios:
+            print(f"   {field + ' change/parent':28s} {'':>12s} {'':>12s} "
+                  f"{statistics.median(ratios):8.3f}   median of {len(ratios)}")
 
 
 def _num(x) -> str:
