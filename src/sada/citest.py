@@ -399,7 +399,9 @@ class ExactCiOracle(CiOracle):
     """d-separation on a known graph, as p-value 1.0 (separated) or 0.0.
     Some Z within a pool R separates u and v exactly when the pool's
     restriction to ancestors of {u, v} does, so the scan's pool is that
-    ancestor part, and nothing when even all of it does not separate."""
+    ancestor part, and nothing when even all of it does not separate.
+    Those decisions come from the graph's cached moral components, so
+    `separable` checks a side against one component of u."""
 
     def __init__(self, g: Dag):
         super().__init__(g.n)
@@ -419,30 +421,25 @@ class ExactCiOracle(CiOracle):
         return bit_ids(zstar) if self.graph._d_separated_bits(u, v, zstar) else None
 
     def separable(self, u, vs, candidates, max_cond) -> bool:
-        # The lowest member is tested on its own, since most failing sides
-        # fail there. The rest take one search over the moral graph of
-        # An({u} | rest | Z), Z = pool & An({u} | rest): a member it does not
-        # reach is separated by its own ancestor pool, whose moral graph is
-        # a subgraph of that one. Reached members, and under a cap unreached
-        # ones whose ancestor pool exceeds it, take the per-pair check.
+        # u's part of every member's ancestor pool is candidates & An(u), so
+        # one cached component D_u serves the whole side: a member outside
+        # it is separated by its own ancestor pool. Members inside, and under
+        # a cap those whose ancestor pool exceeds it, take the per-pair check,
+        # lowest first, up to the first that fails.
         _check_cap(max_cond)
         u = _checked_search(self._n, u, vs, candidates)
         if not vs:
             return True
         anc = self.graph._anc
-        first = vs & -vs
-        v = first.bit_length() - 1
-        if not self._pair_separable(u, v, candidates & (anc[u] | anc[v]), max_cond):
-            return False
-        rest = vs ^ first
-        if not rest:
-            return True
-        inside = self.graph._ancestral_set(u, rest)
-        reached = self.graph._connected_bits(u, rest, candidates & inside, inside)
-        todo = reached if max_cond is None else rest
-        for v in bit_ids(todo):
-            zstar = candidates & (anc[u] | anc[v])
-            if ((reached >> v) & 1 or (max_cond is not None and zstar.bit_count() > max_cond)) \
+        zu = candidates & anc[u]
+        below = self.graph._component(u, zu)[1]
+        todo = vs & below if max_cond is None else vs
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
+            zstar = zu | (candidates & anc[v])
+            if (below & low or (max_cond is not None and zstar.bit_count() > max_cond)) \
                     and not self._pair_separable(u, v, zstar, max_cond):
                 return False
         return True

@@ -33,6 +33,8 @@ class EdgeListParseError(GraphError):
 def is_count(x, floor) -> bool:
     """True for an integral number (numpy integers included) of at least
     floor; a float is refused even when whole, and a bool is no count."""
+    if type(x) is int:
+        return x >= floor
     return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= floor
 
 
@@ -98,11 +100,14 @@ class Dag:
     """Immutable DAG over variables 0..n-1, complete at construction.
 
     Parent and neighbour (parent or child) sets are Python ints used as
-    bitsets. The topological order and the ancestor closure are built once,
-    in the constructor, and shared by every query on the instance.
+    bitsets. The topological order and the ancestor and descendant closures
+    are built once, in the constructor, and shared by every query on the
+    instance. The one cache, `_dsep_cache`, maps (u, z & An(u)) to u's
+    moral component there and its descendants (see `_d_separated_bits`).
     """
 
-    __slots__ = ("n", "edges", "_order", "_pa_bits", "_nb_bits", "_anc", "_dsep_cache")
+    __slots__ = ("n", "edges", "_order", "_pa_bits", "_nb_bits", "_anc", "_desc",
+                 "_dsep_cache")
 
     def __init__(self, n: int, edges=()):
         if not is_count(n, 0):
@@ -148,6 +153,10 @@ class Dag:
         # parents and children: a node's neighbours in the skeleton
         self._nb_bits = [p | c for p, c in zip(pa, ch)]
         self._anc = anc
+        self._desc = desc = [0] * n
+        for v in reversed(order):
+            for c in bit_ids(ch[v]):
+                desc[v] |= desc[c] | (1 << c)
         self._dsep_cache = {}
 
     def parents(self, v: int) -> tuple:
@@ -176,13 +185,48 @@ class Dag:
         return self._d_separated_bits(u, v, z_bits)
 
     def _d_separated_bits(self, u: int, v: int, z_bits: int) -> bool:
-        if u > v:
-            u, v = v, u
-        key = (u, v, z_bits)
-        cached = self._dsep_cache.get(key)
-        if cached is None:
-            cached = self._dsep_cache[key] = not self._connected_bits(u, 1 << v, z_bits)
-        return cached
+        """d-separation of u and v by z_bits, a bitset holding neither.
+
+        With An*(x) for x and its ancestors and z within An*(u) | An*(v), the
+        moral graph of that set is the union of those of An*(u) and An*(v):
+        each edge and marriage lies in its child's ancestral set. R_u is u's
+        component in the first without z, D_u is R_u and its descendants. A
+        u-v path leaves R_u by an edge of the second, from a node of An*(v);
+        so v outside D_u (or u outside D_v) means separated, and R_u meeting
+        R_v means connected. Anything else takes one search from u to v.
+        """
+        if (self._nb_bits[u] >> v) & 1:
+            return False
+        anc, cache = self._anc, self._dsep_cache
+        zu, zv = z_bits & anc[u], z_bits & anc[v]
+        if zu | zv == z_bits:
+            ru, du = cache.get((u, zu)) or self._component(u, zu)
+            if not (du >> v) & 1:
+                return True
+            rv, dv = cache.get((v, zv)) or self._component(v, zv)
+            if not (dv >> u) & 1:
+                return True
+            if ru & rv:
+                return False
+        return not self._connected_bits(u, 1 << v, z_bits)
+
+    def _component(self, u: int, z_bits: int) -> tuple:
+        """(R_u, D_u) for z_bits within An(u): u's component in the moral
+        graph of An*(u) without z_bits, and it with all its descendants,
+        cached under (u, z_bits)."""
+        hit = self._dsep_cache.get((u, z_bits))
+        if hit is None:
+            inside = self._anc[u] | (1 << u)
+            comp = self._connected_bits(u, inside & ~z_bits, z_bits, inside)
+            desc, below, rest = self._desc, 0, comp
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                # a member below one already taken adds no descendant
+                if not below & low:
+                    below |= desc[low.bit_length() - 1]
+            hit = self._dsep_cache[u, z_bits] = (comp, comp | below)
+        return hit
 
     def _ancestral_set(self, u: int, bits: int) -> int:
         """An({u} | bits), the nodes and their ancestors, as a bitset."""

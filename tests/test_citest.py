@@ -1,3 +1,4 @@
+import enum
 import itertools
 import os
 import subprocess
@@ -26,7 +27,7 @@ from sada.citest import (
     UnreliableTestError,
 )
 
-from conftest import TableOracle, bits, random_small_dags, value_id
+from conftest import TableOracle, bits, random_small_dags, relabelled, value_id
 from oracles import exists_separator_brute, g2_from_tables_reference
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -623,8 +624,9 @@ class TestSeparableSide:
             assert not o._cache
 
     def test_unreached_member_over_the_cap_takes_the_scan(self):
-        # 4 separates from 0 only given both common parents 1 and 2, so the
-        # set search does not reach it; under a cap of 1 no separator fits
+        # 4 separates from 0 only given both common parents 1 and 2, so it
+        # lies outside 0's component and its descendants; under a cap of 1
+        # no separator fits
         o = ExactCiOracle(Dag(5, [(1, 0), (2, 0), (1, 4), (2, 4)]))
         pool = bits({1, 2})
         assert o.separable(0, bits([3, 4]), pool, None)
@@ -654,6 +656,27 @@ class TestSeparableSide:
                         want = all(ref.find_separator(u, v, pool, cap) is not None for v in vs)
                         assert o.separable(u, bits(vs), pool, cap) == want, (g, u, vs, pool, cap)
                         outcomes[want] += len(vs) > 1
+        assert outcomes[True] and outcomes[False]
+
+    def test_exact_matches_per_member_scan_at_scale(self):
+        # the exact oracle's component shortcut answers as the per-member
+        # scan of a fresh oracle on a fresh copy of the graph, on relabelled
+        # n = 60 graphs, over every cap
+        rng = np.random.default_rng(60)
+        outcomes = {True: 0, False: 0}
+        for seed in range(3):
+            g = relabelled(generate_random_dag(60, 1.25 + 0.5 * seed, seed=seed), rng)
+            o = ExactCiOracle(g)
+            for _ in range(100):
+                perm = [int(x) for x in rng.permutation(g.n)]
+                k = int(rng.integers(1, 16))
+                vs = perm[1:1 + k]
+                pool = bits(w for w in perm[1 + k:] if rng.random() < 0.5)
+                for cap in (None, 0, 1, 2, 3):
+                    ref = ExactCiOracle(Dag(g.n, g.edges))
+                    want = all(ref.find_separator(perm[0], v, pool, cap) is not None for v in vs)
+                    assert o.separable(perm[0], bits(vs), pool, cap) == want, (seed, perm[0], vs, cap)
+                    outcomes[want] += 1
         assert outcomes[True] and outcomes[False]
 
 
@@ -787,6 +810,13 @@ class TestFailedSearchMemo:
             assert len(o._failed) == 1
 
 
+class Cap(enum.IntEnum):
+    """Integral caps whose type is not int itself."""
+
+    BELOW = -1
+    TWO = 2
+
+
 class TestCapRule:
     """Every search takes max_cond by the one rule: None or a count >= 0."""
 
@@ -794,7 +824,7 @@ class TestCapRule:
     DIAMOND = Dag(4, [(0, 1), (1, 2), (0, 3), (3, 2)])
 
     @pytest.mark.parametrize("bad", [True, np.True_, -1, np.int64(-2), 2.5, "3", 1.0,
-                                     np.float64(2.0)], ids=value_id)
+                                     np.float64(2.0), Cap.BELOW, np.int64(-1)], ids=value_id)
     def test_bad_cap_is_refused(self, bad):
         for o in (ExactCiOracle(self.DIAMOND), TableOracle(n=4),
                   PartialCorrelationOracle(generate_linear_nongaussian(self.DIAMOND, m=100, seed=1))):
@@ -804,7 +834,8 @@ class TestCapRule:
                 o.separable(0, bits([2]), bits({1, 3}), bad)
             assert not o._cache and not o._failed
 
-    @pytest.mark.parametrize("cap", [None, 0, 1, 2, np.int64(2), np.uint8(1)], ids=value_id)
+    @pytest.mark.parametrize("cap", [None, 0, 1, 2, np.int64(2), np.uint8(1), Cap.TWO,
+                                     np.int64(0)], ids=value_id)
     def test_good_cap_is_taken(self, cap):
         o = ExactCiOracle(self.DIAMOND)
         want = frozenset({1, 3}) if cap is None or cap >= 2 else None

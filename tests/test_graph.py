@@ -13,6 +13,7 @@ from sada.graph import (
     load_dag,
     save_dag,
 )
+from sada.citest import ExactCiOracle
 
 from conftest import random_small_dags, relabelled, value_id
 from oracles import (
@@ -349,6 +350,85 @@ class TestDSeparationAtScale:
                     through_collider[got] += 1
         # the collider queries exercise both verdicts
         assert through_collider[True] and through_collider[False]
+
+
+def _component_reference(g, u, z):
+    """u's component in the moral graph of An*(u) without z (z within An(u)),
+    and that component with its descendants, as bitsets, from the
+    reference search."""
+    inside = [w for w in range(g.n) if (g._anc[u] >> w) & 1 and w not in z]
+    comp = {u} | moral_reached(g, u, inside, z)
+    below = set(comp)
+    for w in comp:
+        below |= descendants(g, w)
+    return sum(1 << w for w in comp), sum(1 << w for w in below)
+
+
+class TestComponentDSeparation:
+    """`_d_separated_bits` decides from cached moral components of u and v
+    in their own ancestral sets, and falls back to one pair search."""
+
+    @pytest.mark.parametrize("n", [30, 120])
+    def test_matches_moral_graph_reference(self, n):
+        # z from An(u) | An(v), from anywhere, and for adjacent pairs; each
+        # query within the ancestors is classed by the reference components
+        rng = np.random.default_rng(2026 + n)
+        outcomes = dict.fromkeys(("u side", "v side", "shared", "pair search"), 0)
+        for d in (1.25, 2.0):
+            g = relabelled(generate_random_dag(n, d, seed=rng), rng)
+            anc = g._anc
+            for trial in range(600):
+                if trial % 3 == 2:
+                    u, v = (int(x) for x in sorted(g.edges)[int(rng.integers(len(g.edges)))])
+                else:
+                    u, v = (int(x) for x in rng.choice(n, 2, replace=False))
+                pool = [w for w in range(n) if w not in (u, v)
+                        and (trial % 3 == 1 or (anc[u] | anc[v]) >> w & 1)]
+                k = int(rng.integers(0, len(pool) + 1)) if pool else 0
+                z = [int(x) for x in rng.choice(pool, k, replace=False)] if k else []
+                z_bits = sum(1 << w for w in z)
+                got = g._d_separated_bits(u, v, z_bits)
+                assert got == moral_d_separated(g, u, v, z), (n, d, u, v, z)
+                if (u, v) in g.edges or (v, u) in g.edges or z_bits & ~(anc[u] | anc[v]):
+                    continue
+                ru, du = _component_reference(g, u, {w for w in z if anc[u] >> w & 1})
+                rv, dv = _component_reference(g, v, {w for w in z if anc[v] >> w & 1})
+                assert g._dsep_cache[u, z_bits & anc[u]] == (ru, du)
+                if not du >> v & 1:
+                    outcomes["u side"] += 1
+                    assert got
+                    continue
+                assert g._dsep_cache[v, z_bits & anc[v]] == (rv, dv)
+                if not dv >> u & 1:
+                    outcomes["v side"] += 1
+                    assert got
+                elif ru & rv:
+                    outcomes["shared"] += 1
+                    assert not got
+                else:
+                    outcomes["pair search"] += 1
+        assert all(outcomes.values()), outcomes
+
+    def test_cache_keys_and_repeated_sides(self):
+        # every key is (u, z & An(u)), and asking the same sides again adds
+        # no entry
+        rng = np.random.default_rng(1990)
+        g = relabelled(generate_random_dag(80, 1.5, seed=3), rng)
+        o = ExactCiOracle(g)
+        calls = []
+        for _ in range(200):
+            perm = [int(x) for x in rng.permutation(g.n)]
+            k = int(rng.integers(1, 12))
+            pool = sum(1 << w for w in perm[1 + k:] if rng.random() < 0.5)
+            calls.append((perm[0], sum(1 << w for w in perm[1:1 + k]), pool,
+                          [None, 0, 1, 2, 3][int(rng.integers(5))]))
+        for call in calls:
+            o.separable(*call)
+        size = len(g._dsep_cache)
+        assert size and all(z & ~g._anc[u] == 0 for u, z in g._dsep_cache)
+        for call in calls:
+            o.separable(*call)
+        assert len(g._dsep_cache) == size
 
 
 class TestEdgeListFormat:
