@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc, ndtr
 
-from .graph import Dag, bit_ids, check_id, is_alpha_level, is_cap
+from .graph import Dag, bit_ids, check_id, checked_ids, is_alpha_level, is_cap
 from .synth import SampleMatrix
 
 
@@ -41,16 +41,16 @@ class CiVerdict:
 
 
 class CiOracle:
-    """Interface consumed by the cut search and merge. The base class owns the
-    query path: `query` checks the ids, orders the pair and caches verdicts,
-    `find_separator` runs the one subset scan, `_scan`, over the pool `_pool`
-    returns, and `separable` asks `_scan` whether u separates from every
-    member of a whole side. Sides and pools are bitsets (bit w for variable
-    w). The constructor sets the variable count `_n`, the verdict cache
-    `_cache`, the memo of failed searches `_failed` and `alpha_level`; a
-    subclass calls it and supplies `_p_value`.
-    It may narrow `_pool` and shortcut `separable`, which must answer as its
-    per-member scan would."""
+    """Interface consumed by the cut search and merge. Its public entry
+    points, `query`, `find_separator` and `separable`, check their arguments
+    once, before any subclass code runs; the hooks then take ids as ints in
+    range and bitsets over 0..n-1 (bit w for variable w), and check nothing.
+    A subclass supplies `_p_value(u, v, zt)`, whose verdict `query` caches,
+    and may narrow `_pool(u, v, candidates)`, the ids `find_separator` scans
+    subsets of, and shortcut `_separable(u, vs, candidates, max_cond)` for a
+    nonempty side, which must answer as its per-member scans would. The
+    constructor sets the variable count `_n`, the verdict cache `_cache`,
+    the memo of failed searches `_failed` and `alpha_level`."""
 
     def __init__(self, n: int, alpha_level: float = 0.05):
         if not is_alpha_level(alpha_level):
@@ -62,10 +62,10 @@ class CiOracle:
         self._failed: set = set()
 
     def query(self, u: int, v: int, z=()) -> CiVerdict:
-        """Independence of u and v given z, as p_value > alpha_level.
-        A bad id raises CiError; a test the oracle cannot decide raises one
-        of its subclasses."""
-        zt = _checked_ids(self._n, u, v, z)
+        """Independence of u and v given z, an iterable of ids, as
+        p_value > alpha_level. A bad id raises CiError; a test the oracle
+        cannot decide raises one of its subclasses."""
+        u, v, zt = checked_ids(u, v, z, self._n, CiError)
         if u > v:
             u, v = v, u
         key = (u, v, zt)
@@ -77,13 +77,12 @@ class CiOracle:
         return verdict
 
     def _p_value(self, u: int, v: int, zt: tuple) -> float:
-        """p-value for checked ids, u < v and zt sorted."""
+        """p-value for u < v and zt sorted."""
         raise NotImplementedError
 
     def _pool(self, u, v, candidates):
         """The ids of the candidates bitset the scan draws subsets from, in
         ascending order, or None when no subset of them can separate u and v."""
-        _checked_pair(self._n, u, v, candidates)
         return bit_ids(candidates)
 
     def find_separator(self, u, v, candidates, max_cond):
@@ -95,13 +94,13 @@ class CiOracle:
 
         Verdicts are cached and refusals repeat, so a search is a function of
         its arguments: one that found nothing is remembered, once they have
-        passed their checks, and a repeat returns None without a scan."""
-        _check_cap(max_cond)
-        pool = self._pool(u, v, candidates)
-        if pool is None:
-            return None
+        passed the gate, and a repeat returns None without a scan."""
+        u, v, max_cond = _checked_search(self._n, u, v, candidates, max_cond, True)
         key = (u, v, candidates, max_cond)
         if key in self._failed:
+            return None
+        pool = self._pool(u, v, candidates)
+        if pool is None:
             return None
         sep = self._scan(u, v, pool, max_cond)
         if sep is None:
@@ -109,8 +108,8 @@ class CiOracle:
         return sep
 
     def _scan(self, u, v, pool, max_cond):
-        """The subset scan of find_separator over the checked, ascending ids
-        of `pool`, one `query` per subset."""
+        """The subset scan of find_separator over the ascending ids of
+        `pool`, one `query` per subset."""
         limit = len(pool) if max_cond is None else min(max_cond, len(pool))
         for size in range(limit + 1):
             for sub in itertools.combinations(pool, size):
@@ -126,24 +125,34 @@ class CiOracle:
     def separable(self, u, vs, candidates, max_cond) -> bool:
         """Whether u separates from every member of the bitset vs, each
         through some subset of the candidates bitset within the cap; True
-        for an empty vs. Every argument is checked before the first search;
-        the searches then run in ascending id order and stop at the first
-        member that fails."""
-        _check_cap(max_cond)
-        u = _checked_search(self._n, u, vs, candidates)
+        for an empty vs. Every argument is checked before the first search."""
+        u, vs, max_cond = _checked_search(self._n, u, vs, candidates, max_cond, False)
+        return not vs or self._separable(u, vs, candidates, max_cond)
+
+    def _separable(self, u, vs, candidates, max_cond) -> bool:
+        """`separable` for a nonempty vs: the per-member scans, in ascending
+        id order, up to the first member that fails."""
         pool = bit_ids(candidates)
         return all(self._scan(u, v, pool, max_cond) is not None for v in bit_ids(vs))
 
 
-def _check_cap(max_cond) -> None:
-    if not is_cap(max_cond):
-        raise CiError(f"max_cond must be None or an integer >= 0, got {max_cond!r}")
-
-
-def _checked_search(n: int, u, vs, candidates) -> int:
-    """u as an int, once u is a variable id of 0..n-1, vs and candidates
-    are bitsets over 0..n-1 (non-negative ints, not bools), vs does not hold
-    u and the candidates hold neither u nor a member of vs."""
+def _checked_search(n: int, u, side, candidates, max_cond, pair: bool) -> tuple:
+    """The gate of both searches: (u, side, max_cond) as ints, where side is
+    the id v of a pair search and the bitset vs otherwise, {v} for a pair.
+    In this order: max_cond is None or a count >= 0, v is a variable id, vs
+    and candidates are bitsets over 0..n-1 (non-negative ints, not bools),
+    u is a variable id, vs does not hold u and the candidates hold neither
+    u nor a member of vs."""
+    if max_cond is not None and not (type(max_cond) is int and max_cond >= 0):
+        if not is_cap(max_cond):
+            raise CiError(f"max_cond must be None or an integer >= 0, got {max_cond!r}")
+        max_cond = int(max_cond)
+    if pair:
+        if type(side) is not int or not 0 <= side < n:
+            side = check_id(side, n, CiError)
+        vs = 1 << side
+    else:
+        vs = side
     for name, bits in (("vs", vs), ("candidates", candidates)):
         if type(bits) is not int or bits < 0:
             got = bits if type(bits) is int else type(bits).__name__
@@ -151,39 +160,12 @@ def _checked_search(n: int, u, vs, candidates) -> int:
         if bits >> n:
             raise CiError(f"{name} holds variable id {bits.bit_length() - 1}, out of range for n={n}")
     if type(u) is not int or not 0 <= u < n:
-        check_id(u, n, CiError)
-        u = int(u)
+        u = check_id(u, n, CiError)
     if (vs >> u) & 1:
         raise CiError(f"need two distinct variables, but vs holds u={u}")
     if candidates & (vs | (1 << u)):
         raise CiError("conditioning set must exclude the queried pair")
-    return u
-
-
-def _checked_pair(n: int, u, v, candidates) -> tuple:
-    """(u, v) as ints, once v is a variable id of 0..n-1 and u, {v} and the
-    candidates pass _checked_search."""
-    if type(v) is not int or not 0 <= v < n:
-        check_id(v, n, CiError)
-        v = int(v)
-    return _checked_search(n, u, 1 << v, candidates), v
-
-
-def _checked_ids(n: int, u: int, v: int, z) -> tuple:
-    """The distinct ids of z in ascending order, once u, v and every member
-    of z are variable ids of 0..n-1, u and v are distinct and z holds
-    neither u nor v."""
-    zt = tuple(z)
-    for w in (u, v) + zt:
-        # an int in range, as almost every id is, skips the full rule
-        if type(w) is not int or not 0 <= w < n:
-            check_id(w, n, CiError)
-    if u == v:
-        raise CiError("need two distinct variables")
-    zt = tuple(sorted(set(zt)))
-    if u in zt or v in zt:
-        raise CiError("conditioning set must exclude the queried pair")
-    return zt
+    return u, side, max_cond
 
 
 # A conditional variance at or below this fraction of the variable's own
@@ -396,12 +378,13 @@ class GSquaredOracle(CiOracle):
 
 
 class ExactCiOracle(CiOracle):
-    """d-separation on a known graph, as p-value 1.0 (separated) or 0.0.
-    Some Z within a pool R separates u and v exactly when the pool's
-    restriction to ancestors of {u, v} does, so the scan's pool is that
-    ancestor part, and nothing when even all of it does not separate.
-    Those decisions come from the graph's cached moral components, so
-    `separable` checks a side against one component of u."""
+    """d-separation on a known graph, as p-value 1.0 (separated) or 0.0,
+    through the three hooks behind the base class's gate. Some Z within a
+    pool R separates u and v exactly when the pool's restriction to
+    ancestors of {u, v} does, so the scan's pool is that ancestor part, and
+    nothing when even all of it does not separate. Those decisions come
+    from the graph's cached moral components, so `_separable` checks a side
+    against one component of u."""
 
     def __init__(self, g: Dag):
         super().__init__(g.n)
@@ -409,45 +392,35 @@ class ExactCiOracle(CiOracle):
 
     def _p_value(self, u, v, zt) -> float:
         # uncached: `query` already keeps the verdict
-        z_bits = sum(1 << int(w) for w in zt)
-        return 0.0 if self.graph._connected_bits(int(u), 1 << int(v), z_bits) else 1.0
+        z_bits = sum(1 << w for w in zt)
+        return 0.0 if self.graph._connected_bits(u, 1 << v, z_bits) else 1.0
 
     def _pool(self, u, v, candidates):
         # any separating subset shrinks to its ancestor part without getting
         # bigger or later in the scan order, so the first hit lives in it
-        u, v = _checked_pair(self._n, u, v, candidates)
         anc = self.graph._anc
         zstar = candidates & (anc[u] | anc[v])
         return bit_ids(zstar) if self.graph._d_separated_bits(u, v, zstar) else None
 
-    def separable(self, u, vs, candidates, max_cond) -> bool:
+    def _separable(self, u, vs, candidates, max_cond) -> bool:
         # u's part of every member's ancestor pool is candidates & An(u), so
         # one cached component D_u serves the whole side: a member outside
         # it is separated by its own ancestor pool. Members inside, and under
-        # a cap those whose ancestor pool exceeds it, take the per-pair check,
-        # lowest first, up to the first that fails.
-        _check_cap(max_cond)
-        u = _checked_search(self._n, u, vs, candidates)
-        if not vs:
-            return True
-        anc = self.graph._anc
+        # a cap those whose ancestor pool zstar exceeds it, take the per-pair
+        # check, lowest first, up to the first that fails: zstar must
+        # separate, and one over the cap needs a subset scan too.
+        graph, anc = self.graph, self.graph._anc
         zu = candidates & anc[u]
-        below = self.graph._component(u, zu)[1]
+        below = graph._component(u, zu)[1]
         todo = vs & below if max_cond is None else vs
         while todo:
             low = todo & -todo
             todo ^= low
             v = low.bit_length() - 1
             zstar = zu | (candidates & anc[v])
-            if (below & low or (max_cond is not None and zstar.bit_count() > max_cond)) \
-                    and not self._pair_separable(u, v, zstar, max_cond):
+            over = max_cond is not None and zstar.bit_count() > max_cond
+            if (below & low or over) and not (
+                    graph._d_separated_bits(u, v, zstar)
+                    and (not over or self._scan(u, v, bit_ids(zstar), max_cond) is not None)):
                 return False
         return True
-
-    def _pair_separable(self, u, v, zstar, max_cond) -> bool:
-        """Whether some subset of the candidates within the cap separates u
-        and v, given zstar, their ancestor part: a pool within the cap is
-        decided by zstar itself, a larger one by the subset scan."""
-        return self.graph._d_separated_bits(u, v, zstar) and (
-            max_cond is None or zstar.bit_count() <= max_cond
-            or self._scan(u, v, bit_ids(zstar), max_cond) is not None)

@@ -55,14 +55,39 @@ def is_alpha_level(a) -> bool:
     return is_real(a) and 0.0 < a < 1.0
 
 
-def check_id(w, n, error) -> None:
-    """Raise `error` unless w is a variable id in 0..n-1. An id follows the
-    count rule: a bool or a float, even a whole one, is refused rather than
-    truncated."""
+def check_id(w, n, error) -> int:
+    """w as an int; raise `error` unless it is a variable id in 0..n-1. An
+    id follows the count rule: a bool or a float, even a whole one, is
+    refused rather than truncated."""
     if not is_count(w, -math.inf):
         raise error(f"variable id must be an integer, got {w!r}")
     if not 0 <= w < n:
         raise error(f"variable id {w} out of range for n={n}")
+    return int(w)
+
+
+def checked_ids(u, v, z, n, error) -> tuple:
+    """(u, v, zt) as ints, zt the distinct ids of z ascending, once u, v and
+    every member of z are variable ids of 0..n-1 by `check_id`, u and v are
+    distinct and z holds neither; otherwise raise `error`. z is an iterable
+    of ids: an int is refused, not read as a bitset."""
+    try:
+        zt = tuple(z)
+    except TypeError:
+        hint = ", not a bitset" if isinstance(z, numbers.Integral) else ""
+        raise error(f"z must be an iterable of variable ids{hint}, got {z!r}") from None
+    ids = (u, v) + zt
+    for w in ids:
+        # an int in range, as almost every id is, skips the full rule
+        if type(w) is not int or not 0 <= w < n:
+            u, v, *zt = [check_id(x, n, error) for x in ids]
+            break
+    if u == v:
+        raise error("need two distinct variables")
+    zt = tuple(sorted(set(zt)))
+    if u in zt or v in zt:
+        raise error("conditioning set must exclude the queried pair")
+    return u, v, zt
 
 
 def bit_ids(bits: int) -> list:
@@ -116,9 +141,7 @@ class Dag:
         pa = [0] * n
         ch = [0] * n
         for u, v in edges:
-            check_id(u, n, GraphError)
-            check_id(v, n, GraphError)
-            u, v = int(u), int(v)
+            u, v = check_id(u, n, GraphError), check_id(v, n, GraphError)
             if u == v:
                 raise GraphError(f"self loop at {u}")
             if (u, v) in pairs:
@@ -171,18 +194,10 @@ class Dag:
         exactly when they are disconnected in the moral graph of the
         ancestral set An({u, v} | z) once z is removed. The search runs on
         bitset frontiers confined to that set, so a query costs time in its
-        size rather than in n.
+        size rather than in n. The ids pass `checked_ids` first.
         """
-        zs = tuple(z)
-        for w in (u, v, *zs):
-            check_id(w, self.n, GraphError)
-        u, v, zs = int(u), int(v), {int(w) for w in zs}
-        if u == v:
-            raise GraphError("d-separation query needs two distinct variables")
-        z_bits = sum(1 << w for w in zs)
-        if (z_bits >> u) & 1 or (z_bits >> v) & 1:
-            raise GraphError("conditioning set must exclude the queried pair")
-        return self._d_separated_bits(u, v, z_bits)
+        u, v, zt = checked_ids(u, v, z, self.n, GraphError)
+        return self._d_separated_bits(u, v, sum(1 << w for w in zt))
 
     def _d_separated_bits(self, u: int, v: int, z_bits: int) -> bool:
         """d-separation of u and v by z_bits, a bitset holding neither.

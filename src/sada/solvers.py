@@ -117,10 +117,7 @@ class EdgeSet:
 def _checked_vars(n: int, variables) -> list:
     """The distinct ids in ascending order, once every one is a variable id
     of 0..n-1."""
-    vs = list(variables)
-    for v in vs:
-        check_id(v, n, SolverError)
-    return sorted({int(v) for v in vs})
+    return sorted({check_id(v, n, SolverError) for v in variables})
 
 
 # Candidates of one pick are scored a block at a time. Each of the three

@@ -479,7 +479,7 @@ class TestExactOracle:
             assert o.find_separator(0, np.int64(2), 1 << 1, 3) == o.find_separator(0, 2, 1 << 1, 3)
             assert o.separable(np.int32(0), 1 << 2, 1 << 1, 3) == o.separable(0, 1 << 2, 1 << 1, 3)
 
-    def test_pool_memo_reused_across_pairs(self, nine_node):
+    def test_one_pool_across_pairs_answers_as_a_fresh_oracle(self, nine_node):
         # one pool bitset serves many pairs, as in the cut growth; every
         # answer equals the one a fresh oracle gives
         o = ExactCiOracle(nine_node)
@@ -494,7 +494,7 @@ class TestExactOracle:
                     assert o.find_separator(u, v, pool, cap) == \
                         fresh.find_separator(u, v, pool, cap)
 
-    def test_pool_memo_hit_still_checks_the_pair(self, nine_node):
+    def test_bad_pair_on_an_already_searched_pool_raises(self, nine_node):
         o = ExactCiOracle(nine_node)
         pool = bits({2, 3})
         o.separable(6, bits([1]), pool, 3)
@@ -509,7 +509,7 @@ class TestExactOracle:
             with pytest.raises(CiError):
                 o.separable(u, 1 << v if v >= 0 else -1, pool, 3)
 
-    def test_pool_out_of_range_is_never_remembered(self, chain3):
+    def test_out_of_range_pool_raises_on_every_call(self, chain3):
         o = ExactCiOracle(chain3)
         pool = bits({1, 7})
         for _ in range(2):
@@ -596,7 +596,9 @@ class TestSeparableSide:
                 o.separable(0, vs, pool, 3)
             assert info.type is CiError
 
-    @pytest.mark.parametrize("vs, pool, fault", [
+    # (vs, pool, fault) for u = 0 over three variables: a malformed side or
+    # pool, and the message that names it
+    BAD_BITSETS = [
         (-4, 0, "vs must be a bitset"),
         (True, 0, "vs must be a bitset .* got bool"),
         ({2}, 0, "vs must be a bitset .* got set"),
@@ -611,7 +613,9 @@ class TestSeparableSide:
         (bits([2]), bits([2]), "must exclude the queried pair"),
         (bits([2, 1]), bits([1]), "must exclude the queried pair"),
         (bits([2, 0]), 0, "vs holds u=0"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("vs, pool, fault", BAD_BITSETS)
     def test_bad_bitset_names_the_fault(self, vs, pool, fault):
         # every oracle refuses a malformed side or pool before any search,
         # naming the fault; find_separator takes its pool through one check
@@ -808,6 +812,104 @@ class TestFailedSearchMemo:
                     o.find_separator(u, 4, pool, cap)
                 assert info.type is CiError
             assert len(o._failed) == 1
+
+
+class HookAssertingOracle(TableOracle):
+    """A TableOracle whose hooks check nothing but assert what the base
+    class's gate promises them, and record each call: ids as ints in range,
+    bitsets over 0..n-1, a nonempty side without u and a pool that holds
+    neither u nor a member of the side."""
+
+    def __init__(self, n):
+        super().__init__(n=n)
+        self.hook_calls = []
+
+    def _assert_checked(self, u, vs, candidates, max_cond):
+        n = self._n
+        assert type(u) is int and 0 <= u < n
+        assert type(vs) is int and 0 < vs and not vs >> n and not (vs >> u) & 1
+        assert type(candidates) is int and 0 <= candidates and not candidates >> n
+        assert not candidates & (vs | (1 << u))
+        assert max_cond is None or (type(max_cond) is int and max_cond >= 0)
+
+    def _p_value(self, u, v, zt):
+        self.hook_calls.append("_p_value")
+        assert type(v) is int and u < v < self._n and list(zt) == sorted(set(zt))
+        assert all(type(w) is int for w in zt)
+        self._assert_checked(u, 1 << v, sum(1 << w for w in zt), None)
+        return super()._p_value(u, v, zt)
+
+    def _pool(self, u, v, candidates):
+        self.hook_calls.append("_pool")
+        assert type(v) is int and 0 <= v < self._n
+        self._assert_checked(u, 1 << v, candidates, None)
+        return super()._pool(u, v, candidates)
+
+    def _separable(self, u, vs, candidates, max_cond):
+        self.hook_calls.append("_separable")
+        self._assert_checked(u, vs, candidates, max_cond)
+        return super()._separable(u, vs, candidates, max_cond)
+
+
+class TestGate:
+    """Each public entry point checks its arguments once, in the base
+    class, before any hook runs; the hooks take the checked ints."""
+
+    @pytest.mark.parametrize("u, v, pool", TestExactOracle.BAD_POOLS,
+                             ids=[f"pool{i}" for i in range(len(TestExactOracle.BAD_POOLS))])
+    def test_bad_pool_never_reaches_a_hook(self, u, v, pool):
+        o = HookAssertingOracle(n=3)
+        z = bit_ids(pool) if pool >= 0 else [pool]
+        for call, args in ((o.find_separator, (u, v, pool, 3)),
+                           (o.separable, (u, 1 << v, pool, 3)),
+                           (o.query, (u, v, z))):
+            with pytest.raises(CiError) as info:
+                call(*args)
+            assert info.type is CiError
+        assert o.hook_calls == [] and not o._cache and not o._failed
+
+    @pytest.mark.parametrize("vs, pool, fault", TestSeparableSide.BAD_BITSETS)
+    def test_bad_bitset_never_reaches_a_hook(self, vs, pool, fault):
+        o = HookAssertingOracle(n=3)
+        with pytest.raises(CiError, match=fault):
+            o.separable(0, vs, pool, 3)
+        if vs == bits([2]):
+            with pytest.raises(CiError, match=fault):
+                o.find_separator(0, 2, pool, 3)
+        assert o.hook_calls == [] and not o._cache and not o._failed
+
+    def test_good_calls_reach_the_hooks(self):
+        o = HookAssertingOracle(n=5)
+        assert o.find_separator(np.int64(1), np.uint8(4), bits({0, 2}), np.int64(1)) is None
+        assert not o.separable(np.int32(0), bits([2, 3]), bits({1}), None)
+        assert not o.query(np.int64(3), 1, [np.int32(4), 0, 4]).independent
+        assert set(o.hook_calls) == {"_p_value", "_pool", "_separable"}
+
+    def test_numpy_ids_key_the_caches_as_ints(self):
+        # in the exact oracle's graph 1 and 4 separate only given both 0
+        # and 2, past a cap of 1, so both searches find nothing
+        for o in (TableOracle(n=5), ExactCiOracle(Dag(5, [(0, 1), (2, 1), (0, 4), (2, 4)]))):
+            pool = bits({0, 2, 3})
+            assert o.find_separator(np.int64(1), np.int32(4), pool, 1) is None
+            o.query(np.int64(0), np.int32(2), (np.int64(1),))
+            parts = [p for key in (*o._failed, *o._cache) for p in key]
+            ids = [w for p in parts for w in (p if type(p) is tuple else (p,))]
+            assert o._failed and o._cache
+            assert all(type(w) is int for w in ids), ids
+            calls = _counted_queries(o)
+            assert o.find_separator(1, 4, pool, 1) is None
+            computed, p_value = [], o._p_value
+            o._p_value = lambda *args: computed.append(args) or p_value(*args)
+            o.query(0, 2, (1,))
+            assert calls == [(0, 2, (1,))] and computed == []
+
+    @pytest.mark.parametrize("z", [6, np.int64(2), True], ids=value_id)
+    def test_bitset_conditioning_set_is_refused(self, z):
+        # query takes z as ids, unlike the searches' bitsets
+        for o in (TableOracle(n=4), ExactCiOracle(CHAIN)):
+            with pytest.raises(CiError, match="z must be an iterable of variable ids, not a bitset"):
+                o.query(0, 2, z)
+            assert not o._cache
 
 
 class Cap(enum.IntEnum):

@@ -243,6 +243,13 @@ class TestDSeparation:
         with pytest.raises(GraphError):
             chain3.d_separated(0, 9, ())
 
+    @pytest.mark.parametrize("z", [2, np.int64(2), True], ids=value_id)
+    def test_bitset_conditioning_set_is_refused(self, chain3, z):
+        # z is an iterable of ids; the bitset form the searches take is refused
+        with pytest.raises(GraphError, match="z must be an iterable of variable ids, not a bitset"):
+            chain3.d_separated(0, 2, z)
+        assert not chain3._dsep_cache
+
     def test_agrees_with_path_enumeration_exhaustively(self, nine_node):
         graphs = random_small_dags(24) + [
             Dag(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]),
