@@ -183,10 +183,8 @@ class PartialCorrelationOracle(CiOracle):
             raise CiError("partial correlation needs continuous samples")
         super().__init__(data.n, alpha_level)
         self._m = data.m
-        # by max == min: the std of a constant column such as 0.1 is
-        # rounding noise, not 0
-        vals = data.values
-        self._constant = (vals.max(axis=0) == vals.min(axis=0)).tolist()
+        # a list: the per-query check runs on Python bools
+        self._constant = data.constant.tolist()
         with np.errstate(invalid="ignore", divide="ignore"):
             # nested lists: the per-query arithmetic runs on Python floats
             self._corr = np.corrcoef(data.values, rowvar=False).tolist()
@@ -272,12 +270,14 @@ class G2Kernel:
     total, and each table's signed sum is reduced along its own row, so a
     table's terms carry the same bits whatever other tables share the call.
     The dof is (nonzero rows - 1) * (nonzero columns - 1) per non-empty
-    table, so empty tables and zero marginals add nothing."""
+    table, so empty tables and zero marginals add nothing. `block` is the
+    tables a caller scores per call: G2_BLOCK_CODES codes, m per table."""
 
-    __slots__ = ("_xlogx", "_spread", "_sign", "_free")
+    __slots__ = ("block", "_k", "_xlogx", "_spread", "_sign", "_free")
 
     def __init__(self, num_states: int, m: int):
-        k = int(num_states)
+        k = self._k = int(num_states)
+        self.block = max(1, G2_BLOCK_CODES // m)
         x = np.arange(m + 1, dtype=float)
         self._xlogx = x * np.log(np.maximum(x, 1.0))
         eye, ones = np.eye(k, dtype=np.int64), np.ones((k, 1), dtype=np.int64)
@@ -292,6 +292,14 @@ class G2Kernel:
         free[k * k + k:-1, 1] = 1
         free[-1] = -1
         self._free = free
+
+    def pair_tables(self, x, ys) -> np.ndarray:
+        """The (len(ys), k, k) count tables of x, the row variable, against
+        each row of ys, from one offset bincount; x is one column of codes
+        or one per row of ys."""
+        k = self._k
+        codes = ys + k * x + (k * k) * np.arange(len(ys))[:, None]
+        return np.bincount(codes.ravel(), minlength=len(ys) * k * k).reshape(-1, k, k)
 
     def _terms(self, tables) -> tuple:
         """Each table's G2 / 2 and its two free counts, the (table, 2) array
@@ -363,17 +371,13 @@ class GSquaredOracle(CiOracle):
         return self._g2.p_value(np.bincount(code, minlength=base).reshape(-1, k, k))
 
     def _marginal_row(self, u) -> list:
-        """The marginal p-values of (u, w) for w = u + 1, ..., n - 1: each
-        block's tables come from one offset bincount and one kernel call."""
-        k, cols = self._k, self._cols
-        block = max(1, G2_BLOCK_CODES // self._m)
-        code_u = k * cols[u]
+        """The marginal p-values of (u, w) for w = u + 1, ..., n - 1, a
+        kernel block of tables per call."""
+        cols, g2 = self._cols, self._g2
         row = []
-        for lo in range(u + 1, self._n, block):
-            hi = min(lo + block, self._n)
-            codes = cols[lo:hi] + code_u + (k * k) * np.arange(hi - lo)[:, None]
-            tables = np.bincount(codes.ravel(), minlength=(hi - lo) * k * k)
-            row += self._g2.table_p_values(tables.reshape(-1, k, k)).tolist()
+        for lo in range(u + 1, self._n, g2.block):
+            tables = g2.pair_tables(cols[u], cols[lo:lo + g2.block])
+            row += g2.table_p_values(tables).tolist()
         return row
 
 

@@ -6,13 +6,12 @@ solver, and merges partial edge sets while removing conflicts and
 redundant direct edges.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .graph import CausalCut, bit_ids, is_alpha_level, is_cap, is_count
+from .graph import CausalCut, bit_ids, is_alpha_level, is_cap, is_count, pair_ids
 from .solvers import EdgeSet
 
 
@@ -94,29 +93,15 @@ def _grow_from_seed(oracle, ordered_vars, u, v, seed_separator, max_cond):
     return frozenset(bit_ids(v1)), frozenset(bit_ids(cut)), frozenset(bit_ids(v2))
 
 
-def _pair_row_starts(n):
-    """Index of the first pair (i, i+1) of each row i in the row-major order
-    of the unordered pairs i < j of n items."""
-    return [i * n - i * (i + 1) // 2 for i in range(n - 1)]
-
-
-def _decode_pair(k, starts):
-    """Pair (i, j) at index k of that row-major order, in exact integers."""
-    i = bisect_right(starts, k) - 1
-    return i, i + 1 + k - starts[i]
-
-
 def _sample_seed_pair(oracle, ordered_vars, max_cond, rng):
     """Shuffle all unordered pairs, probe the first 5n of them, and return
     (u, v, smallest separator) for the first separable pair, else None.
     Only the probed indices are decoded into pairs."""
     n = len(ordered_vars)
     order = rng.permutation(n * (n - 1) // 2)
-    starts = _pair_row_starts(n)
-    budget = 5 * n
     everyone = sum(1 << w for w in ordered_vars)
-    for idx in order[:budget]:
-        i, j = _decode_pair(int(idx), starts)
+    rows, cols = pair_ids(order[:5 * n], n)
+    for i, j in zip(rows.tolist(), cols.tolist()):
         u, v = ordered_vars[i], ordered_vars[j]
         sep = oracle.find_separator(u, v, everyone & ~((1 << u) | (1 << v)), max_cond)
         if sep is not None:

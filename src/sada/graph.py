@@ -100,6 +100,18 @@ def bit_ids(bits: int) -> list:
     return ids
 
 
+def pair_ids(flat, n) -> tuple:
+    """The pairs (i, j), i < j < n, at the indices `flat` of their row-major
+    order, as two int64 arrays. Row i starts at index i * (2n - 1 - i) / 2,
+    so i is the floor of the smaller root of that quadratic: the root is
+    exact at a row start and lies over 1/n from an integer elsewhere, far
+    beyond its float error while n < 10^7."""
+    flat = np.asarray(flat, dtype=np.int64)
+    b = 2 * n - 1
+    i = ((b - np.sqrt(b * b - 8 * flat)) / 2).astype(np.int64)
+    return i, flat - i * (b - i) // 2 + i + 1
+
+
 @dataclass(frozen=True)
 class CausalCut:
     """A partition (left, cut_set, right) of a variable set.

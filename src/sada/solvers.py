@@ -10,8 +10,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import chdtrc
 
-from .citest import G2_BLOCK_CODES, PIVOT_TOL, G2Kernel
-from .graph import Dag, check_id, is_count, is_real
+from .citest import PIVOT_TOL, G2Kernel
+from .graph import Dag, check_id, is_count, is_real, pair_ids
 from .synth import SampleMatrix
 
 
@@ -210,11 +210,9 @@ def solve_lingam(data: SampleMatrix, variables) -> EdgeSet:
     m = data.m
     if m <= len(vs):
         raise RankDeficientError(f"m={m} too small for {len(vs)} variables")
-    x = data.values[:, vs]
-    # by max == min, as in the discrete solver: a constant column's std is
-    # rounding noise, not always 0
-    if np.any(x.max(axis=0) == x.min(axis=0)):
+    if data.constant[vs].any():
         raise SolverError("constant column in continuous data")
+    x = data.values[:, vs]
     x = (x - x.mean(axis=0)) / x.std(axis=0)
     order = _exogeneity_order(x)
     result = EdgeSet()
@@ -268,12 +266,10 @@ def solve_discrete_anm(data: SampleMatrix, variables) -> EdgeSet:
     vs = _checked_vars(data.n, variables)
     if len(vs) < 2:
         return EdgeSet()
-    x = data.values[:, vs].T
-    keep = x.min(axis=1) != x.max(axis=1)
-    usable = [v for v, ok in zip(vs, keep) if ok]
+    usable = [v for v in vs if not data.constant[v]]
     if len(usable) < 2:
         return EdgeSet()
-    cols = np.ascontiguousarray(x[keep])
+    cols = np.ascontiguousarray(data.values[:, usable].T)
     k = int(data.num_states)
     g2 = G2Kernel(k, data.m)
     # indices into the flat (x, y) table: its k rows, then the k rows of the
@@ -283,22 +279,15 @@ def solve_discrete_anm(data: SampleMatrix, variables) -> EdgeSet:
     shift = np.arange(k)
     rank = np.arange(2 * k)
     rotate = rows[rank[:, None, None], (shift[:, None] + shift) % k]
-    # the pairs (a, b), a < b, of positions in usable, in row-major order:
-    # row a starts at flat pair index start[a]
+    # the pairs (a, b), a < b, of positions in usable, in row-major order
     count = len(usable)
-    start = np.concatenate(([0], np.cumsum(np.arange(count - 1, 0, -1))))
     total = count * (count - 1) // 2
-    block = max(1, G2_BLOCK_CODES // data.m)
     result = EdgeSet()
-    for lo in range(0, total, block):
-        flat = np.arange(lo, min(lo + block, total))
-        a = np.searchsorted(start, flat, side="right") - 1
-        b = flat - start[a] + a + 1
-        offset = (k * k) * np.arange(len(flat))
-        codes = cols[b] + k * cols[a] + offset[:, None]
-        joint = np.bincount(codes.ravel(), minlength=len(flat) * k * k)
-        modes = joint.reshape(-1, k * k)[:, rows].argmax(axis=2)
-        resid = joint[rotate[rank, modes] + offset[:, None, None]]
+    for lo in range(0, total, g2.block):
+        a, b = pair_ids(np.arange(lo, min(lo + g2.block, total)), count)
+        joint = g2.pair_tables(cols[a], cols[b]).reshape(len(a), k * k)
+        modes = joint[:, rows].argmax(axis=2)
+        resid = np.take_along_axis(joint, rotate[rank, modes].reshape(len(a), -1), axis=1)
         p_ab, p_ba = g2.table_p_values(resid.reshape(-1, k, k)).reshape(-1, 2).T
         for t in np.flatnonzero((p_ab > LEAF_ALPHA) & (p_ba <= LEAF_ALPHA)):
             result.add(usable[a[t]], usable[b[t]], float(p_ab[t]))

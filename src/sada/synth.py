@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,33 +28,40 @@ class SampleFormatError(SynthError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleMatrix:
-    """Samples in rows, variables in columns."""
+    """Samples in rows, at least one, variables in columns. `constant` holds
+    one bool per column, True where its maximum equals its minimum: the std
+    of a constant column such as 0.1 is rounding noise, not 0. Two matrices
+    are equal only when they are the same object."""
 
     values: np.ndarray
     kind: str  # "continuous" or "discrete"
     num_states: int | None = None
+    constant: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("continuous", "discrete"):
             raise SynthError(f"unknown sample kind {self.kind!r}")
         if self.values.ndim != 2:
             raise SynthError("sample matrix must be 2-dimensional")
+        if not self.m:
+            raise SynthError("sample matrix has no sample rows")
         if self.kind == "discrete":
             if not is_count(self.num_states, 2):
                 raise SynthError(f"discrete samples need num_states to be an integer >= 2, "
                                  f"got {self.num_states!r}")
-            self._check_states()
-        elif self.values.size:
+            lo, hi = self._check_states()
+        else:
             # no deviation from the mean exceeds 2 max|x|, so below this
             # bound no sum of m squared deviations overflows; above it a
             # correlation could come out as 0 and read as independence.
             # NaN and inf fail the same test: one NaN would leave every
             # test on its column undecidable
             vals = self.values
+            lo, hi = vals.min(axis=0), vals.max(axis=0)
             limit = math.sqrt(np.finfo(float).max / (4 * self.m))
-            bad = np.flatnonzero(~(np.abs(vals).max(axis=0) <= limit))
+            bad = np.flatnonzero(~(np.maximum(hi, -lo) <= limit))
             if bad.size:
                 raise SynthError(f"column {int(bad[0])} holds a non-finite value or one "
                                  f"above {limit:.3g} in magnitude, whose squares over "
@@ -65,21 +72,21 @@ class SampleMatrix:
             # and read as dependence on every other column
             floor = math.sqrt(self.m * np.finfo(float).tiny)
             spread = np.abs(vals - vals.mean(axis=0)).max(axis=0)
-            bad = np.flatnonzero((spread < floor) & (vals.max(axis=0) != vals.min(axis=0)))
+            bad = np.flatnonzero((spread < floor) & (hi != lo))
             if bad.size:
                 raise SynthError(f"column {int(bad[0])} deviates from its mean by at most "
                                  f"{spread[bad[0]]:.3g}, below {floor:.3g}, so its variance "
                                  f"over m={self.m} samples would underflow")
+        object.__setattr__(self, "constant", lo == hi)
 
-    def _check_states(self):
-        """Discrete states must be integers in [0, num_states): the count
-        tables index by them, so anything else would silently miscount."""
+    def _check_states(self) -> tuple:
+        """Each column's minimum and maximum, once the discrete states are
+        integers in [0, num_states): the count tables index by them, so
+        anything else would silently miscount."""
         vals = self.values
         if not np.issubdtype(vals.dtype, np.integer):
             raise SynthError(f"discrete states must be integers, but column 0 "
                              f"(like every column) has dtype {vals.dtype}")
-        if vals.size == 0:
-            return
         lo, hi = vals.min(axis=0), vals.max(axis=0)
         bad = np.flatnonzero((lo < 0) | (hi >= self.num_states))
         if bad.size:
@@ -87,6 +94,7 @@ class SampleMatrix:
             state = int(lo[col] if lo[col] < 0 else hi[col])
             raise SynthError(f"column {col} holds state {state}, outside "
                              f"[0, {self.num_states}) for num_states={self.num_states}")
+        return lo, hi
 
     @property
     def m(self) -> int:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -152,6 +153,23 @@ class TestExpectedCutError:
 
     def test_zero_without_misses(self):
         assert expected_cut_error(ErrorModel(**{**SMALL, "beta": 0.0})) == 0.0
+
+    def test_matches_summed_posterior(self):
+        m = ErrorModel(n=80, e=200, n1=30, n2=30, alpha=0.05, beta=0.1)
+        want = math.fsum(i * cut_error_posterior(m, i) for i in range(30 * 30 + 1))
+        assert expected_cut_error(m) == pytest.approx(want, rel=1e-12)
+
+    def test_large_sides_take_constant_memory(self):
+        # 4e6 crossing pairs: no array of posterior terms is built
+        m = ErrorModel(n=8000, d=2.0, n1=2000, n2=2000)
+        tracemalloc.start()
+        try:
+            got = expected_cut_error(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert 0 < got < cut_error_bound(m)
 
     def test_never_exceeds_bound(self):
         rng = np.random.default_rng(5)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,16 +8,14 @@ import sada.framework
 from sada.framework import (
     FrameworkError,
     SadaConfig,
-    _decode_pair,
     _grow_from_seed,
-    _pair_row_starts,
     discover,
     find_causal_cut,
     merge_results,
     remove_conflicts_and_redundancy,
     run_sada,
 )
-from sada.graph import CausalCut, CycleError, Dag, generate_random_dag
+from sada.graph import CausalCut, CycleError, Dag, generate_random_dag, pair_ids
 from sada.solvers import EdgeSet, make_oracle_solver, solve_lingam
 from sada.synth import generate_discrete, generate_linear_nongaussian
 
@@ -156,11 +156,24 @@ class TestGrowthMatchesPairwiseReference:
 
 
 class TestPairDecode:
-    @pytest.mark.parametrize("n", [3, 4, 7, 30])
+    """`pair_ids`, the one decoder of the seed-pair probe and the discrete
+    ANM solver's pair blocks."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 30])
     def test_enumerates_row_major_pairs(self, n):
-        starts = _pair_row_starts(n)
-        decoded = [_decode_pair(k, starts) for k in range(n * (n - 1) // 2)]
-        assert decoded == [(i, j) for i in range(n) for j in range(i + 1, n)]
+        i, j = pair_ids(np.arange(n * (n - 1) // 2), n)
+        assert list(zip(i.tolist(), j.tolist())) == list(itertools.combinations(range(n), 2))
+
+    def test_row_ends_are_exact_at_large_n(self):
+        # the first and last pair of every row, where a float root one off
+        # would show; the last index is (n - 2, n - 1)
+        n = 100_000
+        rows = np.arange(n - 1)
+        first = rows * (2 * n - 1 - rows) // 2
+        last = first + (n - 2 - rows)
+        i, j = pair_ids(np.concatenate((first, last)), n)
+        assert i.tolist() == rows.tolist() * 2
+        assert j.tolist() == (rows + 1).tolist() + [n - 1] * (n - 1)
 
 
 class TestFindCausalCut:

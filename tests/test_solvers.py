@@ -3,7 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
+import sada.citest
 import sada.solvers as solvers
+from sada.citest import G2Kernel
 from sada.graph import Dag, generate_random_dag
 from sada.synth import SampleMatrix, generate_discrete, generate_linear_nongaussian, sample_from_cpts
 from sada.solvers import (
@@ -333,7 +335,8 @@ class TestDiscreteAnm:
         got = solve_discrete_anm(sm, range(40))
         text = ";".join(f"{u}>{v}" for u, v in sorted(got.pairs()))
         assert hashlib.sha256(text.encode()).hexdigest() == self.PAIR_DIGESTS[k]
-        monkeypatch.setattr(solvers, "G2_BLOCK_CODES", 7 * sm.m)
+        monkeypatch.setattr(sada.citest, "G2_BLOCK_CODES", 7 * sm.m)
+        assert G2Kernel(k, sm.m).block == 7
         assert solve_discrete_anm(sm, range(40)) == got
 
     def test_degenerate_columns_run_quietly(self):

@@ -1,9 +1,11 @@
 """Static checks on the package source, by the stdlib `ast` module: no module
-under src/sada imports a name it never uses, and every private function or
-method defined there is referenced somewhere there. A deletion that leaves an
-import or a helper behind fails here."""
+under src/sada imports a name it never uses, every private function or
+method defined there is referenced somewhere there, and every module-level
+all-caps constant there is read somewhere there. A deletion or a move that
+leaves an import, a helper or a constant behind fails here."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sada"
@@ -54,3 +56,14 @@ def test_every_private_function_is_referenced():
                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and _is_private(node.name) and node.name not in referenced]
     assert unreferenced == []
+
+
+def test_every_constant_is_read():
+    trees = _trees()
+    read = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    constants = [(module, target.id) for module, tree in trees.items()
+                 for node in tree.body if isinstance(node, ast.Assign) for target in node.targets
+                 if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)]
+    assert constants
+    assert [f"{module}: {name}" for module, name in constants if name not in read] == []

@@ -268,3 +268,36 @@ class TestCsv:
             values[7, 2] = bad
             with pytest.raises(SynthError, match="column 2 holds a non-finite value"):
                 SampleMatrix(values, "continuous")
+
+
+class TestSampleMatrix:
+    def test_equality_is_identity(self):
+        # two matrices compare and hash as objects, not by their arrays,
+        # whose elementwise == has no truth value
+        a = SampleMatrix(np.zeros((3, 2)), "continuous")
+        b = SampleMatrix(np.zeros((3, 2)), "continuous")
+        assert a == a and a != b
+        assert a in [a] and a not in [b]
+        assert len({a, b, a}) == 2
+
+    @pytest.mark.parametrize("kind", ["continuous", "discrete"])
+    def test_zero_rows_are_refused(self, kind):
+        values = np.zeros((0, 3), dtype=float if kind == "continuous" else np.int64)
+        with pytest.raises(SynthError, match="no sample rows"):
+            SampleMatrix(values, kind, num_states=None if kind == "continuous" else 3)
+
+    def test_constant_columns(self):
+        # by max == min: the std of a column of 0.1 is rounding noise, not
+        # 0, and a column that differs in its last bit is not constant
+        tenth = np.full(50, 0.1)
+        last_bit = np.full(50, 1.0)
+        last_bit[17] = np.nextafter(1.0, 2.0)
+        rng = np.random.default_rng(3)
+        assert tenth.std() != 0
+        cont = SampleMatrix(np.column_stack([rng.random(50), tenth, last_bit]), "continuous")
+        assert cont.constant.tolist() == [False, True, False]
+        disc = np.column_stack([rng.integers(0, 3, 50), np.full(50, 2)])
+        assert SampleMatrix(disc, "discrete", num_states=3).constant.tolist() == [False, True]
+        # one sample makes every column constant
+        one = SampleMatrix(rng.random((1, 4)), "continuous")
+        assert one.constant.tolist() == [True] * 4
