@@ -6,8 +6,8 @@ and emits per-run metric rows (CSV) plus per-grid-point aggregates (JSON).
 """
 
 import csv
+import dataclasses
 import itertools
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,6 +32,9 @@ class Metrics:
     precision: float
     f1: float
     cut_error_ratio: Optional[float] = None
+
+
+_SCORES = tuple(f.name for f in dataclasses.fields(Metrics))
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -120,14 +123,6 @@ class ExperimentGrid:
             if d > (n - 1) / 2:  # the most generate_random_dag can draw
                 raise BenchError(f"in_degrees entry {d} exceeds (n - 1) / 2 for n={n}")
 
-    @classmethod
-    def from_mapping(cls, mapping) -> "ExperimentGrid":
-        known = set(_GRID_LISTS) | {"replicates", "model", "num_states"}
-        unknown = set(mapping) - known
-        if unknown:
-            raise BenchError(f"unknown grid keys: {', '.join(sorted(unknown))}")
-        return cls(**mapping)
-
     def points(self):
         """(index, n, m, d, w) for every grid combination, in sweep order."""
         combos = itertools.product(self.variable_sizes, self.sample_sizes,
@@ -136,8 +131,16 @@ class ExperimentGrid:
                 for i, (n, m, d, w) in enumerate(combos)]
 
 
-CSV_COLUMNS = ("model", "n", "m", "d", "w", "replicate", "method",
-               "recall", "precision", "f1", "cut_error_ratio", "wall_ms", "error")
+def methods(kind):
+    """(oracle name, oracle class, solver name, solver): the CI test and the
+    leaf solver for a data kind, as `sada discover` and `sada bench` use
+    them. The front ends build the oracle at their config's alpha_level."""
+    return {"continuous": ("pcorr", PartialCorrelationOracle, "lingam", solve_lingam),
+            "discrete": ("g2", GSquaredOracle, "anm", solve_discrete_anm)}[kind]
+
+
+CSV_COLUMNS = ("model", "n", "m", "d", "w", "replicate", "method", *_SCORES,
+               "wall_ms", "error")
 
 
 def _subproblem_scores(log, g_true):
@@ -151,16 +154,13 @@ def _subproblem_scores(log, g_true):
 
 
 def _metric_row(base, method, metrics, wall_ms):
-    return {**base, "method": method, "recall": metrics.recall,
-            "precision": metrics.precision, "f1": metrics.f1,
-            "cut_error_ratio": metrics.cut_error_ratio,
+    return {**base, "method": method, **dataclasses.asdict(metrics),
             "wall_ms": wall_ms, "error": ""}
 
 
 def _error_row(base, method, wall_ms, exc):
-    return {**base, "method": method, "recall": None, "precision": None,
-            "f1": None, "cut_error_ratio": None, "wall_ms": wall_ms,
-            "error": f"{type(exc).__name__}: {exc}"}
+    return {**base, "method": method, **dict.fromkeys(_SCORES),
+            "wall_ms": wall_ms, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _run_replicate(task):
@@ -178,13 +178,11 @@ def _run_replicate(task):
         if model == "continuous":
             data = generate_linear_nongaussian(
                 g_true, m, noise_weight=w, seed=np.random.default_rng(s_data))
-            oracle = PartialCorrelationOracle(data, alpha_level=cfg.alpha_level)
-            solver = solve_lingam
         else:
             data = generate_discrete(
                 g_true, m, num_states=num_states, seed=np.random.default_rng(s_data))
-            oracle = GSquaredOracle(data, alpha_level=cfg.alpha_level)
-            solver = solve_discrete_anm
+        _, oracle_cls, _, solver = methods(model)
+        oracle = oracle_cls(data, alpha_level=cfg.alpha_level)
     except Exception as exc:
         rows.append(_error_row(base, "sada", 0.0, exc))
         rows.append(_error_row(base, "baseline", 0.0, exc))
@@ -202,9 +200,8 @@ def _run_replicate(task):
         edges, cuts = discover(data, range(n), cfg, logged_solver, oracle,
                                np.random.default_rng(s_run))
         wall = (time.perf_counter() - start) * 1000.0
-        metrics = score(edges, g_true)
-        metrics = Metrics(metrics.recall, metrics.precision, metrics.f1,
-                          cut_error_ratio(cuts, g_true))
+        metrics = dataclasses.replace(score(edges, g_true),
+                                      cut_error_ratio=cut_error_ratio(cuts, g_true))
         rows.append(_metric_row(base, "sada", metrics, wall))
         subs = _subproblem_scores(log, g_true)
     except Exception as exc:
@@ -213,14 +210,12 @@ def _run_replicate(task):
     # the baseline's cleanup gets a fresh oracle: the one run_sada filled
     # would answer from its cache and understate the baseline's time
     if model == "discrete":
-        oracle = GSquaredOracle(data, alpha_level=cfg.alpha_level)
+        oracle = oracle_cls(data, alpha_level=cfg.alpha_level)
     start = time.perf_counter()
     try:
-        if model == "continuous":
-            flat = solve_lingam(data, range(n))
-        else:
-            flat = remove_conflicts_and_redundancy(
-                solve_discrete_anm(data, range(n)), oracle, max_cond=cfg.max_cond)
+        flat = solver(data, range(n))
+        if model == "discrete":
+            flat = remove_conflicts_and_redundancy(flat, oracle, max_cond=cfg.max_cond)
         wall = (time.perf_counter() - start) * 1000.0
         rows.append(_metric_row(base, "baseline", score(flat, g_true), wall))
     except Exception as exc:
@@ -242,7 +237,7 @@ def _summarize_point(grid, point, rows, subs):
         mine = [r for r in rows if r["method"] == method]
         stats = {"runs": len(mine),
                  "errors": sum(1 for r in mine if r["error"])}
-        for key in ("recall", "precision", "f1", "cut_error_ratio", "wall_ms"):
+        for key in (*_SCORES, "wall_ms"):
             stats[key] = _aggregate([r[key] for r in mine])
         entry["methods"][method] = stats
     by_size = {}
@@ -290,9 +285,3 @@ def write_rows_csv(rows, path):
         writer.writerow(CSV_COLUMNS)
         for row in rows:
             writer.writerow(["" if row[c] is None else row[c] for c in CSV_COLUMNS])
-
-
-def write_summary_json(summary, path):
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")

@@ -265,25 +265,18 @@ def min_delta_for_recall(model: ErrorModel) -> float:
     return (cut_error_bound(model) + (epsilon + beta) * _growth_term(model)) / e
 
 
-_REPORT_OPS = [
-    ("cut_error_bound", cut_error_bound),
-    ("expected_cut_error", expected_cut_error),
-    ("merge_delta_threshold", merge_delta_threshold),
-    ("merge_gamma_threshold", merge_gamma_threshold),
-    ("merge_precision_condition", merge_precision_condition),
-    ("conflict_removed_bound", conflict_removed_bound),
-    ("redundancy_removed_bound", redundancy_removed_bound),
-    ("min_delta_for_recall", min_delta_for_recall),
-]
+_REPORT_OPS = (cut_error_bound, expected_cut_error, merge_delta_threshold,
+               merge_gamma_threshold, merge_precision_condition, conflict_removed_bound,
+               redundancy_removed_bound, min_delta_for_recall)
 
 
 def bounds_report(model: ErrorModel) -> dict:
     """Every quantity computable from the model, by name. Expected merge
     counts are included when the partition counts and rates are present."""
     out = {}
-    for name, op in _REPORT_OPS:
+    for op in _REPORT_OPS:
         try:
-            out[name] = op(model)
+            out[op.__name__] = op(model)
         except UndefinedModelError:
             pass
     try:

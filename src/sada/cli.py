@@ -10,13 +10,13 @@ import sys
 
 import numpy as np
 
-from .bench import ExperimentGrid, cut_error_ratio, run_experiment, score, \
-    write_rows_csv, write_summary_json
+from .bench import ExperimentGrid, cut_error_ratio, methods, run_experiment, score, \
+    write_rows_csv
 from .bounds import ErrorModel, bounds_report
-from .citest import ExactCiOracle, GSquaredOracle, PartialCorrelationOracle
+from .citest import ExactCiOracle
 from .framework import FrameworkError, SadaConfig, discover
 from .graph import Dag, generate_random_dag, load_dag, save_dag
-from .solvers import make_oracle_solver, solve_discrete_anm, solve_lingam
+from .solvers import make_oracle_solver
 from .synth import generate_discrete, generate_linear_nongaussian, \
     load_samples, save_samples
 
@@ -62,7 +62,9 @@ def _resolve_seed(seed):
     return drawn
 
 
-def _load_mapping(path):
+def _load_fields(path, cls):
+    """The dataclass cls built from the JSON object in path, whose keys must
+    be fields of cls; cls itself checks each value."""
     with open(path) as fh:
         try:
             loaded = json.load(fh)
@@ -70,7 +72,20 @@ def _load_mapping(path):
             raise CliError(f"{path}: {exc}") from None
     if not isinstance(loaded, dict):
         raise CliError(f"{path}: expected a JSON object at top level")
-    return loaded
+    unknown = sorted(set(loaded) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise CliError(f"{path}: unknown field(s): {', '.join(unknown)}")
+    return cls(**loaded)
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def _config(args):
+    return SadaConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SadaConfig)})
 
 
 def _add_sada_flags(sp):
@@ -84,6 +99,7 @@ def _add_sada_flags(sp):
                     type=_config_arg("max_cond", lambda t: None if t.lower() == "none" else int(t)),
                     help="conditioning-set cap, or 'none' (default %(default)s)")
     sp.add_argument("--alpha", type=_config_arg("alpha_level", float), default=cfg.alpha_level,
+                    dest="alpha_level", metavar="ALPHA",
                     help="independence-test level (default %(default)s)")
 
 
@@ -179,23 +195,16 @@ def _cmd_discover(args):
         raise CliError("--oracle-solver answers subproblems from the true graph; "
                        "it needs --truth")
 
+    cfg = _config(args)
+    oracle_name, oracle_cls, solver_name, solver = methods(data.kind)
     if args.oracle_ci:
-        oracle, oracle_name = ExactCiOracle(truth), "exact"
-    elif data.kind == "discrete":
-        oracle, oracle_name = GSquaredOracle(data, alpha_level=args.alpha), "g2"
+        oracle_name, oracle = "exact", ExactCiOracle(truth)
     else:
-        oracle, oracle_name = PartialCorrelationOracle(data, alpha_level=args.alpha), "pcorr"
-
+        oracle = oracle_cls(data, alpha_level=cfg.alpha_level)
     if args.oracle_solver:
-        solver, solver_name = make_oracle_solver(truth), "oracle"
-    elif data.kind == "discrete":
-        solver, solver_name = solve_discrete_anm, "anm"
-    else:
-        solver, solver_name = solve_lingam, "lingam"
+        solver_name, solver = "oracle", make_oracle_solver(truth)
 
     seed = _resolve_seed(args.seed)
-    cfg = SadaConfig(theta=args.theta, k=args.k, max_cond=args.max_cond,
-                     alpha_level=args.alpha)
     edges, cuts = discover(data, range(data.n), cfg, solver, oracle,
                            np.random.default_rng(seed))
 
@@ -207,18 +216,12 @@ def _cmd_discover(args):
         "solver": solver_name,
         "oracle": oracle_name,
         "seed": seed,
-        "config": {"theta": cfg.theta, "k": cfg.k, "max_cond": cfg.max_cond,
-                   "alpha_level": cfg.alpha_level},
+        "config": dataclasses.asdict(cfg),
         "edges": [[e.parent, e.child, e.significance] for e in edges],
     }
     if truth is not None:
-        metrics = score(edges, truth)
-        report["metrics"] = {
-            "recall": metrics.recall,
-            "precision": metrics.precision,
-            "f1": metrics.f1,
-            "cut_error_ratio": cut_error_ratio(cuts, truth),
-        }
+        report["metrics"] = dataclasses.asdict(dataclasses.replace(
+            score(edges, truth), cut_error_ratio=cut_error_ratio(cuts, truth)))
     if args.trace:
         report["cuts"] = [
             {"variables": sorted(cut.left | cut.cut_set | cut.right),
@@ -227,37 +230,28 @@ def _cmd_discover(args):
              "right": sorted(cut.right)}
             for cut in cuts
         ]
-    text = json.dumps(report, indent=2)
     if args.out:
         save_dag(result, f"{args.out}.edges")
-        with open(f"{args.out}.json", "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        _write_json(f"{args.out}.json", report)
+    print(json.dumps(report, indent=2))
     return 0
 
 
 def _cmd_bounds(args):
-    mapping = _load_mapping(args.model)
-    known = {f.name for f in dataclasses.fields(ErrorModel)}
-    unknown = sorted(set(mapping) - known)
-    if unknown:
-        raise CliError(f"unknown model field(s): {', '.join(unknown)}")
-    text = json.dumps(bounds_report(ErrorModel(**mapping)), indent=2)
+    report = bounds_report(_load_fields(args.model, ErrorModel))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        _write_json(args.out, report)
+    print(json.dumps(report, indent=2))
     return 0
 
 
 def _cmd_bench(args):
-    grid = ExperimentGrid.from_mapping(_load_mapping(args.grid))
-    cfg = SadaConfig(theta=args.theta, k=args.k, max_cond=args.max_cond,
-                     alpha_level=args.alpha)
+    grid = _load_fields(args.grid, ExperimentGrid)
+    cfg = _config(args)
     seed = _resolve_seed(args.seed)
     rows, summary = run_experiment(grid, cfg, seed=seed, workers=args.threads)
     write_rows_csv(rows, f"{args.out}.csv")
-    write_summary_json(summary, f"{args.out}.json")
+    _write_json(f"{args.out}.json", summary)
     print(f"wrote {args.out}.csv and {args.out}.json ({len(rows)} rows)",
           file=sys.stderr)
     return 0

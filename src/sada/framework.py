@@ -26,8 +26,10 @@ class SadaConfig:
     theta: stop partitioning once a subproblem has at most this many
     variables.  k: independent restarts of the cut search per node.
     max_cond: conditioning-set cap for every CI query (None lifts it).
-    alpha_level: significance level of the CI tests.  A run's randomness
-    comes only from the Generator passed to run_sada.
+    alpha_level: the level the front ends (`sada discover`, `sada bench`)
+    build their oracle at; nothing under run_sada reads it, as each oracle
+    tests at its own alpha_level.  A run's randomness comes only from the
+    Generator passed to run_sada.
     """
 
     theta: int = 10

@@ -201,7 +201,8 @@ def save_samples(sm: SampleMatrix, path) -> None:
 def load_samples(path) -> SampleMatrix:
     """Read a sample CSV; a table whose cells are all integers is discrete
     (num_states is max value + 1, at least 2), anything else is continuous.
-    Non-numeric and non-finite (nan, inf) cells raise SampleFormatError."""
+    Non-numeric and non-finite (nan, inf) cells raise SampleFormatError, as
+    does a discrete table's state past int64."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -213,6 +214,7 @@ def load_samples(path) -> SampleMatrix:
             raise SampleFormatError("empty header", 1)
         rows = []
         all_int = True
+        huge = None  # (cell, line) of the first integer past int64
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -229,11 +231,15 @@ def load_samples(path) -> SampleMatrix:
                 parsed.append(x)
                 if all_int and x != int(x):
                     all_int = False
+                elif all_int and huge is None and x >= 2.0 ** 63:
+                    huge = (cell, line_no)
             rows.append(parsed)
     if not rows:
         raise SampleFormatError("no sample rows", 2)
     values = np.asarray(rows, dtype=float)
     if all_int and np.all(values >= 0):
+        if huge is not None:
+            raise SampleFormatError(f"state {huge[0]!r} does not fit in int64", huge[1])
         ints = values.astype(np.int64)
         return SampleMatrix(ints, "discrete", num_states=max(int(ints.max()) + 1, 2))
     return SampleMatrix(values, "continuous")

@@ -4,7 +4,11 @@ import json
 import numpy as np
 import pytest
 
+import sada.bench
+import sada.cli
+from sada.citest import GSquaredOracle, PartialCorrelationOracle
 from sada.cli import main
+from sada.framework import SadaConfig
 from sada.graph import Dag, load_dag, save_dag
 from sada.synth import SampleMatrix, generate_linear_nongaussian, load_samples, save_samples
 
@@ -109,6 +113,26 @@ class TestDiscover:
         assert set(report["metrics"]) == {"recall", "precision", "f1",
                                           "cut_error_ratio"}
         assert "cuts" not in report
+
+    def test_config_flags_reach_the_run_and_the_report(self, data_file, monkeypatch, capsys):
+        # the oracle is built at --alpha, the run gets the four flags as one
+        # SadaConfig, and the report's config restates exactly that config
+        handed = []
+        real_discover = sada.cli.discover
+
+        def spy(data, variables, cfg, solver, oracle, rng):
+            handed.append((cfg, oracle))
+            return real_discover(data, variables, cfg, solver, oracle, rng)
+
+        monkeypatch.setattr(sada.cli, "discover", spy)
+        assert run("discover", "--data", data_file, "--theta", 5, "--k", 2,
+                   "--max-cond", 2, "--alpha", 0.01, "--seed", 1) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert list(config.items()) == [("theta", 5), ("k", 2), ("max_cond", 2),
+                                        ("alpha_level", 0.01)]
+        [(cfg, oracle)] = handed
+        assert cfg == SadaConfig(theta=5, k=2, max_cond=2, alpha_level=0.01)
+        assert type(oracle) is PartialCorrelationOracle and oracle.alpha_level == 0.01
 
     def test_replays_under_seed(self, data_file, truth_file, capsys):
         # theta 5 makes the run cut, so the seed pairs come from --seed
@@ -247,6 +271,7 @@ class TestDiscover:
                    "--out", prefix) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["solver"] == "anm"
+        assert report["oracle"] == "g2"
         load_dag(tmp_path / "found.edges")  # Dag constructor rejects cycles
 
 
@@ -305,6 +330,38 @@ class TestBench:
         summary = json.loads((tmp_path / "sweep.json").read_text())
         assert summary["seed"] == 11
         assert summary["grid_points"][0]["n"] == 12
+
+    @pytest.mark.parametrize("model, oracle_cls, cleanups", [
+        ("continuous", PartialCorrelationOracle, 0), ("discrete", GSquaredOracle, 2)])
+    def test_alpha_builds_every_oracle(self, tmp_path, monkeypatch, model, oracle_cls,
+                                       cleanups):
+        # each replicate's run and, for discrete data, its flat baseline's
+        # cleanup each get their own oracle at --alpha
+        runs, cleaned = [], []
+        real_discover = sada.bench.discover
+        real_cleanup = sada.bench.remove_conflicts_and_redundancy
+
+        def discover_spy(data, variables, cfg, solver, oracle, rng):
+            runs.append((cfg, oracle))
+            return real_discover(data, variables, cfg, solver, oracle, rng)
+
+        def cleanup_spy(edges, oracle, max_cond):
+            cleaned.append((oracle, max_cond))
+            return real_cleanup(edges, oracle, max_cond=max_cond)
+
+        monkeypatch.setattr(sada.bench, "discover", discover_spy)
+        monkeypatch.setattr(sada.bench, "remove_conflicts_and_redundancy", cleanup_spy)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"variable_sizes": [8], "sample_sizes": [600],
+                                    "replicates": 2, "model": model}))
+        assert run("bench", grid, "--theta", 5, "--max-cond", 2, "--alpha", 0.02,
+                   "--seed", 12, "--out", tmp_path / "s") == 0
+        assert [cfg for cfg, _ in runs] == [SadaConfig(theta=5, max_cond=2, alpha_level=0.02)] * 2
+        assert [max_cond for _, max_cond in cleaned] == [2] * cleanups
+        oracles = [oracle for _, oracle in runs] + [oracle for oracle, _ in cleaned]
+        assert len({id(oracle) for oracle in oracles}) == 2 + cleanups
+        for oracle in oracles:
+            assert type(oracle) is oracle_cls and oracle.alpha_level == 0.02
 
     def test_bad_grid_key(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"

@@ -229,6 +229,22 @@ class TestCsv:
                 load_samples(p)
             assert err.value.line_no == line_no
 
+    def test_discrete_state_past_int64_names_its_line(self, tmp_path):
+        # 1e20 is a whole number, so the table reads as discrete; the cast to
+        # int64 would overflow (a RuntimeWarning) into a negative state
+        p = tmp_path / "huge.csv"
+        p.write_text("v0,v1\n0,1\n\n2,1e20\n1,9223372036854775807\n")
+        with pytest.raises(SampleFormatError, match="'1e20' does not fit in int64") as err:
+            load_samples(p)
+        assert err.value.line_no == 4
+        # the largest float below 2**63 still casts exactly
+        p.write_text("v0,v1\n0,1\n2,9223372036854774784\n")
+        back = load_samples(p)
+        assert back.kind == "discrete" and back.values[1, 1] == 2 ** 63 - 1024
+        # a fractional cell elsewhere makes the table continuous, where 1e20 is a value
+        p.write_text("v0,v1\n0.5,1\n2,1e20\n")
+        assert load_samples(p).kind == "continuous"
+
     def test_blank_lines_between_rows_are_skipped(self, tmp_path):
         p = tmp_path / "gaps.csv"
         p.write_text("v0,v1\n0.5,1.0\n\n-0.25,2.0\n\n")
