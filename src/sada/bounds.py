@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.special import gammaln
-
 from .graph import is_count, is_real
 
 
@@ -139,7 +137,7 @@ def _pair_odds(model: ErrorModel):
 
 def _log_pmf(total, i, rho):
     """log(C(total, i) * rho^i / (1+rho)^total), for an int i."""
-    log_choose = gammaln(total + 1) - gammaln(i + 1) - gammaln(total - i + 1)
+    log_choose = math.lgamma(total + 1) - math.lgamma(i + 1) - math.lgamma(total - i + 1)
     return log_choose + i * math.log(rho) - total * math.log1p(rho)
 
 

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, ndtr
 
-from .graph import Dag, bit_ids, check_id, checked_ids, is_alpha_level, is_cap
+from .graph import Dag, bit_ids, check_id, checked_ids, is_alpha_level, is_cap, pair_ids
 from .synth import SampleMatrix
 
 
@@ -202,8 +201,15 @@ class PartialCorrelationOracle(CiOracle):
             raise SingularConditioningError("partial correlation is not identifiable")
         r = min(max(r, -1 + 1e-15), 1 - 1e-15)
         stat = math.sqrt(eff) * math.atanh(r)
-        # exactly the normal survival function, without the distribution-object overhead
-        return float(2 * ndtr(-abs(stat)))
+        return two_sided_normal_sf(stat)
+
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def two_sided_normal_sf(stat: float) -> float:
+    """Two-sided normal tail P(|Z| > |stat|) = erfc(|stat| / sqrt(2))."""
+    return math.erfc(abs(stat) * _SQRT_HALF)
 
 
 def _partial_corr(c, u, v, zt) -> float:
@@ -250,6 +256,123 @@ def _partial_corr(c, u, v, zt) -> float:
     return uv / math.sqrt(uu * vv)
 
 
+# x / 2 is clamped into [_H_MIN, _H_MAX] before the series: x = 0 then
+# sums to exactly 1, and x past 2 * _H_MAX, inf included, to exactly 0
+_H_MIN, _H_MAX = 5e-324, 1e300
+# Below this many entries a block takes the single-test path entry by entry:
+# numpy's fixed cost per call, about 20 operations, outweighs the saving
+_CHI2_BLOCK_MIN = 16
+
+
+def chi2_sf(x, dof):
+    """Upper tail P(X > x) of the chi-squared distribution with integer dof
+    >= 0 (dof 0 is the point mass at 0, whose tail is 0): a float for a
+    float x and an int dof, and an array for a 1-d array x, with dof an int
+    or an int array of its shape. NaN gives NaN. A block carries, entry for
+    entry, the bits a single call gives.
+
+    With h = x / 2 and dof = 2 * half + odd, the tail is the finite series
+    sum over j < half of exp(-h) * h^(j + a) / Gamma(j + a + 1), a = odd / 2,
+    plus erfc(sqrt(h)) for odd dof (Abramowitz & Stegun 26.4.4 and 26.4.21).
+    Its largest term, at j = floor(h - a) within range, is taken in log space
+    with math.lgamma and the others by ratios from it, outward, down then
+    up, so exp(-h) underflowing for h > 745 or h^j overflowing leaves the
+    sum intact; a term that no longer changes the sum ends its direction,
+    as every later one is smaller. exp and log come from numpy in both
+    paths, since its SIMD ufuncs may round differently from libm's."""
+    if isinstance(x, np.ndarray):
+        if len(x) < _CHI2_BLOCK_MIN:
+            dofs = dof.tolist() if isinstance(dof, np.ndarray) else [int(dof)] * len(x)
+            return np.array([chi2_sf(v, d) for v, d in zip(x.tolist(), dofs)])
+        if not isinstance(dof, np.ndarray):
+            return _chi2_sf_block(x, int(dof))
+        present = np.flatnonzero(np.bincount(dof))
+        if len(present) == 1:
+            return _chi2_sf_block(x, int(present[0]))
+        # one block per dof, so that each runs its own series length
+        p = np.empty(len(x))
+        for d in present.tolist():
+            at = np.flatnonzero(dof == d)
+            p[at] = _chi2_sf_block(x[at], d)
+        return p
+    h = 0.5 * x
+    if not _H_MIN <= h <= _H_MAX:
+        if h != h:
+            return math.nan
+        h = _H_MIN if h < _H_MIN else _H_MAX
+    half = dof >> 1
+    odd = dof & 1
+    s = 0.0
+    if half:
+        a = 0.5 * odd
+        # h - a > -1, so int() is the floor
+        top = int(h - a)
+        if top >= half:
+            top = half - 1
+        e = top + a
+        s = t = peak = float(np.exp(e * float(np.log(h)) - h - math.lgamma(e + 1.0)))
+        j = e
+        while j > a:
+            t = t * j / h
+            if s + t == s:
+                break
+            s += t
+            j -= 1.0
+        t = peak
+        j = e + 1.0
+        while j < half:
+            t = t * h / j
+            if s + t == s:
+                break
+            s += t
+            j += 1.0
+    if odd:
+        s += math.erfc(math.sqrt(h))
+    return s
+
+
+def _chi2_sf_block(x, dof: int) -> np.ndarray:
+    """`chi2_sf` over a 1-d array x at one dof, through the same operations
+    in the same order. A term outside an entry's range counts as 0, and one
+    that would end an entry's direction cannot change it while the loop
+    goes on for the others."""
+    h = np.minimum(np.maximum(0.5 * x, _H_MIN), _H_MAX)
+    half = dof >> 1
+    odd = dof & 1
+    if not half:
+        s = 0.0 * h
+    else:
+        a = 0.5 * odd
+        # fmin keeps a NaN's top in range, for the lgamma index
+        if odd:
+            top = np.maximum(np.fmin(np.floor(h - a), half - 1), 0.0)
+            e = top + a
+        else:
+            e = top = np.fmin(np.floor(h), half - 1)
+        lgamma = np.array([math.lgamma(j + a + 1.0) for j in range(half)])
+        s = t = peak = np.exp(e * np.log(h) - h - lgamma[top.astype(np.intp)])
+        steps = half - 1
+        for d in range(1, half):
+            # at an even dof, e - (d - 1) is 0 one step past an entry's
+            # range, so its t stays 0 from there; an odd one takes the mask
+            factor = e - (d - 1) if d > 1 else e
+            t = t * (np.where(top >= d, factor, 0.0) if odd else factor) / h
+            grown = s + t
+            if d < steps and (grown == s).all():
+                break
+            s = grown
+        t = peak
+        for d in range(1, half):
+            t = t * np.where(top < half - d, h, 0.0) / (e + d)
+            grown = s + t
+            if d < steps and (grown == s).all():
+                break
+            s = grown
+    if odd:
+        s = s + np.fromiter(map(math.erfc, np.sqrt(h).tolist()), float, len(h))
+    return s
+
+
 # The G2 callers score their count tables a block at a time. A block's code
 # array, one code per sample per table, holds about this many entries, though
 # a block never takes fewer than one table: that spreads numpy's per-call
@@ -271,13 +394,20 @@ class G2Kernel:
     table's terms carry the same bits whatever other tables share the call.
     The dof is (nonzero rows - 1) * (nonzero columns - 1) per non-empty
     table, so empty tables and zero marginals add nothing. `block` is the
-    tables a caller scores per call: G2_BLOCK_CODES codes, m per table."""
+    tables a caller scores per call: G2_BLOCK_CODES codes, m per table.
+    `pair_tables` gathers and counts a block's codes in two (block, m)
+    arrays the kernel allocates once, as scratch this size churns the heap
+    when it comes and goes with each block."""
 
-    __slots__ = ("block", "_k", "_xlogx", "_spread", "_sign", "_free")
+    __slots__ = ("block", "_k", "_xlogx", "_spread", "_sign", "_free", "_codes", "_other",
+                 "_offsets")
 
     def __init__(self, num_states: int, m: int):
         k = self._k = int(num_states)
         self.block = max(1, G2_BLOCK_CODES // m)
+        self._codes, self._other = np.empty((2, self.block, m), dtype=np.int64)
+        # table t's codes start at t * k * k
+        self._offsets = (k * k) * np.arange(self.block)[:, None]
         x = np.arange(m + 1, dtype=float)
         self._xlogx = x * np.log(np.maximum(x, 1.0))
         eye, ones = np.eye(k, dtype=np.int64), np.ones((k, 1), dtype=np.int64)
@@ -293,13 +423,19 @@ class G2Kernel:
         free[-1] = -1
         self._free = free
 
-    def pair_tables(self, x, ys) -> np.ndarray:
-        """The (len(ys), k, k) count tables of x, the row variable, against
-        each row of ys, from one offset bincount; x is one column of codes
-        or one per row of ys."""
-        k = self._k
-        codes = ys + k * x + (k * k) * np.arange(len(ys))[:, None]
-        return np.bincount(codes.ravel(), minlength=len(ys) * k * k).reshape(-1, k, k)
+    def pair_tables(self, cols, a, b) -> np.ndarray:
+        """The (len(a), k, k) count tables of the int64 code rows cols[a[i]],
+        the row variable, against cols[b[i]], for at most `block` pairs of
+        ids in range, from one offset bincount."""
+        k, count = self._k, len(a)
+        codes, other = self._codes[:count], self._other[:count]
+        # mode="raise" would gather through a buffer of its own
+        np.take(cols, a, axis=0, out=codes, mode="clip")
+        np.take(cols, b, axis=0, out=other, mode="clip")
+        codes *= k
+        codes += other
+        codes += self._offsets[:count]
+        return np.bincount(codes.ravel(), minlength=count * k * k).reshape(-1, k, k)
 
     def _terms(self, tables) -> tuple:
         """Each table's G2 / 2 and its two free counts, the (table, 2) array
@@ -319,37 +455,37 @@ class G2Kernel:
         """chi2 survival of the stratified G2; a degenerate test (dof 0)
         carries no evidence against independence."""
         g2, dof = self(tables)
-        return 1.0 if dof == 0 else float(chdtrc(dof, g2))
+        return 1.0 if dof == 0 else chi2_sf(g2, dof)
 
     def table_p_values(self, tables) -> np.ndarray:
         """Each (k, k) table's own p-value, bit for bit what `p_value` gives
         for it as a one-stratum stack; dof 0 gives 1.0."""
         half, free = self._terms(tables)
-        g2 = np.maximum(2.0 * half, 0.0)
         dof = free[:, 0] * free[:, 1]
-        p = np.ones(len(tables))
-        live = dof > 0
-        p[live] = chdtrc(dof[live], g2[live])
+        p = chi2_sf(np.maximum(2.0 * half, 0.0), dof)
+        p[dof == 0] = 1.0
         return p
 
 
 class GSquaredOracle(CiOracle):
     """Log-likelihood-ratio independence test on stratified contingency
     tables, for discrete samples with a shared state count. A marginal test
-    of (u, v), u < v, reads u's row: the p-values of (u, w) for every w > u,
-    scored a block of tables per kernel call on the first marginal test
-    with u as the lower id, and kept, as Fisher-z keeps its correlations."""
+    of (u, v), u < v, reads the p-values of the kernel block of pairs that
+    holds it, in the row-major order of the pairs: the first marginal test
+    in a block scores all of it in one kernel call, and the block is kept,
+    as Fisher-z keeps its correlations."""
 
     def __init__(self, data: SampleMatrix, alpha_level: float = 0.05):
         if data.kind != "discrete":
             raise CiError("G-squared needs discrete samples")
         super().__init__(data.n, alpha_level)
         # one contiguous code array per column
-        self._cols = np.ascontiguousarray(data.values.T)
+        self._cols = np.ascontiguousarray(data.values.T, dtype=np.int64)
         self._m = data.m
         self._k = int(data.num_states)
         self._g2 = G2Kernel(self._k, self._m)
-        self._rows = [None] * data.n
+        pairs = data.n * (data.n - 1) // 2
+        self._blocks = [None] * -(-pairs // self._g2.block)
 
     def _p_value(self, u, v, zt) -> float:
         k = self._k
@@ -358,10 +494,13 @@ class GSquaredOracle(CiOracle):
             raise UnreliableTestError(
                 f"m={self._m} below 10*dof={10 * nominal_dof} for |z|={len(zt)}")
         if not zt:
-            row = self._rows[u]
-            if row is None:
-                row = self._rows[u] = self._marginal_row(u)
-            return row[v - u - 1]
+            # row u of the pairs starts at u * (2n - 1 - u) / 2
+            n = self._n
+            c, at = divmod(u * (2 * n - 1 - u) // 2 + v - u - 1, self._g2.block)
+            block = self._blocks[c]
+            if block is None:
+                block = self._blocks[c] = self._marginal_block(c)
+            return block[at]
         cols = self._cols
         code = cols[v] + k * cols[u]
         base = k * k
@@ -370,15 +509,12 @@ class GSquaredOracle(CiOracle):
             base *= k
         return self._g2.p_value(np.bincount(code, minlength=base).reshape(-1, k, k))
 
-    def _marginal_row(self, u) -> list:
-        """The marginal p-values of (u, w) for w = u + 1, ..., n - 1, a
-        kernel block of tables per call."""
-        cols, g2 = self._cols, self._g2
-        row = []
-        for lo in range(u + 1, self._n, g2.block):
-            tables = g2.pair_tables(cols[u], cols[lo:lo + g2.block])
-            row += g2.table_p_values(tables).tolist()
-        return row
+    def _marginal_block(self, c) -> list:
+        """The marginal p-values of the c-th kernel block of pairs."""
+        g2, n = self._g2, self._n
+        lo = c * g2.block
+        a, b = pair_ids(np.arange(lo, min(lo + g2.block, n * (n - 1) // 2)), n)
+        return g2.table_p_values(g2.pair_tables(self._cols, a, b)).tolist()
 
 
 class ExactCiOracle(CiOracle):

@@ -8,9 +8,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import chdtrc
 
-from .citest import PIVOT_TOL, G2Kernel
+from .citest import PIVOT_TOL, G2Kernel, chi2_sf
 from .graph import Dag, check_id, is_count, is_real, pair_ids
 from .synth import SampleMatrix
 
@@ -149,15 +148,16 @@ def _abs_corr(x: np.ndarray, cols: np.ndarray, prod: np.ndarray) -> np.ndarray:
     return np.abs(out, out=out)
 
 
-def _pick_scores(work: np.ndarray) -> np.ndarray:
+def _pick_scores(work: np.ndarray, bufs: np.ndarray) -> np.ndarray:
     """The dependence left between each candidate column and the other
     columns' residuals once they are regressed on it; lower means more
     exogenous. Each candidate's coefficients come from its own matrix-vector
-    product, as a single matrix product would round differently."""
+    product, as a single matrix product would round differently. bufs, the
+    three stacked temporaries, comes from `_score_bufs` for at least work's
+    column count."""
     m, k = work.shape
     block = min(k, max(2, _SCORE_BLOCK_FLOATS // (m * k)))
     scores = np.empty(k)
-    bufs = np.empty((3, m * block * k))
     for lo in range(0, k, block):
         hi = min(lo + block, k)
         resid, th, prod = bufs[:, :m * (hi - lo) * k].reshape(3, m, hi - lo, k)
@@ -173,16 +173,27 @@ def _pick_scores(work: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _score_bufs(m: int, k: int) -> np.ndarray:
+    """Scratch for every `_pick_scores` over m rows and at most k columns:
+    a block's temporary holds its candidates' m * k floats each, and so at
+    most all k candidates, or _SCORE_BLOCK_FLOATS floats, or two candidates
+    when even that overruns it."""
+    return np.empty((3, min(m * k * k, max(_SCORE_BLOCK_FLOATS, 2 * m * k))))
+
+
 def _exogeneity_order(x: np.ndarray) -> list:
     """Repeatedly take the variable whose removal leaves the least dependence
     between itself and the other variables' regression residuals (the first
     one on a tie), deflating the rest onto it after each pick."""
     m, k = x.shape
     work = (x - x.mean(axis=0)) / x.std(axis=0)
+    # one allocation for every pick: scratch this size churns the heap when
+    # it comes and goes with each one
+    bufs = _score_bufs(m, k)
     remaining = list(range(k))
     order = []
     while len(remaining) > 1:
-        best = int(np.argmin(_pick_scores(work)))
+        best = int(np.argmin(_pick_scores(work, bufs)))
         order.append(remaining[best])
         xi = work[:, best]
         beta = work.T @ xi / m
@@ -239,7 +250,7 @@ def solve_lingam(data: SampleMatrix, variables) -> EdgeSet:
         var = s2 * np.diag(gram_inv)
         with np.errstate(divide="ignore", invalid="ignore"):
             wald = np.where(var > 0, beta * beta / var, np.inf)
-        p = chdtrc(1, wald)
+        p = chi2_sf(wald, 1)
         for j, pred in enumerate(preds):
             if p[j] < LEAF_ALPHA:
                 result.add(vs[pred], vs[child], 1.0 - float(p[j]))
@@ -269,7 +280,7 @@ def solve_discrete_anm(data: SampleMatrix, variables) -> EdgeSet:
     usable = [v for v in vs if not data.constant[v]]
     if len(usable) < 2:
         return EdgeSet()
-    cols = np.ascontiguousarray(data.values[:, usable].T)
+    cols = np.ascontiguousarray(data.values[:, usable].T, dtype=np.int64)
     k = int(data.num_states)
     g2 = G2Kernel(k, data.m)
     # indices into the flat (x, y) table: its k rows, then the k rows of the
@@ -285,7 +296,7 @@ def solve_discrete_anm(data: SampleMatrix, variables) -> EdgeSet:
     result = EdgeSet()
     for lo in range(0, total, g2.block):
         a, b = pair_ids(np.arange(lo, min(lo + g2.block, total)), count)
-        joint = g2.pair_tables(cols[a], cols[b]).reshape(len(a), k * k)
+        joint = g2.pair_tables(cols, a, b).reshape(len(a), k * k)
         modes = joint[:, rows].argmax(axis=2)
         resid = np.take_along_axis(joint, rotate[rank, modes].reshape(len(a), -1), axis=1)
         p_ab, p_ba = g2.table_p_values(resid.reshape(-1, k, k)).reshape(-1, 2).T

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from sada.bounds import (
     BoundsError,
@@ -142,6 +143,27 @@ class TestCutErrorPosterior:
     def test_missing_sides_reported(self):
         with pytest.raises(UndefinedModelError):
             cut_error_posterior(ErrorModel(n=20, e=25), 0)
+
+
+class TestGammalnReference:
+    """The posterior's log binomial coefficient comes from math.lgamma; this
+    pins both posterior functions to scipy.special.gammaln within 1e-12."""
+
+    @pytest.mark.parametrize("fields", [
+        SMALL,
+        dict(n=80, e=200, n1=30, n2=30, alpha=0.05, beta=0.1),
+        dict(n=200, d=2.0, n1=40, n2=40, alpha=0.2, beta=0.3),
+    ])
+    def test_posterior_and_expectation(self, fields):
+        m = ErrorModel(**fields)
+        total = m.n1 * m.n2
+        rho = m.e * m.beta / (m.f * (1.0 - m.alpha))
+        i = np.arange(total + 1)
+        log_choose = gammaln(total + 1) - gammaln(i + 1) - gammaln(total - i + 1)
+        want = np.exp(log_choose + i * math.log(rho) - total * math.log1p(rho))
+        got = [cut_error_posterior(m, j) for j in range(total + 1)]
+        assert got == pytest.approx(want.tolist(), rel=0, abs=1e-12)
+        assert expected_cut_error(m) == pytest.approx(math.fsum(i * want), rel=1e-12)
 
 
 class TestExpectedCutError:

@@ -1,5 +1,6 @@
 import enum
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -25,6 +26,8 @@ from sada.citest import (
     PartialCorrelationOracle,
     SingularConditioningError,
     UnreliableTestError,
+    chi2_sf,
+    two_sided_normal_sf,
 )
 
 from conftest import TableOracle, bits, random_small_dags, relabelled, value_id
@@ -247,9 +250,9 @@ class TestGSquared:
         assert v.independent and v.p_value == 1.0
 
     def test_marginal_rows_match_the_one_table_kernel(self, monkeypatch):
-        # a marginal p-value read from u's row carries the bits of the
-        # kernel on that pair's table alone, with one block per row and with
-        # rows cut into blocks of three tables
+        # a marginal p-value read from its block of pairs carries the bits of
+        # the kernel on that pair's table alone, with the default block and
+        # with blocks of three pairs
         g = generate_random_dag(12, 1.25, seed=8)
         default = sada.citest.G2_BLOCK_CODES
         for k, m in ((2, 60), (3, 200), (4, 400), (5, 700)):
@@ -264,11 +267,12 @@ class TestGSquared:
                 o = GSquaredOracle(sm)
                 assert {(u, v): o.query(v, u).p_value for u, v in want} == want
 
-    def test_marginal_row_is_scored_once(self):
-        # the first marginal test with u as the lower id scores u's whole
-        # row in one kernel call; a second pair from that row reads it, and
-        # a repeated query returns the verdict it cached. Below the
-        # reliability floor nothing is scored
+    def test_marginal_block_is_scored_once(self, monkeypatch):
+        # the first marginal test in a block of pairs, in row-major order,
+        # scores the whole block in one kernel call; another pair of that
+        # block reads it, and a repeated query returns the verdict it
+        # cached. Below the reliability floor nothing is scored
+        monkeypatch.setattr(sada.citest, "G2_BLOCK_CODES", 10 * 200)
         sm = generate_discrete(generate_random_dag(10, 1.25, seed=2), m=200, seed=3)
         o = GSquaredOracle(sm)
         kernel, calls = o._g2, []
@@ -282,19 +286,21 @@ class TestGSquared:
                 return getattr(kernel, name)
 
         o._g2 = Counting()
+        # rows of pairs start at 0, 9, 17, 24, ...: (2, 5) is pair 19, in
+        # the block of pairs 10 to 19 with (1, 3) and (2, 4)
         first = o.query(5, 2)
-        assert calls == [7]
-        o.query(2, 9)
-        o.query(7, 2)
-        assert calls == [7]
+        assert calls == [10]
+        o.query(2, 4)
+        o.query(3, 1)
+        assert calls == [10]
         assert o.query(2, 5) is first is o._cache[2, 5, ()]
-        o.query(3, 4)
-        assert calls == [7, 6]
+        o.query(8, 9)  # pair 44, the last block's fifth, after 40 to 43
+        assert calls == [10, 5]
         few = GSquaredOracle(SampleMatrix(sm.values[:39], "discrete", num_states=3))
         few._g2 = Counting()
         with pytest.raises(UnreliableTestError):
             few.query(0, 1)  # marginal dof 4 needs m >= 40
-        assert calls == [7, 6] and few._rows[0] is None
+        assert calls == [10, 5] and few._blocks == [None]
 
     def test_symmetric_in_pair(self):
         g = generate_random_dag(6, 1.25, seed=5)
@@ -1000,14 +1006,12 @@ def _random_queries(n, count, rng, sizes=range(6)):
         yield picked[0], picked[1], tuple(picked[2:])
 
 
-def _scipy_stats_chdtrc(df, x):
-    return stats.chi2.sf(x, df)
-
-
 class TestScipyStatsEquivalence:
-    """The oracles and solvers evaluate p-values with scipy.special ufuncs and
-    partial correlations by pivot elimination; these pin them to the
-    scipy.stats and matrix-inverse formulas they replace."""
+    """The oracles and solvers evaluate p-values with sada's own normal and
+    chi-squared tails and partial correlations by pivot elimination; these
+    pin them to the scipy.stats and matrix-inverse formulas they replace:
+    the same verdicts, refusals and edges, and p-values and significances
+    within 1e-12."""
 
     def test_fisher_z_matches_inverse_reference(self):
         # |z| up to 5, which `--max-cond none` reaches on these graphs
@@ -1068,38 +1072,101 @@ class TestScipyStatsEquivalence:
                     assert got.p_value == pytest.approx(want.p_value, rel=0, abs=1e-12)
         assert raised_collinear > 500
 
-    def test_g2_oracle_matches_chi2_sf_exactly(self, monkeypatch):
+    def test_g2_oracle_matches_chi2_sf(self, monkeypatch):
         rng = np.random.default_rng(5)
         # m = 1000 decides |z| <= 2 for k = 3 and refuses |z| = 3
         sm = generate_discrete(generate_random_dag(10, 1.25, seed=3), m=1000, seed=4)
         queries = list(_random_queries(sm.n, 300, rng))
         fast = [_outcome(GSquaredOracle(sm), u, v, z) for u, v, z in queries]
-        monkeypatch.setattr(sada.citest, "chdtrc", _scipy_stats_chdtrc)
+        monkeypatch.setattr(sada.citest, "chi2_sf", stats.chi2.sf)
         ref = [_outcome(GSquaredOracle(sm), u, v, z) for u, v, z in queries]
-        assert fast == ref
+        for got, want in zip(fast, ref):
+            if isinstance(want, type):
+                assert got is want
+            else:
+                assert got.independent == want.independent
+                assert got.p_value == pytest.approx(want.p_value, rel=0, abs=1e-12)
         decided = {len(z) for (_, _, z), got in zip(queries, fast) if isinstance(got, CiVerdict)}
         assert decided == {0, 1, 2}
         assert UnreliableTestError in fast
 
-    def test_lingam_wald_p_values_match_chi2_sf_exactly(self, monkeypatch):
+    def test_lingam_wald_p_values_match_chi2_sf(self, monkeypatch):
         runs = []
         for s in range(4):
             g = generate_random_dag(8, 1.5, seed=s)
             runs.append(generate_linear_nongaussian(g, m=60, seed=50 + s))
         fast = [solve_lingam(sm, range(sm.n)) for sm in runs]
-        monkeypatch.setattr(sada.solvers, "chdtrc", _scipy_stats_chdtrc)
+        monkeypatch.setattr(sada.solvers, "chi2_sf", stats.chi2.sf)
         ref = [solve_lingam(sm, range(sm.n)) for sm in runs]
-        assert fast == ref
+        for got, want in zip(fast, ref):
+            assert got.pairs() == want.pairs()
+            for e in got:
+                assert e.significance == pytest.approx(
+                    want.significance(e.parent, e.child), rel=0, abs=1e-12)
         assert all(len(es) > 0 for es in fast)
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs over half a second to import; sada needs only
-    # scipy.special, so a fresh interpreter must not pull it in. sada.cli
+class TestTails:
+    """sada's chi-squared and two-sided normal upper tails against
+    scipy.stats: relative error at most 1e-12 (1e-10 at dof 10^4) wherever
+    scipy's value is at least 1e-300, and a block carries a single call's
+    bits."""
+
+    @staticmethod
+    def grid(dof):
+        # the edges, a sweep past the far tail, and a close one around dof
+        return np.concatenate(([0.0, 5e-324, 1e4, math.inf],
+                               np.linspace(0, 3 * dof + 40, 301)[1:],
+                               dof * np.linspace(0.5, 1.5, 101),
+                               np.geomspace(1e-8, 3000, 200)))
+
+    @pytest.mark.parametrize("dof", [*range(1, 65), 100, 1000, 10_000])
+    def test_chi2_matches_scipy(self, dof):
+        x = self.grid(dof)
+        got = np.array([chi2_sf(float(v), dof) for v in x])
+        assert got[0] == 1.0 and got[3] == 0.0
+        want = stats.chi2.sf(x, dof)
+        seen = want >= 1e-300
+        tol = 1e-12 if dof <= 1000 else 1e-10
+        assert (np.abs(got[seen] - want[seen]) <= tol * want[seen]).all()
+        assert (got[~seen] < 1e-290).all()
+        # the block path, at one dof and at a dof per entry
+        assert chi2_sf(x, dof).tolist() == got.tolist()
+        assert chi2_sf(x, np.full(len(x), dof)).tolist() == got.tolist()
+
+    def test_mixed_dof_block_matches_single_calls(self):
+        rng = np.random.default_rng(41)
+        dof = rng.integers(0, 40, 2000)
+        x = rng.exponential(1.0, 2000) * np.maximum(dof, 1) * rng.choice([0.0, 0.5, 1.0, 2.0], 2000)
+        x[:4] = (math.nan, math.inf, 0.0, -1.0)
+        dof[:2] = 0
+        got = chi2_sf(x, dof)
+        want = [chi2_sf(float(v), int(d)) for v, d in zip(x, dof)]
+        assert np.array_equal(got, want, equal_nan=True)
+        assert math.isnan(got[0]) and got[1] == 0.0 and got[2] == 1.0 and got[3] == 1.0
+        # short blocks, with one dof and with a dof per entry
+        for size in (0, 1, 5, 15, 16):
+            assert np.array_equal(chi2_sf(x[:size], 7), [chi2_sf(float(v), 7) for v in x[:size]],
+                                  equal_nan=True)
+            assert np.array_equal(chi2_sf(x[:size], dof[:size]), want[:size], equal_nan=True)
+        # dof 0 is the point mass at 0
+        assert (got[dof == 0][1:] == 0.0).all() and chi2_sf(2.0, 0) == 0.0
+
+    def test_normal_matches_scipy(self):
+        stat = np.concatenate((np.linspace(-38, 38, 4001), np.geomspace(1e-12, 1, 100)))
+        want = 2 * stats.norm.sf(np.abs(stat))
+        got = np.array([two_sided_normal_sf(float(s)) for s in stat])
+        seen = want >= 1e-300
+        assert (np.abs(got[seen] - want[seen]) <= 1e-12 * want[seen]).all()
+        assert (got[~seen] < 1e-290).all() and two_sided_normal_sf(0.0) == 1.0
+
+
+def test_import_loads_no_scipy():
+    # scipy costs a quarter of a second to import and sada needs none of it,
+    # so a fresh interpreter must not pull in any part of it. sada.cli
     # imports every other module of the package.
     src = Path(sada.citest.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sada.cli, sys; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    probe = "import sada.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
