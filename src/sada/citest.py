@@ -33,7 +33,7 @@ class UnreliableTestError(CiError):
     """Sample size is below the reliability heuristic for the table size."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CiVerdict:
     independent: bool
     p_value: float
@@ -175,28 +175,43 @@ PIVOT_TOL = 1e-10
 
 class PartialCorrelationOracle(CiOracle):
     """Fisher-z test of the partial correlation, from one precomputed
-    correlation matrix; suited to the linear continuous model."""
+    correlation matrix; suited to the linear continuous model. The oracle
+    keeps the elimination of its last (u, v, zt[:-1]): the subsets a scan
+    issues in lexicographic order share that prefix in long runs, so each
+    of them costs one more elimination."""
 
     def __init__(self, data: SampleMatrix, alpha_level: float = 0.05):
         if data.kind != "continuous":
             raise CiError("partial correlation needs continuous samples")
         super().__init__(data.n, alpha_level)
         self._m = data.m
-        # a list: the per-query check runs on Python bools
-        self._constant = data.constant.tolist()
+        # a list, or None when no column is constant: the per-query check
+        # runs on Python bools
+        self._constant = data.constant.tolist() if data.constant.any() else None
         with np.errstate(invalid="ignore", divide="ignore"):
             # nested lists: the per-query arithmetic runs on Python floats
             self._corr = np.corrcoef(data.values, rowvar=False).tolist()
+        # ((u, v, zt[:-1]), its _eliminate state) of the last conditioned test
+        self._prefix = (None, None)
 
     def _p_value(self, u, v, zt) -> float:
         eff = self._m - len(zt) - 3
         if eff < 1:
             raise InsufficientSamplesError(
                 f"m={self._m} cannot support |z|={len(zt)}")
-        for w in (u, v) + zt:
-            if self._constant[w]:
-                raise SingularConditioningError(f"column {w} is constant")
-        r = _partial_corr(self._corr, u, v, zt) if zt else self._corr[u][v]
+        if self._constant is not None:
+            for w in (u, v) + zt:
+                if self._constant[w]:
+                    raise SingularConditioningError(f"column {w} is constant")
+        if zt:
+            key = (u, v, zt[:-1])
+            held, state = self._prefix
+            if held != key:
+                state = _eliminate(self._corr, u, v, key[2])
+                self._prefix = (key, state)
+            r = _partial_corr(_push(self._corr, state, zt[-1]))
+        else:
+            r = self._corr[u][v]
         if not math.isfinite(r) or abs(r) > 1 + 1e-6:
             raise SingularConditioningError("partial correlation is not identifiable")
         r = min(max(r, -1 + 1e-15), 1 - 1e-15)
@@ -212,45 +227,70 @@ def two_sided_normal_sf(stat: float) -> float:
     return math.erfc(abs(stat) * _SQRT_HALF)
 
 
-def _partial_corr(c, u, v, zt) -> float:
-    """Partial correlation of u and v given a nonempty zt, from the nested
-    correlation lists c. The conditioning variables are eliminated one at a
-    time, in the order zt, each as a Schur complement scaled by its pivot, so
-    nothing is divided before the end. Each pair of ids is read from the row
-    of the one earlier in the order u, v, zt: np.corrcoef is not symmetric
-    to the last bit, and this order fixes every result. Raises
-    SingularConditioningError when a pivot, the variance of u given zt or
-    that of v given zt and u is not above PIVOT_TOL times its diagonal entry
-    (1 in a correlation matrix): the set is collinear, or the pair is given
-    it, up to rounding."""
+# The partial correlation of u and v given a nonempty zt, from the nested
+# correlation lists c, is `_partial_corr(_eliminate(c, u, v, zt))`. The
+# conditioning variables are eliminated one at a time, in the order zt,
+# each as a Schur complement scaled by its pivot, so nothing is divided
+# before the end. Each pair of ids is read from the row of the one earlier
+# in the order u, v, zt: np.corrcoef is not symmetric to the last bit, and
+# this order fixes every result. Every entry goes through the same float
+# operations in the same order whichever prefix is held. A pivot, the
+# variance of u given zt or that of v given zt and u not above PIVOT_TOL
+# times its diagonal entry (1 in a correlation matrix) raises
+# SingularConditioningError: the set is collinear, or the pair is given it,
+# up to rounding.
+
+
+def _eliminate(c, u, v, head) -> tuple:
+    """The state after eliminating the ids of `head`, in order, from the
+    entries of u and v."""
     cu, cv = c[u], c[v]
-    uu, uv, vv = cu[u], cu[v], cv[v]
-    # rows[t] holds zt[t]'s entries with u, with v and with each id of zt, at
-    # 0, 1 and 2 + r for zt[r]; only those with zt[t] and later ids are read
-    rows = [[cu[w], cv[w], *map(c[w].__getitem__, zt)] for w in zt]
-    k = len(zt)
-    # the entries are scaled by the product of the pivots so far; so is tol
-    tol = PIVOT_TOL
-    for t, row in enumerate(rows):
-        piv = row[2 + t]
-        if not piv > tol:
-            raise SingularConditioningError("conditioning covariance is singular")
-        # each step also scales by a power of two, which is exact and brings
-        # the pivot into [0.5, 1); unscaled, the entries underflow from
-        # about |z| = 10 on
-        piv, e = math.frexp(piv)
-        scale = math.ldexp(1.0, -e)
-        pu, pv = row[0], row[1]
-        su, sv = pu * scale, pv * scale
-        uu, uv, vv = uu * piv - su * pu, uv * piv - su * pv, vv * piv - sv * pv
-        for q in range(t + 1, k):
-            later, pq = rows[q], row[2 + q]
-            later[0] = later[0] * piv - su * pq
-            later[1] = later[1] * piv - sv * pq
-            sq = pq * scale
-            for r in range(2 + q, 2 + k):
-                later[r] = later[r] * piv - sq * row[r]
-        tol *= piv
+    state = (cu, cv, cu[u], cu[v], cv[v], PIVOT_TOL, (), ())
+    for w in head:
+        state = _push(c, state, w)
+    return state
+
+
+def _push(c, state, w) -> tuple:
+    """The state after eliminating w, an id after every id eliminated in
+    `state`, as well. A state is (c[u], c[v], uu, uv, vv, tol, the rows c[x]
+    of the ids eliminated, steps), with one step (pivot, scale, su, sv,
+    scaled) per id x, scaled[t] being x's entry with the t-th id, once the
+    steps before t have gone through it, times step t's scale. w's entries with those ids, u, v and itself go through each held
+    step in turn; the entries are scaled by the product of the pivots so
+    far, and so is tol."""
+    cu, cv, uu, uv, vv, tol, rows, steps = state
+    wu, wv, ww = cu[w], cv[w], c[w][w]
+    # done[t]: step t's pivot and w's entry with the id of step t once the
+    # steps before t have gone through it
+    done = []
+    scaled = []
+    for row, (piv, scale, su, sv, sq) in zip(rows, steps):
+        pw = row[w]
+        for (pt, wt), st in zip(done, sq):
+            pw = pw * pt - st * wt
+        done.append((piv, pw))
+        sw = pw * scale
+        scaled.append(sw)
+        wu = wu * piv - su * pw
+        wv = wv * piv - sv * pw
+        ww = ww * piv - sw * pw
+    if not ww > tol:
+        raise SingularConditioningError("conditioning covariance is singular")
+    # each step also scales by a power of two, which is exact and brings
+    # the pivot into [0.5, 1); unscaled, the entries underflow from about
+    # |z| = 10 on
+    piv, e = math.frexp(ww)
+    scale = math.ldexp(1.0, -e)
+    su, sv = wu * scale, wv * scale
+    return (cu, cv, uu * piv - su * wu, uv * piv - su * wv, vv * piv - sv * wv,
+            tol * piv, rows + (c[w],), steps + ((piv, scale, su, sv, scaled),))
+
+
+def _partial_corr(state) -> float:
+    """The partial correlation of u and v given the ids eliminated in
+    `state`."""
+    uu, uv, vv, tol = state[2:6]
     if not (uu > tol and uu * vv - uv * uv > tol * uu):
         raise SingularConditioningError("conditioning covariance is singular")
     return uv / math.sqrt(uu * vv)

@@ -297,8 +297,11 @@ def run_sada(data, variables, cfg: SadaConfig, solver, oracle, rng,
     solver(data, variable_set) and must return an EdgeSet.  A run that
     accepts no cut returns that raw output; library callers want `discover`.
 
-    `rng` (a numpy Generator) is the run's only source of randomness; each
-    split spawns one child stream per side, so a run replays from its seed.
+    `rng` (a numpy Generator) is the run's only source of randomness, so a
+    run replays from its seed. The first split spawns one child stream per
+    side from it, by `rng.spawn(2)`; below that, a side builds the child
+    stream `spawn(2)` would give it only when it searches for a cut, since
+    a leaf draws nothing.
     `trace` (a list), when given, receives every accepted CausalCut; the
     variables a cut partitioned are left | cut_set | right.
     """
@@ -308,18 +311,33 @@ def run_sada(data, variables, cfg: SadaConfig, solver, oracle, rng,
     if data is not None and vs[-1] >= data.n:
         raise FrameworkError(f"variable id {vs[-1]} out of range for {data.n} columns")
     _check_rng(rng)
-    return _run(data, vs, cfg, solver, oracle, rng, trace)
+    return _run(data, vs, cfg, solver, oracle, rng, trace, root=True)
 
 
-def _run(data, vs, cfg, solver, oracle, rng, trace):
+def _child_stream(rng, i):
+    """The Generator of `rng.spawn(2)[i]` for a stream that has spawned
+    nothing, built alone: numpy's SeedSequence costs time in the depth of
+    its spawn key, and a side that searches for no cut needs no stream."""
+    bg = rng.bit_generator
+    ss = bg.seed_seq
+    return np.random.Generator(type(bg)(np.random.SeedSequence(
+        ss.entropy, spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size)))
+
+
+def _run(data, vs, cfg, solver, oracle, rng, trace, root=False):
     cut = None if len(vs) <= cfg.theta else find_causal_cut(oracle, vs, cfg, rng=rng)
     if cut is None:
         return solver(data, set(vs))
     if trace is not None:
         trace.append(cut)
-    rng1, rng2 = rng.spawn(2)
-    g1 = _run(data, sorted(cut.left | cut.cut_set), cfg, solver, oracle, rng1, trace)
-    g2 = _run(data, sorted(cut.right | cut.cut_set), cfg, solver, oracle, rng2, trace)
+    sides = (sorted(cut.left | cut.cut_set), sorted(cut.right | cut.cut_set))
+    # the caller's Generator spawns, as it may have before and may again;
+    # a stream built here has spawned nothing
+    streams = rng.spawn(2) if root else [
+        _child_stream(rng, i) if len(side) > cfg.theta else None
+        for i, side in enumerate(sides)]
+    g1, g2 = (_run(data, side, cfg, solver, oracle, stream, trace)
+              for side, stream in zip(sides, streams))
     return merge_results(g1, g2, oracle, max_cond=cfg.max_cond)
 
 

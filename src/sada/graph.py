@@ -70,18 +70,27 @@ def checked_ids(u, v, z, n, error) -> tuple:
     """(u, v, zt) as ints, zt the distinct ids of z ascending, once u, v and
     every member of z are variable ids of 0..n-1 by `check_id`, u and v are
     distinct and z holds neither; otherwise raise `error`. z is an iterable
-    of ids: an int is refused, not read as a bitset."""
+    of ids: an int is refused, not read as a bitset.
+
+    The ids a scan builds, u and v distinct ints in range and z a tuple of
+    strictly ascending ints in range that holds neither, are returned as
+    they are: the full rule would give the same value."""
+    if (type(u) is int and type(v) is int and type(z) is tuple and u != v
+            and 0 <= u < n and 0 <= v < n):
+        last = -1
+        for w in z:
+            if type(w) is not int or w <= last or w == u or w == v:
+                break
+            last = w
+        else:
+            if last < n:
+                return u, v, z
     try:
         zt = tuple(z)
     except TypeError:
         hint = ", not a bitset" if isinstance(z, numbers.Integral) else ""
         raise error(f"z must be an iterable of variable ids{hint}, got {z!r}") from None
-    ids = (u, v) + zt
-    for w in ids:
-        # an int in range, as almost every id is, skips the full rule
-        if type(w) is not int or not 0 <= w < n:
-            u, v, *zt = [check_id(x, n, error) for x in ids]
-            break
+    u, v, *zt = [check_id(x, n, error) for x in (u, v) + zt]
     if u == v:
         raise error("need two distinct variables")
     zt = tuple(sorted(set(zt)))

@@ -412,3 +412,80 @@ def exogeneity_order_reference(x):
         del remaining[best]
     order.extend(remaining)
     return order, picks
+
+
+def partial_corr_reference(c, u, v, zt) -> float:
+    """Partial correlation of u and v given a nonempty zt, from the nested
+    correlation lists c. The conditioning variables are eliminated one at a
+    time, in the order zt, each as a Schur complement scaled by its pivot, so
+    nothing is divided before the end. Each pair of ids is read from the row
+    of the one earlier in the order u, v, zt: np.corrcoef is not symmetric
+    to the last bit, and this order fixes every result. Raises
+    SingularConditioningError when a pivot, the variance of u given zt or
+    that of v given zt and u is not above PIVOT_TOL times its diagonal entry
+    (1 in a correlation matrix): the set is collinear, or the pair is given
+    it, up to rounding.
+
+    The one-shot elimination that the prefix-reusing Fisher-z of
+    sada.citest must match bit for bit."""
+    from sada.citest import PIVOT_TOL, SingularConditioningError
+
+    cu, cv = c[u], c[v]
+    uu, uv, vv = cu[u], cu[v], cv[v]
+    # rows[t] holds zt[t]'s entries with u, with v and with each id of zt, at
+    # 0, 1 and 2 + r for zt[r]; only those with zt[t] and later ids are read
+    rows = [[cu[w], cv[w], *map(c[w].__getitem__, zt)] for w in zt]
+    k = len(zt)
+    # the entries are scaled by the product of the pivots so far; so is tol
+    tol = PIVOT_TOL
+    for t, row in enumerate(rows):
+        piv = row[2 + t]
+        if not piv > tol:
+            raise SingularConditioningError("conditioning covariance is singular")
+        # each step also scales by a power of two, which is exact and brings
+        # the pivot into [0.5, 1); unscaled, the entries underflow from
+        # about |z| = 10 on
+        piv, e = math.frexp(piv)
+        scale = math.ldexp(1.0, -e)
+        pu, pv = row[0], row[1]
+        su, sv = pu * scale, pv * scale
+        uu, uv, vv = uu * piv - su * pu, uv * piv - su * pv, vv * piv - sv * pv
+        for q in range(t + 1, k):
+            later, pq = rows[q], row[2 + q]
+            later[0] = later[0] * piv - su * pq
+            later[1] = later[1] * piv - sv * pq
+            sq = pq * scale
+            for r in range(2 + q, 2 + k):
+                later[r] = later[r] * piv - sq * row[r]
+        tol *= piv
+    if not (uu > tol and uu * vv - uv * uv > tol * uu):
+        raise SingularConditioningError("conditioning covariance is singular")
+    return uv / math.sqrt(uu * vv)
+
+
+def checked_ids_reference(u, v, z, n, error) -> tuple:
+    """The gate's full rule, with no shortcut for scan-built ids: (u, v, zt)
+    as ints, zt the distinct ids of z ascending, once u, v and every member
+    of z are variable ids of 0..n-1 by `check_id`, u and v are distinct and
+    z holds neither; otherwise raise `error`."""
+    import numbers
+
+    from sada.graph import check_id
+
+    try:
+        zt = tuple(z)
+    except TypeError:
+        hint = ", not a bitset" if isinstance(z, numbers.Integral) else ""
+        raise error(f"z must be an iterable of variable ids{hint}, got {z!r}") from None
+    ids = (u, v) + zt
+    for w in ids:
+        # an int in range, as almost every id is, skips the full rule
+        if type(w) is not int or not 0 <= w < n:
+            u, v, *zt = [check_id(x, n, error) for x in ids]
+            break
+    if u == v:
+        raise error("need two distinct variables")
+    zt = tuple(sorted(set(zt)))
+    if u in zt or v in zt:
+        raise error("conditioning set must exclude the queried pair")
+    return u, v, zt

@@ -1,3 +1,4 @@
+import dataclasses
 import enum
 import itertools
 import math
@@ -13,7 +14,7 @@ from scipy import stats
 import sada.citest
 import sada.solvers
 
-from sada.graph import Dag, bit_ids, generate_random_dag
+from sada.graph import Dag, GraphError, bit_ids, checked_ids, generate_random_dag
 from sada.solvers import solve_lingam
 from sada.synth import SampleMatrix, SynthError, generate_discrete, generate_linear_nongaussian, sample_from_cpts
 from sada.citest import (
@@ -31,7 +32,12 @@ from sada.citest import (
 )
 
 from conftest import TableOracle, bits, random_small_dags, relabelled, value_id
-from oracles import exists_separator_brute, g2_from_tables_reference
+from oracles import (
+    checked_ids_reference,
+    exists_separator_brute,
+    g2_from_tables_reference,
+    partial_corr_reference,
+)
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
 VSTRUCT = Dag(3, [(0, 2), (1, 2)])
@@ -173,6 +179,15 @@ class TestPartialCorrelation:
             assert tiny.query(u, v, z).independent == verdicts[-1], (u, v, z)
         assert True in verdicts and False in verdicts
 
+    def test_verdict_is_a_frozen_value_with_slots(self):
+        v = CiVerdict(True, 0.5)
+        assert not hasattr(v, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.p_value = 0.1
+        assert v == CiVerdict(True, 0.5) and v != CiVerdict(False, 0.5)
+        assert hash(v) == hash(CiVerdict(True, 0.5))
+        assert len({v, CiVerdict(True, 0.5), CiVerdict(True, 0.25)}) == 2
+
     def test_validation(self):
         data = SampleMatrix(np.random.default_rng(0).random((50, 3)), "continuous")
         o = PartialCorrelationOracle(data)
@@ -193,6 +208,105 @@ class TestPartialCorrelation:
         assert PartialCorrelationOracle(data, alpha_level=np.float32(0.25)).alpha_level == 0.25
         with pytest.raises(CiError):
             PartialCorrelationOracle(disc)
+
+
+def _one_shot_outcome(o, u, v, zt):
+    """What the Fisher-z test of o gives for u < v and a nonempty sorted zt
+    with the one-shot elimination: the p-value as float.hex, or the type and
+    message of the refusal."""
+    try:
+        r = partial_corr_reference(o._corr, u, v, zt)
+        if not math.isfinite(r) or abs(r) > 1 + 1e-6:
+            raise SingularConditioningError("partial correlation is not identifiable")
+        r = min(max(r, -1 + 1e-15), 1 - 1e-15)
+        return two_sided_normal_sf(math.sqrt(o._m - len(zt) - 3) * math.atanh(r)).hex()
+    except CiError as exc:
+        return type(exc), str(exc)
+
+
+def _p_value_outcome(o, u, v, zt):
+    """The same from o's own `_p_value`, which keeps its last prefix."""
+    try:
+        return o._p_value(u, v, zt).hex()
+    except CiError as exc:
+        return type(exc), str(exc)
+
+
+class TestFisherZPrefixReuse:
+    """The Fisher-z oracle eliminates each scan prefix once and extends it
+    by the last id; every p-value and refusal stays bit for bit that of the
+    one-shot elimination, whether the held prefix matches or not."""
+
+    @staticmethod
+    def _scan_queries(n, pairs, max_size, rng):
+        """The subsets `_scan` issues for each pair, in its order, over a
+        random ascending pool of the other ids."""
+        out = []
+        for u, v in pairs:
+            rest = [w for w in range(n) if w not in (u, v)]
+            pool = sorted(rng.choice(rest, size=min(len(rest), 9), replace=False).tolist())
+            out += [(u, v, sub) for size in range(1, max_size + 1)
+                    for sub in itertools.combinations(pool, size)]
+        return out
+
+    def _assert_identical(self, o, queries, rng):
+        outcomes = []
+        for order in (queries, [queries[i] for i in rng.permutation(len(queries))]):
+            for u, v, zt in order:
+                got = _p_value_outcome(o, u, v, zt)
+                assert got == _one_shot_outcome(o, u, v, zt), (u, v, zt)
+                outcomes.append(got)
+        return outcomes
+
+    def test_scans_and_shuffles_match_the_one_shot_elimination(self):
+        rng = np.random.default_rng(11)
+        g = generate_random_dag(14, 1.5, seed=4)
+        o = PartialCorrelationOracle(generate_linear_nongaussian(g, m=60, seed=5))
+        pairs = [(0, 13), (2, 5), (3, 4), (7, 11)]
+        outcomes = self._assert_identical(o, self._scan_queries(14, pairs, 4, rng), rng)
+        assert all(type(p) is str for p in outcomes)
+
+    def test_deep_conditioning_sets(self):
+        # |z| from 4 to 20, lexicographic runs and shuffled, at m = 60
+        rng = np.random.default_rng(12)
+        g = generate_random_dag(24, 2.0, seed=6)
+        o = PartialCorrelationOracle(generate_linear_nongaussian(g, m=60, seed=7))
+        queries = []
+        for size in range(4, 21):
+            u, v = sorted(rng.choice(24, size=2, replace=False).tolist())
+            rest = [w for w in range(24) if w not in (u, v)]
+            pool = sorted(rng.choice(rest, size=size + 2, replace=False).tolist())
+            queries += [(u, v, sub) for sub in itertools.combinations(pool, size)][:40]
+        outcomes = self._assert_identical(o, queries, rng)
+        assert {len(z) for _, _, z in queries} == set(range(4, 21))
+        assert any(type(p) is str for p in outcomes)
+
+    def test_collinear_columns(self):
+        # the matrix of test_singular_conditioning: columns 2 to 4 repeat x
+        # up to rounding, so some prefixes are singular and, past a regular
+        # prefix, some last pivots
+        rng = np.random.default_rng(0)
+        x, y, w, t = rng.random((4, 500))
+        data = SampleMatrix(np.column_stack([x, y, x.copy(), 3 * x, x + 1, w, t]), "continuous")
+        o = PartialCorrelationOracle(data)
+        queries = [(u, v, sub) for u, v in itertools.combinations(range(7), 2)
+                   for size in range(1, 6)
+                   for sub in itertools.combinations([w for w in range(7) if w not in (u, v)],
+                                                     size)]
+        outcomes = self._assert_identical(o, queries, rng)
+        refused = [(u, v, zt) for (u, v, zt), got in zip(queries, outcomes) if type(got) is tuple]
+        singular_prefix = [type(_one_shot_outcome(o, u, v, zt[:-1])) is tuple
+                           for u, v, zt in refused if len(zt) > 1]
+        assert True in singular_prefix and False in singular_prefix
+        assert any(type(got) is str for got in outcomes)
+
+    def test_the_held_prefix_is_one_entry(self):
+        o = PartialCorrelationOracle(generate_linear_nongaussian(CHAIN, m=100, seed=1))
+        assert o._prefix == (None, None)
+        o.query(0, 2, (1,))
+        assert o._prefix[0] == (0, 2, ())
+        o.query(1, 2)
+        assert o._prefix[0] == (0, 2, ())
 
 
 class TestGSquared:
@@ -919,6 +1033,89 @@ class TestGate:
             with pytest.raises(CiError, match="z must be an iterable of variable ids, not a bitset"):
                 o.query(0, 2, z)
             assert not o._cache
+
+
+def _gate_outcome(check, u, v, z, n, error):
+    """check(u, v, z, n, error) as its value with the type of each id, or
+    the class and message it raises."""
+    try:
+        got = check(u, v, z() if callable(z) else z, n, error)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return got, [type(w) for w in (*got[:2], *got[2])]
+
+
+class TestGateFastPath:
+    """`checked_ids` passes the ids a scan builds as they are and takes the
+    full rule for anything else: value or error, it answers as the rule
+    alone does, for query's CiError and d_separated's GraphError."""
+
+    N = 6
+    IDS = (0, 1, 2, 3, 5, -1, 6, 7, True, False, np.int64(2), np.int32(4), np.True_, 2.0,
+           np.float64(1.0), 3.5, "1", None)
+
+    def _cases(self, rng, count):
+        n, ids = self.N, self.IDS
+        plain = list(range(n))
+        for _ in range(count):
+            u, v = (plain[rng.integers(n)] if rng.random() < 0.7 else ids[rng.integers(len(ids))]
+                    for _ in range(2))
+            size = int(rng.integers(5))
+            members = [plain[rng.integers(n)] if rng.random() < 0.8 else ids[rng.integers(len(ids))]
+                       for _ in range(size)]
+            shape = rng.integers(6)
+            if shape == 0:
+                # ascending ints, as a scan builds them, distinct or not
+                try:
+                    members = sorted(members)
+                except TypeError:
+                    pass
+                yield u, v, tuple(members)
+            elif shape == 1:
+                yield u, v, tuple(members)
+            elif shape == 2:
+                yield u, v, list(members)
+            elif shape == 3:
+                yield u, v, (lambda ms=tuple(members): (w for w in ms))
+            elif shape == 4:
+                try:
+                    yield u, v, set(members)
+                except TypeError:
+                    yield u, v, members
+            else:
+                yield u, v, ids[rng.integers(len(ids))]
+
+    ADVERSARIAL = [
+        (0, 1, ()), (0, 1, (2, 3, 4)), (4, 1, (0, 2, 5)), (0, 1, (3, 2)), (0, 1, (2, 2)),
+        (0, 1, (2, 3, 3)), (0, 0, ()), (0, 0, (1,)), (0, 1, (0,)), (0, 1, (2, 1)),
+        (2, 1, (0, 2)), (0, 1, (2, 6)), (0, 1, (-1, 2)), (0, 6, (2,)), (-1, 1, ()),
+        (True, 1, ()), (0, False, (2,)), (0, 1, (True, 2)), (0, 1, (np.int64(2),)),
+        (np.int64(0), 1, (2,)), (0, np.int32(1), ()), (0, 1, (2.0,)), (0.0, 1, ()),
+        (0, 1, [2, 3]), (0, 1, {3, 2}), (0, 1, 3), (0, 1, np.int64(3)), (0, 1, True),
+        (0, 1, None), (0, 1, "23"), (0, 1, (2, 3.0)), (0, 1, (5, 2)), (5, 0, (1, 2, 3, 4)),
+        (0, 1, (2, 4, 3)), (0, 1, (2, np.int64(3), 4)), (1, 1, (1,)), (0, 1, (2, 3, 4, 5, 6)),
+    ]
+
+    @pytest.mark.parametrize("error", [CiError, GraphError])
+    def test_adversarial_ids_match_the_full_rule(self, error):
+        for u, v, z in self.ADVERSARIAL:
+            want = _gate_outcome(checked_ids_reference, u, v, z, self.N, error)
+            assert _gate_outcome(checked_ids, u, v, z, self.N, error) == want, (u, v, z)
+
+    @pytest.mark.parametrize("error", [CiError, GraphError])
+    def test_random_ids_match_the_full_rule(self, error):
+        outcomes = set()
+        for u, v, z in self._cases(np.random.default_rng(27), 4000):
+            want = _gate_outcome(checked_ids_reference, u, v, z, self.N, error)
+            assert _gate_outcome(checked_ids, u, v, z, self.N, error) == want, (u, v, z)
+            outcomes.add(want[0] if isinstance(want[0], type) else tuple)
+        assert outcomes == {error, tuple}
+
+    def test_scan_ids_come_back_as_they_are(self):
+        z = (1, 3, 4)
+        assert checked_ids(5, 0, z, 6, CiError)[2] is z
+        for u, v, z in [(5, 0, (1, 4, 3)), (5, 0, [1, 3, 4]), (5, 0, (1, np.int64(3)))]:
+            assert checked_ids(u, v, z, 6, CiError) == (5, 0, tuple(sorted(map(int, z))))
 
 
 class Cap(enum.IntEnum):

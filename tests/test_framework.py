@@ -8,6 +8,7 @@ import sada.framework
 from sada.framework import (
     FrameworkError,
     SadaConfig,
+    _child_stream,
     _grow_from_seed,
     discover,
     find_causal_cut,
@@ -701,3 +702,46 @@ class TestRunSada:
         out = run_sada(data, range(9), cfg, solve_lingam, oracle, rng=np.random.default_rng(17))
         Dag(9, out.pairs())
         assert {x for pair in out.pairs() for x in pair} <= set(range(9))
+
+
+class TestChildStreams:
+    """Below the first split, a side builds the stream `spawn(2)` would give
+    it, and only when it searches for a cut."""
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+    def test_child_stream_is_the_spawned_one(self, bit_generator):
+        for depth in (0, 50):
+            rng = np.random.Generator(bit_generator(np.random.SeedSequence(2026)))
+            for _ in range(depth):
+                rng = rng.spawn(2)[1]
+            built = [_child_stream(rng, i) for i in range(2)]
+            # Philox's state holds arrays, so it is compared as text
+            assert [repr(g.bit_generator.state) for g in built] == \
+                [repr(g.bit_generator.state) for g in rng.spawn(2)]
+            assert type(built[0].bit_generator) is bit_generator
+
+    def test_searching_sides_draw_their_spawned_streams(self, monkeypatch):
+        # every cut search below the root gets the stream of its path of
+        # spawn(2) children, and the caller's Generator has spawned two
+        searches, search = [], sada.framework.find_causal_cut
+
+        def recorded(oracle, variables, cfg, rng):
+            ss = rng.bit_generator.seed_seq
+            searches.append((ss.spawn_key, rng.bit_generator.state))
+            return search(oracle, variables, cfg, rng)
+
+        monkeypatch.setattr(sada.framework, "find_causal_cut", recorded)
+        g = generate_random_dag(60, 1.25, seed=4)
+        rng = np.random.default_rng(np.random.SeedSequence(7).spawn(1)[0])
+        out = run_sada(None, range(60), SadaConfig(theta=10, max_cond=None),
+                       make_oracle_solver(g), ExactCiOracle(g), rng)
+        assert out.pairs() == frozenset(g.edges)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 2
+        keys = [key for key, _ in searches]
+        assert keys[0] == (0,) and max(map(len, keys)) >= 4
+        for key, state in searches[1:]:
+            assert key[:-1] in keys and key[-1] in (0, 1)
+            ss = np.random.SeedSequence(7).spawn(1)[0]
+            for i in key[1:]:
+                ss = ss.spawn(2)[i]
+            assert state == np.random.PCG64(ss).state
