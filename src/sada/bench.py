@@ -53,10 +53,12 @@ def _recall_precision(got: frozenset, true_edges) -> tuple:
     return recall, precision
 
 
-def score(g_hat: EdgeSet, g_true: Dag) -> Metrics:
-    """Strict directed-edge metrics of g_hat against g_true."""
+def score(g_hat: EdgeSet, g_true: Dag, cuts=None) -> Metrics:
+    """Strict directed-edge metrics of g_hat against g_true, with the
+    `cut_error_ratio` of the run's accepted cuts when they are given."""
     recall, precision = _recall_precision(g_hat.pairs(), frozenset(g_true.edges))
-    return Metrics(recall, precision, _f1(precision, recall))
+    ratio = None if cuts is None else cut_error_ratio(cuts, g_true)
+    return Metrics(recall, precision, _f1(precision, recall), ratio)
 
 
 def cut_error_ratio(cuts, g_true: Dag) -> float:
@@ -200,9 +202,7 @@ def _run_replicate(task):
         edges, cuts = discover(data, range(n), cfg, logged_solver, oracle,
                                np.random.default_rng(s_run))
         wall = (time.perf_counter() - start) * 1000.0
-        metrics = dataclasses.replace(score(edges, g_true),
-                                      cut_error_ratio=cut_error_ratio(cuts, g_true))
-        rows.append(_metric_row(base, "sada", metrics, wall))
+        rows.append(_metric_row(base, "sada", score(edges, g_true, cuts), wall))
         subs = _subproblem_scores(log, g_true)
     except Exception as exc:
         rows.append(_error_row(base, "sada", (time.perf_counter() - start) * 1000.0, exc))

@@ -125,13 +125,20 @@ def _need(model: ErrorModel, *names):
     return values
 
 
-def _pair_odds(model: ErrorModel):
-    """Posterior odds of a crossing pair being a missed true edge."""
+def _odds_terms(model: ErrorModel):
+    """(e, f, alpha, beta) of the pair odds e*beta / (f*(1-alpha)) that the
+    cut-error posterior and bound read, once f > 0 and alpha < 1."""
     e, f, alpha, beta = _need(model, "e", "f", "alpha", "beta")
     if f == 0:
-        raise UndefinedModelError("f = 0 leaves the posterior undefined")
+        raise UndefinedModelError("f = 0 leaves the pair odds undefined")
     if alpha == 1:
-        raise UndefinedModelError("alpha = 1 leaves the posterior undefined")
+        raise UndefinedModelError("alpha = 1 leaves the pair odds undefined")
+    return e, f, alpha, beta
+
+
+def _pair_odds(model: ErrorModel):
+    """Posterior odds of a crossing pair being a missed true edge."""
+    e, f, alpha, beta = _odds_terms(model)
     return (e * beta) / (f * (1.0 - alpha))
 
 
@@ -170,11 +177,8 @@ def expected_cut_error(model: ErrorModel) -> float:
 
 def cut_error_bound(model: ErrorModel) -> int:
     """Ceiling bound on the expected cut error: ceil(n^2*e*beta / (4*f*(1-alpha))) + 1."""
-    n, e, f, alpha, beta = _need(model, "n", "e", "f", "alpha", "beta")
-    if f == 0:
-        raise UndefinedModelError("f = 0 leaves the bound undefined")
-    if alpha == 1:
-        raise UndefinedModelError("alpha = 1 leaves the bound undefined")
+    n = model.n
+    e, f, alpha, beta = _odds_terms(model)
     return int(math.ceil((n * n * e * beta) / (4.0 * f * (1.0 - alpha)))) + 1
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Dag, bit_ids, check_id, checked_ids, is_alpha_level, is_cap, pair_ids
+from .graph import Dag, bit_ids, check_alpha_level, check_cap, check_id, checked_ids, pair_ids
 from .synth import SampleMatrix
 
 
@@ -52,9 +52,7 @@ class CiOracle:
     the memo of failed searches `_failed` and `alpha_level`."""
 
     def __init__(self, n: int, alpha_level: float = 0.05):
-        if not is_alpha_level(alpha_level):
-            raise CiError(f"alpha_level must be a real number in (0, 1), got {alpha_level!r}")
-        self.alpha_level = alpha_level
+        self.alpha_level = check_alpha_level(alpha_level, CiError)
         self._n = n
         self._cache: dict = {}
         # (u, v, candidates, max_cond) of every find_separator that found nothing
@@ -143,9 +141,7 @@ def _checked_search(n: int, u, side, candidates, max_cond, pair: bool) -> tuple:
     u is a variable id, vs does not hold u and the candidates hold neither
     u nor a member of vs."""
     if max_cond is not None and not (type(max_cond) is int and max_cond >= 0):
-        if not is_cap(max_cond):
-            raise CiError(f"max_cond must be None or an integer >= 0, got {max_cond!r}")
-        max_cond = int(max_cond)
+        max_cond = check_cap(max_cond, CiError)
     if pair:
         if type(side) is not int or not 0 <= side < n:
             side = check_id(side, n, CiError)

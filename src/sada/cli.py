@@ -10,8 +10,7 @@ import sys
 
 import numpy as np
 
-from .bench import ExperimentGrid, cut_error_ratio, methods, run_experiment, score, \
-    write_rows_csv
+from .bench import ExperimentGrid, methods, run_experiment, score, write_rows_csv
 from .bounds import ErrorModel, bounds_report
 from .citest import ExactCiOracle
 from .framework import FrameworkError, SadaConfig, discover
@@ -220,8 +219,7 @@ def _cmd_discover(args):
         "edges": [[e.parent, e.child, e.significance] for e in edges],
     }
     if truth is not None:
-        report["metrics"] = dataclasses.asdict(dataclasses.replace(
-            score(edges, truth), cut_error_ratio=cut_error_ratio(cuts, truth)))
+        report["metrics"] = dataclasses.asdict(score(edges, truth, cuts))
     if args.trace:
         report["cuts"] = [
             {"variables": sorted(cut.left | cut.cut_set | cut.right),

@@ -11,7 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import CausalCut, bit_ids, is_alpha_level, is_cap, is_count, pair_ids
+from .graph import CausalCut, bit_ids, check_alpha_level, check_cap, is_count, kahn_sweep, \
+    pair_ids
 from .solvers import EdgeSet
 
 
@@ -42,11 +43,8 @@ class SadaConfig:
             raise FrameworkError(f"theta must be an integer >= 2, got {self.theta!r}")
         if not is_count(self.k, 1):
             raise FrameworkError(f"k must be an integer >= 1, got {self.k!r}")
-        if not is_cap(self.max_cond):
-            raise FrameworkError(f"max_cond must be None or an integer >= 0, got {self.max_cond!r}")
-        if not is_alpha_level(self.alpha_level):
-            raise FrameworkError(
-                f"alpha_level must be a real number in (0, 1), got {self.alpha_level!r}")
+        check_cap(self.max_cond, FrameworkError)
+        check_alpha_level(self.alpha_level, FrameworkError)
 
 
 def _sorted_ids(variables) -> list:
@@ -186,24 +184,6 @@ def _adjacency(items, size) -> tuple:
     return children, parents
 
 
-def _acyclic_closure(children, parents, size):
-    """back[x], the bitset of the nodes that reach x, from one topological
-    (Kahn) sweep, or None when the edges hold a cycle. A node's row is whole
-    once its last parent is placed, and it is pushed to its children then."""
-    indegree = [bits.bit_count() for bits in parents]
-    back = [0] * size
-    ready = [x for x in children if not indegree[x]]
-    while ready:
-        x = ready.pop()
-        up = back[x] | (1 << x)
-        for y in children.get(x, ()):
-            back[y] |= up
-            indegree[y] -= 1
-            if not indegree[y]:
-                ready.append(y)
-    return None if any(indegree) else back
-
-
 def _greedy_acyclic(order, size) -> tuple:
     """The edges of `order` accepted one by one, dropping any edge whose
     child already reaches its parent through accepted edges (it would close
@@ -240,9 +220,10 @@ def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond) -> EdgeSet
 
     Conflict pass: accept edges one by one, dropping any edge whose child
     already reaches its parent through accepted edges (would close a cycle).
-    An acyclic set loses no edge, so when one topological sweep places every
-    node, the pass is skipped and the sweep builds back[x], the bitset of the
-    nodes that reach x; otherwise the greedy pass keeps it as it goes.
+    An acyclic set loses no edge, so when `kahn_sweep`, the topological sweep
+    that orders every Dag, places every node, the pass is skipped and the
+    sweep's closure is back[x], the bitset of the nodes that reach x;
+    otherwise the greedy pass keeps back as it goes.
 
     Redundancy pass: for each surviving edge p -> c with a surviving longer
     directed path p -> ... -> c of at most MAX_PATH_EDGES edges, drop the
@@ -253,16 +234,16 @@ def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond) -> EdgeSet
     c. No search runs while p has no other child or c no other parent left,
     since no detour can exist then.
     """
-    if not is_cap(max_cond):
-        raise FrameworkError(f"max_cond must be None or an integer >= 0, got {max_cond!r}")
+    max_cond = check_cap(max_cond, FrameworkError)
     order = sorted(edges._items(), key=lambda item: (-item[1], item[0]))
     size = 1 + max((max(pair) for pair, _ in order), default=-1)
     children, parents = _adjacency(order, size)
-    back = _acyclic_closure(children, parents, size)
-    kept = order
-    if back is None:
+    swept = kahn_sweep(children, parents, children)
+    if swept is None:
         kept, back = _greedy_acyclic(order, size)
         children, parents = _adjacency(kept, size)
+    else:
+        kept, back = order, swept[1]
 
     out = {}
     for (p, c), sig in kept:

@@ -38,10 +38,13 @@ def is_count(x, floor) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= floor
 
 
-def is_cap(x) -> bool:
-    """True for None (no cap) or a count of at least 0: the conditioning-size
-    caps SadaConfig, the separator searches and the cleanup accept."""
-    return x is None or is_count(x, 0)
+def check_cap(x, error):
+    """x as an int, or None for no cap; raise `error` unless it is None or a
+    count of at least 0: the conditioning-size caps SadaConfig, the
+    separator searches and the cleanup accept."""
+    if not (x is None or is_count(x, 0)):
+        raise error(f"max_cond must be None or an integer >= 0, got {x!r}")
+    return x if x is None else int(x)
 
 
 def is_real(x) -> bool:
@@ -49,10 +52,12 @@ def is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def is_alpha_level(a) -> bool:
-    """True for a real number, not a bool, strictly between 0 and 1: the
-    levels a CI test and SadaConfig accept."""
-    return is_real(a) and 0.0 < a < 1.0
+def check_alpha_level(a, error):
+    """a, as given; raise `error` unless it is a real number, not a bool,
+    strictly between 0 and 1: the levels a CI test and SadaConfig accept."""
+    if not (is_real(a) and 0.0 < a < 1.0):
+        raise error(f"alpha_level must be a real number in (0, 1), got {a!r}")
+    return a
 
 
 def check_id(w, n, error) -> int:
@@ -121,6 +126,30 @@ def pair_ids(flat, n) -> tuple:
     return i, flat - i * (b - i) // 2 + i + 1
 
 
+def kahn_sweep(children, parents, nodes):
+    """Kahn's algorithm: `children` maps a node to its children (one with none
+    may be missing), `parents[x]` is x's parent bitset, and the sweep starts
+    from the parentless members of `nodes`, smallest ready id first. Returns
+    (order, anc), anc[x] the bitset of the nodes that reach x, whole once x
+    is placed and pushed to its children then, or None when a cycle leaves
+    an indegree undrained."""
+    indegree = [bits.bit_count() for bits in parents]
+    anc = [0] * len(parents)
+    ready = [x for x in nodes if not indegree[x]]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        x = heapq.heappop(ready)
+        order.append(x)
+        up = anc[x] | (1 << x)
+        for y in children.get(x, ()):
+            anc[y] |= up
+            indegree[y] -= 1
+            if not indegree[y]:
+                heapq.heappush(ready, y)
+    return None if any(indegree) else (order, anc)
+
+
 @dataclass(frozen=True)
 class CausalCut:
     """A partition (left, cut_set, right) of a variable set.
@@ -160,7 +189,9 @@ class Dag:
             raise GraphError(f"variable count must be a nonnegative integer, got {n!r}")
         pairs = set()
         pa = [0] * n
-        ch = [0] * n
+        # parents and children: a node's neighbours in the skeleton
+        nb = [0] * n
+        children = {}
         for u, v in edges:
             u, v = check_id(u, n, GraphError), check_id(v, n, GraphError)
             if u == v:
@@ -169,37 +200,22 @@ class Dag:
                 raise GraphError(f"duplicate edge ({u}, {v})")
             pairs.add((u, v))
             pa[v] |= 1 << u
-            ch[u] |= 1 << v
-        # Kahn's algorithm with ties broken by smallest id, so the order is
-        # deterministic for a given edge set; each node's ancestors are
-        # complete once it is placed
-        indeg = [b.bit_count() for b in pa]
-        ready = [v for v in range(n) if not indeg[v]]
-        order = []
-        anc = [0] * n
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
-            a = pa[v]
-            for p in bit_ids(a):
-                a |= anc[p]
-            anc[v] = a
-            for c in bit_ids(ch[v]):
-                indeg[c] -= 1
-                if not indeg[c]:
-                    heapq.heappush(ready, c)
-        if len(order) != n:
+            nb[u] |= 1 << v
+            nb[v] |= 1 << u
+            children.setdefault(u, []).append(v)
+        swept = kahn_sweep(children, pa, range(n))
+        if swept is None:
             raise CycleError("edge set contains a directed cycle")
+        order, anc = swept
         self.n = n
         self.edges = frozenset(pairs)
         self._order = tuple(order)
         self._pa_bits = pa
-        # parents and children: a node's neighbours in the skeleton
-        self._nb_bits = [p | c for p, c in zip(pa, ch)]
+        self._nb_bits = nb
         self._anc = anc
         self._desc = desc = [0] * n
         for v in reversed(order):
-            for c in bit_ids(ch[v]):
+            for c in children.get(v, ()):
                 desc[v] |= desc[c] | (1 << c)
         self._dsep_cache = {}
 

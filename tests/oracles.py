@@ -317,6 +317,24 @@ def simple_path_interiors_reference(children, source, target, max_edges):
     return interiors
 
 
+def acyclic_closure_reference(children, parents, size):
+    """back[x], the bitset of the nodes that reach x, from one topological
+    (Kahn) sweep, or None when the edges hold a cycle. A node's row is whole
+    once its last parent is placed, and it is pushed to its children then."""
+    indegree = [bits.bit_count() for bits in parents]
+    back = [0] * size
+    ready = [x for x in children if not indegree[x]]
+    while ready:
+        x = ready.pop()
+        up = back[x] | (1 << x)
+        for y in children.get(x, ()):
+            back[y] |= up
+            indegree[y] -= 1
+            if not indegree[y]:
+                ready.append(y)
+    return None if any(indegree) else back
+
+
 def remove_conflicts_and_redundancy_reference(edges, oracle, max_cond):
     """The merge cleanup with a full reachability scan per accepted edge and
     every path interior listed before the first separator search."""

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -65,6 +66,22 @@ class TestScore:
             relabeled_true = Dag(n, [(perm[u], perm[v]) for u, v in true_edges])
             relabeled_hat = edge_set(*[(perm[u], perm[v], 0.5) for u, v in guess])
             assert score(g_hat, g_true) == score(relabeled_hat, relabeled_true)
+
+    def test_cuts_fill_the_cut_error_ratio(self, nine_node):
+        # score(edges, truth, cuts) is the two-argument score with the
+        # cuts' ratio filled in, and the ratio stays None without cuts
+        g_hat = edge_set((0, 2, 0.9), (3, 6, 0.8), (7, 4, 0.7), (5, 8, 0.6))
+        trace = []
+        run_sada(None, range(9), SadaConfig(theta=4, max_cond=None),
+                 make_oracle_solver(nine_node), ExactCiOracle(nine_node),
+                 rng=np.random.default_rng(3), trace=trace)
+        bad = CausalCut(frozenset({0, 1, 2}), frozenset({3}), frozenset({4, 5, 6, 7, 8}))
+        for cuts in ([], trace, [bad], trace + [bad]):
+            want = dataclasses.replace(score(g_hat, nine_node),
+                                       cut_error_ratio=cut_error_ratio(cuts, nine_node))
+            assert score(g_hat, nine_node, cuts) == want
+        assert score(g_hat, nine_node, [bad]).cut_error_ratio == 0.3
+        assert score(g_hat, nine_node).cut_error_ratio is None
 
 
 class TestCutErrorRatio:
@@ -258,9 +275,9 @@ class TestRunExperiment:
         scored = []
         real_score = sada.bench.score
 
-        def spy(edges, truth):
+        def spy(edges, truth, cuts=None):
             scored.append(edges)
-            return real_score(edges, truth)
+            return real_score(edges, truth, cuts)
 
         monkeypatch.setattr(sada.bench, "score", spy)
         grid = ExperimentGrid(variable_sizes=(8,), sample_sizes=(600,),

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sada.citest import ExactCiOracle, GSquaredOracle, PartialCorrelationOracle
+from sada.citest import CiError, ExactCiOracle, GSquaredOracle, PartialCorrelationOracle
 import sada.framework
 from sada.framework import (
     FrameworkError,
@@ -16,12 +16,16 @@ from sada.framework import (
     remove_conflicts_and_redundancy,
     run_sada,
 )
-from sada.graph import CausalCut, CycleError, Dag, generate_random_dag, pair_ids
+from sada.graph import CausalCut, CycleError, Dag, generate_random_dag, kahn_sweep, pair_ids
 from sada.solvers import EdgeSet, make_oracle_solver, solve_lingam
 from sada.synth import generate_discrete, generate_linear_nongaussian
 
 from conftest import NINE_NODE_EDGES, TableOracle, bits, random_small_dags, relabelled, value_id
-from oracles import grow_from_seed_reference, remove_conflicts_and_redundancy_reference
+from oracles import (
+    acyclic_closure_reference,
+    grow_from_seed_reference,
+    remove_conflicts_and_redundancy_reference,
+)
 from property_suites import _AlwaysDependent, check_merge_invariants
 
 
@@ -68,6 +72,46 @@ class TestConfig:
                 SadaConfig(**{name: bad})
         cfg = SadaConfig(theta=np.int64(4), k=np.int32(2), max_cond=np.int8(0))
         assert (cfg.theta, cfg.k, cfg.max_cond) == (4, 2, 0)
+
+
+CAP_REFUSERS = {
+    "SadaConfig": (FrameworkError, lambda bad: SadaConfig(max_cond=bad)),
+    "cleanup": (FrameworkError, lambda bad: remove_conflicts_and_redundancy(
+        edge_set((0, 1, 0.9)), ExactCiOracle(Dag(3, [(0, 1), (1, 2)])), bad)),
+    "find_separator": (CiError, lambda bad: ExactCiOracle(Dag(3, [(0, 1), (1, 2)]))
+                       .find_separator(0, 2, 0b010, bad)),
+    "separable": (CiError, lambda bad: ExactCiOracle(Dag(3, [(0, 1), (1, 2)]))
+                  .separable(0, 0b100, 0b010, bad)),
+}
+
+LEVEL_REFUSERS = {
+    "SadaConfig": (FrameworkError, lambda bad: SadaConfig(alpha_level=bad)),
+    "PartialCorrelationOracle": (CiError, lambda bad: PartialCorrelationOracle(
+        generate_linear_nongaussian(Dag(3, [(0, 1), (1, 2)]), 20, seed=0), alpha_level=bad)),
+}
+
+
+class TestRefusalText:
+    """Each caller of the cap and level rules raises its own class with the
+    one message the rule words."""
+
+    @pytest.mark.parametrize("bad", [True, -1, 2.5, 1.0, "3"], ids=value_id)
+    @pytest.mark.parametrize("caller", CAP_REFUSERS)
+    def test_bad_cap(self, caller, bad):
+        error, call = CAP_REFUSERS[caller]
+        with pytest.raises(error) as refused:
+            call(bad)
+        assert type(refused.value) is error
+        assert str(refused.value) == f"max_cond must be None or an integer >= 0, got {bad!r}"
+
+    @pytest.mark.parametrize("bad", [0, 1, float("nan"), True, "0.05"], ids=value_id)
+    @pytest.mark.parametrize("caller", LEVEL_REFUSERS)
+    def test_bad_level(self, caller, bad):
+        error, call = LEVEL_REFUSERS[caller]
+        with pytest.raises(error) as refused:
+            call(bad)
+        assert type(refused.value) is error
+        assert str(refused.value) == f"alpha_level must be a real number in (0, 1), got {bad!r}"
 
 
 class TestGrowFromSeed:
@@ -537,6 +581,32 @@ class TestCleanupDifferential:
             assert got_log.calls == want_log.calls, f"case {case}"
             assert passes == ([len(edges)] if has_cycle else []), f"case {case}"
         assert cyclic > 0
+
+    @pytest.mark.parametrize("kind", CLEANUP_ORACLES)
+    def test_sweep_matches_the_closure_reference(self, kind):
+        # over the cleanup's adjacency, kahn_sweep's closure is the plain
+        # Kahn closure's back, and it refuses exactly the sets that closure
+        # refuses; its order is a topological order of the edge set
+        rng = np.random.default_rng([20261022, CLEANUP_ORACLES.index(kind)])
+        outcomes = set()
+        for case in range(40):
+            make = random_acyclic_case if case % 2 and kind != "dependent" else random_cleanup_case
+            edges, _ = make(rng, kind)
+            order = sorted(edges._items(), key=lambda item: (-item[1], item[0]))
+            size = 1 + max(max(pair) for pair, _ in order)
+            children, parents = sada.framework._adjacency(order, size)
+            want = acyclic_closure_reference(children, parents, size)
+            got = kahn_sweep(children, parents, children)
+            outcomes.add(want is None)
+            if want is None:
+                assert got is None, f"case {case}"
+                continue
+            placed, anc = got
+            assert anc == want, f"case {case}"
+            pos = {x: i for i, x in enumerate(placed)}
+            assert len(pos) == len(placed) and set(pos) >= set(children), f"case {case}"
+            assert all(pos[p] < pos[c] for p, c in edges.pairs()), f"case {case}"
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("max_cond", [3, None])
     def test_relabelling_relabels_the_output(self, max_cond):
