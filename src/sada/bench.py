@@ -17,7 +17,7 @@ import numpy as np
 
 from .citest import GSquaredOracle, PartialCorrelationOracle
 from .framework import discover, remove_conflicts_and_redundancy
-from .graph import Dag, generate_random_dag, is_count, is_real
+from .graph import Dag, check_count, generate_random_dag, is_real
 from .solvers import EdgeSet, solve_discrete_anm, solve_lingam
 from .synth import CPT_FLOOR, cpt_states_ok, generate_discrete, generate_linear_nongaussian
 
@@ -102,16 +102,14 @@ class ExperimentGrid:
             if not value:
                 raise BenchError(f"{name} must be nonempty")
             if name in _GRID_COUNTS:
-                if not all(is_count(x, 1) for x in value):
-                    raise BenchError(f"{name} entries must be integers >= 1, got {value}")
+                value = tuple(check_count(x, 1, f"{name} entry", BenchError) for x in value)
             elif not all(is_real(x) and x > 0 for x in value):
                 raise BenchError(f"{name} entries must be positive finite real numbers, "
                                  f"got {value}")
             if name == "noise_weights" and any(x > 1 for x in value):
                 raise BenchError(f"noise_weights entries must be at most 1, got {value}")
             set_(self, name, value)
-        if not is_count(self.replicates, 1):
-            raise BenchError(f"replicates must be an integer >= 1, got {self.replicates!r}")
+        set_(self, "replicates", check_count(self.replicates, 1, "replicates", BenchError))
         if self.model not in ("continuous", "discrete"):
             raise BenchError(f"model must be 'continuous' or 'discrete', got {self.model!r}")
         if self.model == "discrete" and len(self.noise_weights) > 1:
@@ -129,7 +127,7 @@ class ExperimentGrid:
         """(index, n, m, d, w) for every grid combination, in sweep order."""
         combos = itertools.product(self.variable_sizes, self.sample_sizes,
                                    self.in_degrees, self.noise_weights)
-        return [(i, int(n), int(m), float(d), float(w))
+        return [(i, n, m, float(d), float(w))
                 for i, (n, m, d, w) in enumerate(combos)]
 
 
@@ -256,11 +254,10 @@ def run_experiment(grid: ExperimentGrid, cfg, seed: int, workers: Optional[int] 
     stream seeded by (seed, point index, replicate), so row content does not
     depend on scheduling; workers > 1 fans replicates out to processes, and
     None or 1 runs them in this one."""
-    if workers is not None and not is_count(workers, 1):
-        raise BenchError(f"workers must be None or an integer >= 1, got {workers!r}")
-    if not is_count(seed, 0):
-        raise BenchError(f"seed must be an integer >= 0, got {seed!r}")
-    tasks = [(grid.model, n, m, d, w, grid.num_states, pi, rep, cfg, int(seed))
+    if workers is not None:
+        workers = check_count(workers, 1, "workers", BenchError)
+    seed = check_count(seed, 0, "seed", BenchError)
+    tasks = [(grid.model, n, m, d, w, grid.num_states, pi, rep, cfg, seed)
              for pi, n, m, d, w in grid.points()
              for rep in range(grid.replicates)]
     if workers is not None and workers > 1:
@@ -269,7 +266,7 @@ def run_experiment(grid: ExperimentGrid, cfg, seed: int, workers: Optional[int] 
     else:
         outcomes = [_run_replicate(t) for t in tasks]
     rows = [row for rows_part, _ in outcomes for row in rows_part]
-    summary = {"seed": int(seed), "replicates": grid.replicates, "grid_points": []}
+    summary = {"seed": seed, "replicates": grid.replicates, "grid_points": []}
     per_point = grid.replicates
     for slot, point in enumerate(grid.points()):
         part = outcomes[slot * per_point:(slot + 1) * per_point]

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import is_count, is_real
+from .graph import check_count, is_count, is_real
 
 
 class BoundsError(ValueError):
@@ -80,9 +80,7 @@ class ErrorModel:
 
     def __post_init__(self):
         set_ = object.__setattr__
-        if not is_count(self.n, 1):
-            raise BoundsError(f"n must be a positive integer, got {self.n!r}")
-        set_(self, "n", int(self.n))
+        set_(self, "n", check_count(self.n, 1, "n", BoundsError))
         pairs = self.n * self.n - self.n
         e, d, f = _count("e", self.e), _count("d", self.d), _count("f", self.f)
         if e is None and d is not None:
@@ -104,9 +102,7 @@ class ErrorModel:
         for name in ("n1", "n2", "nc"):
             value = getattr(self, name)
             if value is not None:
-                if not is_count(value, 0):
-                    raise BoundsError(f"{name} must be an integer >= 0, got {value!r}")
-                set_(self, name, int(value))
+                set_(self, name, check_count(value, 0, name, BoundsError))
         if self.n1 is not None and self.n2 is not None and self.n1 + self.n2 > self.n:
             raise BoundsError(f"side sizes n1 + n2 = {self.n1 + self.n2} exceed n = {self.n}")
         if self.nc is not None and self.nc > self.n:

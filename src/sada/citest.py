@@ -439,7 +439,7 @@ class G2Kernel:
                  "_offsets")
 
     def __init__(self, num_states: int, m: int):
-        k = self._k = int(num_states)
+        k = self._k = num_states
         self.block = max(1, G2_BLOCK_CODES // m)
         self._codes, self._other = np.empty((2, self.block, m), dtype=np.int64)
         # table t's codes start at t * k * k
@@ -518,7 +518,7 @@ class GSquaredOracle(CiOracle):
         # one contiguous code array per column
         self._cols = np.ascontiguousarray(data.values.T, dtype=np.int64)
         self._m = data.m
-        self._k = int(data.num_states)
+        self._k = data.num_states
         self._g2 = G2Kernel(self._k, self._m)
         pairs = data.n * (data.n - 1) // 2
         self._blocks = [None] * -(-pairs // self._g2.block)

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import CausalCut, bit_ids, check_alpha_level, check_cap, is_count, kahn_sweep, \
+from .graph import CausalCut, bit_ids, check_alpha_level, check_cap, check_count, kahn_sweep, \
     pair_ids
 from .solvers import EdgeSet
 
@@ -39,22 +39,17 @@ class SadaConfig:
     alpha_level: float = 0.05
 
     def __post_init__(self):
-        if not is_count(self.theta, 2):
-            raise FrameworkError(f"theta must be an integer >= 2, got {self.theta!r}")
-        if not is_count(self.k, 1):
-            raise FrameworkError(f"k must be an integer >= 1, got {self.k!r}")
-        check_cap(self.max_cond, FrameworkError)
+        set_ = object.__setattr__
+        set_(self, "theta", check_count(self.theta, 2, "theta", FrameworkError))
+        set_(self, "k", check_count(self.k, 1, "k", FrameworkError))
+        set_(self, "max_cond", check_cap(self.max_cond, FrameworkError))
         check_alpha_level(self.alpha_level, FrameworkError)
 
 
 def _sorted_ids(variables) -> list:
-    """The variable ids as ints in ascending order, once each is a
-    nonnegative integer and none repeats."""
-    vs = list(variables)
-    for w in vs:
-        if not is_count(w, 0):
-            raise FrameworkError(f"variable ids must be nonnegative integers, got {w!r}")
-    vs = sorted(int(w) for w in vs)
+    """The variable ids as ints in ascending order, once each is a count of
+    at least 0 and none repeats."""
+    vs = sorted(check_count(w, 0, "variable id", FrameworkError) for w in variables)
     if len(set(vs)) != len(vs):
         raise FrameworkError("duplicate variable ids")
     return vs

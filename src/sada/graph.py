@@ -38,6 +38,16 @@ def is_count(x, floor) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= floor
 
 
+def check_count(x, floor, name, error) -> int:
+    """x as an int; raise `error` unless `is_count(x, floor)`: the one
+    wording of every count refusal, so a numpy count is stored as an int."""
+    if type(x) is int and x >= floor:
+        return x
+    if not is_count(x, floor):
+        raise error(f"{name} must be an integer >= {floor}, got {x!r}")
+    return int(x)
+
+
 def check_cap(x, error):
     """x as an int, or None for no cap; raise `error` unless it is None or a
     count of at least 0: the conditioning-size caps SadaConfig, the
@@ -185,8 +195,7 @@ class Dag:
                  "_dsep_cache")
 
     def __init__(self, n: int, edges=()):
-        if not is_count(n, 0):
-            raise GraphError(f"variable count must be a nonnegative integer, got {n!r}")
+        n = check_count(n, 0, "n", GraphError)
         pairs = set()
         pa = [0] * n
         # parents and children: a node's neighbours in the skeleton
@@ -220,7 +229,7 @@ class Dag:
         self._dsep_cache = {}
 
     def parents(self, v: int) -> tuple:
-        return tuple(bit_ids(self._pa_bits[v]))
+        return tuple(bit_ids(self._pa_bits[check_id(v, self.n, GraphError)]))
 
     def topological_order(self) -> list:
         """Kahn's order with ties broken by smallest id, as a new list."""
@@ -349,8 +358,7 @@ def generate_random_dag(n: int, avg_in_degree: float, seed) -> Dag:
 
     The identity permutation is the topological order by construction.
     """
-    if not is_count(n, 1):
-        raise GraphError(f"need at least one variable, got n={n!r}")
+    n = check_count(n, 1, "n", GraphError)
     if not (is_real(avg_in_degree) and avg_in_degree >= 0):
         raise GraphError(f"average in-degree must be a finite real number >= 0, "
                          f"got {avg_in_degree!r}")

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .citest import PIVOT_TOL, G2Kernel, chi2_sf
-from .graph import Dag, check_id, is_count, is_real, pair_ids
+from .graph import Dag, check_count, check_id, is_real, pair_ids
 from .synth import SampleMatrix
 
 
@@ -33,18 +33,16 @@ class Edge(NamedTuple):
 
 
 def _edge_ids(parent, child) -> tuple:
-    """(parent, child) as ints, once both are nonnegative integer ids; a
+    """(parent, child) as ints, once both are counts of at least 0; a
     float, even a whole one, or a bool raises SolverError, not truncated."""
     if not (type(parent) is int and type(child) is int and parent >= 0 and child >= 0):
-        if not (is_count(parent, 0) and is_count(child, 0)):
-            raise SolverError(f"variable ids must be nonnegative integers, "
-                              f"got ({parent!r}, {child!r})")
-        parent, child = int(parent), int(child)
+        parent = check_count(parent, 0, "variable id", SolverError)
+        child = check_count(child, 0, "variable id", SolverError)
     return parent, child
 
 
 class EdgeSet:
-    """Directed edges keyed by ordered pair over nonnegative integer ids; a
+    """Directed edges keyed by ordered pair of ids, each a count of at least 0; a
     duplicate insertion keeps the larger significance, so EdgeSet([*a, *b])
     is the union of a and b."""
 
@@ -91,7 +89,7 @@ class EdgeSet:
         return out
 
     def significance(self, parent: int, child: int) -> float:
-        return self._sig[(parent, child)]
+        return self._sig[_edge_ids(parent, child)]
 
     def pairs(self) -> frozenset:
         return frozenset(self._sig)
@@ -281,7 +279,7 @@ def solve_discrete_anm(data: SampleMatrix, variables) -> EdgeSet:
     if len(usable) < 2:
         return EdgeSet()
     cols = np.ascontiguousarray(data.values[:, usable].T, dtype=np.int64)
-    k = int(data.num_states)
+    k = data.num_states
     g2 = G2Kernel(k, data.m)
     # indices into the flat (x, y) table: its k rows, then the k rows of the
     # transposed table; rotate[row, mode] is that row rotated left by mode

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Dag, is_count, is_real
+from .graph import Dag, check_count, is_count, is_real
 
 
 class SynthError(ValueError):
@@ -48,9 +48,8 @@ class SampleMatrix:
         if not self.m:
             raise SynthError("sample matrix has no sample rows")
         if self.kind == "discrete":
-            if not is_count(self.num_states, 2):
-                raise SynthError(f"discrete samples need num_states to be an integer >= 2, "
-                                 f"got {self.num_states!r}")
+            object.__setattr__(self, "num_states",
+                               check_count(self.num_states, 2, "num_states", SynthError))
             lo, hi = self._check_states()
         else:
             # no deviation from the mean exceeds 2 max|x|, so below this
@@ -117,8 +116,7 @@ def generate_linear_nongaussian(g: Dag, m: int, noise_weight: float = 0.3, *, se
     """Each variable is noise_weight times its own standardized uniform noise
     plus the sum of its parents' stored columns, then normalized in place, so
     a root column equals its standardized noise exactly."""
-    if not is_count(m, 2):
-        raise SynthError(f"m must be an integer >= 2 to normalize, got m={m!r}")
+    m = check_count(m, 2, "m", SynthError)
     if not (is_real(noise_weight) and 0 < noise_weight <= 1):
         raise SynthError(f"noise_weight must be a real number in (0, 1], got {noise_weight!r}")
     rng = np.random.default_rng(seed)
@@ -158,10 +156,8 @@ def draw_random_cpts(g: Dag, num_states: int, rng) -> dict:
 def sample_from_cpts(g: Dag, cpts: dict, num_states: int, m: int, rng) -> SampleMatrix:
     """Ancestral sampling: resolve each variable's parent configuration row,
     then invert the row's CDF against one uniform draw per sample."""
-    if not is_count(m, 1):
-        raise SynthError(f"m must be an integer >= 1, got m={m!r}")
-    if not is_count(num_states, 2):
-        raise SynthError(f"num_states must be an integer >= 2, got {num_states!r}")
+    m = check_count(m, 1, "m", SynthError)
+    num_states = check_count(num_states, 2, "num_states", SynthError)
     data = np.zeros((m, g.n), dtype=np.int64)
     for v in g.topological_order():
         parents = g.parents(v)

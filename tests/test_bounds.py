@@ -65,13 +65,13 @@ class TestErrorModel:
             ErrorModel(n=10, nc=11)
 
     @pytest.mark.parametrize("fields, fault", [
-        ({"n": 0}, "n must be a positive integer"),
-        ({"n": 2.5}, "n must be a positive integer"),
+        ({"n": 0}, "n must be an integer >= 1"),
+        ({"n": 2.5}, "n must be an integer >= 1"),
         ({"n1": 2.5}, "n1 must be an integer"),
         ({"n1": -1}, "n1 must be an integer >= 0"),
         # a whole float is no count either, as for an id
-        ({"n": 3.0}, "n must be a positive integer"),
-        ({"n": np.float64(100.0)}, "n must be a positive integer"),
+        ({"n": 3.0}, "n must be an integer >= 1"),
+        ({"n": np.float64(100.0)}, "n must be an integer >= 1"),
         ({"nc": 2.0}, "nc must be an integer >= 0")])
     def test_bad_counts_refused(self, fields, fault):
         with pytest.raises(BoundsError, match=fault):

@@ -751,10 +751,10 @@ class TestRunSada:
         # by the driver and by the cut search alike
         data = generate_linear_nongaussian(nine_node, 50, seed=0)
         for vs in ([bad, 5, 6, 7], [0.5, 1.5, 2.5, 3.5]):
-            with pytest.raises(FrameworkError, match="variable ids must be nonnegative integers"):
+            with pytest.raises(FrameworkError, match="variable id must be an integer >= 0"):
                 run_sada(data, vs, SadaConfig(), solve_lingam, PartialCorrelationOracle(data),
                          rng=np.random.default_rng(0))
-            with pytest.raises(FrameworkError, match="variable ids must be nonnegative integers"):
+            with pytest.raises(FrameworkError, match="variable id must be an integer >= 0"):
                 find_causal_cut(ExactCiOracle(nine_node), vs, SadaConfig(),
                                 rng=np.random.default_rng(0))
 

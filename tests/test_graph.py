@@ -57,11 +57,20 @@ class TestConstruction:
         assert g.d_separated(np.int64(0), np.int32(2), [np.int64(1)])
         assert Dag(3, [(np.int64(0), np.uint8(2))]).edges == {(0, 2)}
 
+    @pytest.mark.parametrize("bad", [-1, 3, True, 1.0, "1"], ids=value_id)
+    def test_parents_refuses_a_bad_id(self, bad):
+        # before, -1 wrapped round to node 2's parents, True answered for
+        # node 1 and 1.0 raised a bare TypeError
+        g = Dag(3, [(0, 2)])
+        with pytest.raises(GraphError, match="variable id"):
+            g.parents(bad)
+        assert g.parents(np.int64(2)) == (0,) and g.parents(1) == ()
+
     def test_non_integral_count_is_refused(self):
         for bad in (2.0, True, "3"):
-            with pytest.raises(GraphError, match="variable count"):
+            with pytest.raises(GraphError, match="n must be an integer >= 0"):
                 Dag(bad)
-            with pytest.raises(GraphError, match="at least one variable"):
+            with pytest.raises(GraphError, match="n must be an integer >= 1"):
                 generate_random_dag(bad, 1.0, seed=0)
 
     def test_empty_graph(self):

@@ -93,7 +93,7 @@ class TestEdgeSet:
                              ids=value_id)
     def test_non_integral_or_negative_id_is_refused(self, bad):
         for edge in ((bad, 1, 1.0), (1, bad, 1.0)):
-            with pytest.raises(SolverError, match="variable ids must be nonnegative integers"):
+            with pytest.raises(SolverError, match="variable id must be an integer >= 0"):
                 EdgeSet([edge])
         es = EdgeSet([(np.int64(2), np.uint16(1), 0.5)])
         assert es.pairs() == {(2, 1)} and all(type(x) is int for x in next(iter(es))[:2])
@@ -103,9 +103,18 @@ class TestEdgeSet:
         # a membership test takes the ids as `add` does: before, (0.5, 1.9)
         # was truncated to (0, 1) and found
         es = EdgeSet([(0, 1, 1.0)])
-        with pytest.raises(SolverError, match="variable ids must be nonnegative integers"):
+        with pytest.raises(SolverError, match="variable id must be an integer >= 0"):
             pair in es
         assert (np.int64(0), np.uint8(1)) in es and (np.int32(1), 0) not in es
+
+    @pytest.mark.parametrize("pair", [(True, 2), (1.0, 2.0), (-1, 2)], ids=value_id)
+    def test_significance_refuses_a_bad_pair(self, pair):
+        # a lookup takes the ids as `add` does: before, (True, 2) and
+        # (1.0, 2.0) both read the significance of (1, 2)
+        es = EdgeSet([(1, 2, 0.5)])
+        with pytest.raises(SolverError, match="variable id must be an integer >= 0"):
+            es.significance(*pair)
+        assert es.significance(np.int64(1), np.uint8(2)) == 0.5
 
     @pytest.mark.parametrize("bad", [0.5, 1.7, np.float64(1.0), True], ids=value_id)
     def test_solver_refuses_non_integral_variables(self, bad):

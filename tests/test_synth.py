@@ -274,7 +274,7 @@ class TestCsv:
         assert SampleMatrix(vals, "discrete", num_states=3).num_states == 3
         # a state count follows the integer rule: 2.5 is not read as 2 states
         for bad in (2.5, 3.0, np.float64(3.0), True, "3", None, 1):
-            with pytest.raises(SynthError, match="num_states to be an integer >= 2"):
+            with pytest.raises(SynthError, match="num_states must be an integer >= 2"):
                 SampleMatrix(vals, "discrete", num_states=bad)
         # continuous values must be finite: a NaN would leave every query
         # on its column undecidable
