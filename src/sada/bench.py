@@ -19,7 +19,7 @@ from .citest import GSquaredOracle, PartialCorrelationOracle
 from .framework import discover, remove_conflicts_and_redundancy
 from .graph import Dag, check_count, generate_random_dag, is_real
 from .solvers import EdgeSet, solve_discrete_anm, solve_lingam
-from .synth import CPT_FLOOR, cpt_states_ok, generate_discrete, generate_linear_nongaussian
+from .synth import check_cpt_states, generate_discrete, generate_linear_nongaussian
 
 
 class BenchError(ValueError):
@@ -116,9 +116,7 @@ class ExperimentGrid:
             # discrete data has no noise weight: each one would rerun the point
             raise BenchError("noise_weights applies to continuous data; a discrete grid "
                              f"takes one entry, got {self.noise_weights}")
-        if not cpt_states_ok(self.num_states):
-            raise BenchError(f"num_states must be an integer >= 2 that CPT_FLOOR={CPT_FLOOR} "
-                             f"leaves mass for, got {self.num_states!r}")
+        set_(self, "num_states", check_cpt_states(self.num_states, BenchError))
         for n, d in itertools.product(self.variable_sizes, self.in_degrees):
             if d > (n - 1) / 2:  # the most generate_random_dag can draw
                 raise BenchError(f"in_degrees entry {d} exceeds (n - 1) / 2 for n={n}")

@@ -139,7 +139,15 @@ def _checked_search(n: int, u, side, candidates, max_cond, pair: bool) -> tuple:
     In this order: max_cond is None or a count >= 0, v is a variable id, vs
     and candidates are bitsets over 0..n-1 (non-negative ints, not bools),
     u is a variable id, vs does not hold u and the candidates hold neither
-    u nor a member of vs."""
+    u nor a member of vs. Python ints that pass all of it, as the framework
+    builds them, are returned as they are: the full rule would give the same
+    value."""
+    if (type(u) is int and type(side) is int and type(candidates) is int
+            and (max_cond is None or type(max_cond) is int and max_cond >= 0) and 0 <= u < n):
+        vs = (1 << side if 0 <= side < n else -1) if pair else side
+        if (vs >= 0 and candidates >= 0 and not (vs | candidates) >> n and not (vs >> u) & 1
+                and not candidates & (vs | (1 << u))):
+            return u, side, max_cond
     if max_cond is not None and not (type(max_cond) is int and max_cond >= 0):
         max_cond = check_cap(max_cond, CiError)
     if pair:
@@ -560,7 +568,7 @@ class ExactCiOracle(CiOracle):
     ancestors of {u, v} does, so the scan's pool is that ancestor part, and
     nothing when even all of it does not separate. Those decisions come
     from the graph's cached moral components, so `_separable` checks a side
-    against one component of u."""
+    against one component of u, and `_pool` is its uncapped test of {v}."""
 
     def __init__(self, g: Dag):
         super().__init__(g.n)
@@ -573,30 +581,31 @@ class ExactCiOracle(CiOracle):
 
     def _pool(self, u, v, candidates):
         # any separating subset shrinks to its ancestor part without getting
-        # bigger or later in the scan order, so the first hit lives in it
+        # bigger or later in the scan order, so the first hit lives in it;
+        # that part separates exactly when the uncapped side test passes {v}
+        if not self._separable(u, 1 << v, candidates, None):
+            return None
         anc = self.graph._anc
-        zstar = candidates & (anc[u] | anc[v])
-        return bit_ids(zstar) if self.graph._d_separated_bits(u, v, zstar) else None
+        return bit_ids(candidates & (anc[u] | anc[v]))
 
     def _separable(self, u, vs, candidates, max_cond) -> bool:
-        # u's part of every member's ancestor pool is candidates & An(u), so
-        # one cached component D_u serves the whole side: a member outside
-        # it is separated by its own ancestor pool. Members inside, and under
-        # a cap those whose ancestor pool zstar exceeds it, take the per-pair
-        # check, lowest first, up to the first that fails: zstar must
-        # separate, and one over the cap needs a subset scan too.
+        # u's part of every member's ancestor pool zstar is zu = candidates &
+        # An(u), so one cached component (R_u, D_u) serves the whole side. A
+        # member adjacent to u or in R_u stays connected to u given all of
+        # zstar, so no subset of the candidates separates it, cap or not: one
+        # bitset test refuses the side. Otherwise zstar must separate each
+        # member, and under a cap a member whose zstar exceeds it needs a
+        # subset scan too, lowest first, up to the first that fails.
         graph, anc = self.graph, self.graph._anc
         zu = candidates & anc[u]
-        below = graph._component(u, zu)[1]
-        todo = vs & below if max_cond is None else vs
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            v = low.bit_length() - 1
-            zstar = zu | (candidates & anc[v])
-            over = max_cond is not None and zstar.bit_count() > max_cond
-            if (below & low or over) and not (
-                    graph._d_separated_bits(u, v, zstar)
-                    and (not over or self._scan(u, v, bit_ids(zstar), max_cond) is not None)):
-                return False
+        ucomp = graph._dsep_cache.get((u, zu)) or graph._component(u, zu)
+        if vs & (graph._nb_bits[u] | ucomp[0]) or not graph._separated_side(
+                u, zu, ucomp, vs, candidates):
+            return False
+        if max_cond is not None:
+            for v in bit_ids(vs):
+                zstar = zu | (candidates & anc[v])
+                if zstar.bit_count() > max_cond and self._scan(u, v, bit_ids(zstar),
+                                                               max_cond) is None:
+                    return False
         return True

@@ -233,7 +233,7 @@ def remove_conflicts_and_redundancy(edges: EdgeSet, oracle, max_cond) -> EdgeSet
     order = sorted(edges._items(), key=lambda item: (-item[1], item[0]))
     size = 1 + max((max(pair) for pair, _ in order), default=-1)
     children, parents = _adjacency(order, size)
-    swept = kahn_sweep(children, parents, children)
+    swept = kahn_sweep(children, size, children)
     if swept is None:
         kept, back = _greedy_acyclic(order, size)
         children, parents = _adjacency(kept, size)

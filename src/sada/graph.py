@@ -136,15 +136,20 @@ def pair_ids(flat, n) -> tuple:
     return i, flat - i * (b - i) // 2 + i + 1
 
 
-def kahn_sweep(children, parents, nodes):
-    """Kahn's algorithm: `children` maps a node to its children (one with none
-    may be missing), `parents[x]` is x's parent bitset, and the sweep starts
-    from the parentless members of `nodes`, smallest ready id first. Returns
-    (order, anc), anc[x] the bitset of the nodes that reach x, whole once x
-    is placed and pushed to its children then, or None when a cycle leaves
-    an indegree undrained."""
-    indegree = [bits.bit_count() for bits in parents]
-    anc = [0] * len(parents)
+def kahn_sweep(children, size, nodes):
+    """Kahn's algorithm over ids 0..size-1: `children` maps a node to its
+    children (one with none may be missing), and the sweep starts from the
+    members of `nodes` that are no one's child, smallest ready id first.
+    Indegrees are counted from `children`, so the sweep's steps follow its
+    edges and `nodes`, not every id below `size`. Returns (order, anc),
+    anc[x] the bitset of the nodes that reach x, whole once x is placed and
+    pushed to its children then, or None when a cycle leaves an indegree
+    undrained."""
+    indegree = [0] * size
+    for kids in children.values():
+        for y in kids:
+            indegree[y] += 1
+    anc = [0] * size
     ready = [x for x in nodes if not indegree[x]]
     heapq.heapify(ready)
     order = []
@@ -212,7 +217,7 @@ class Dag:
             nb[u] |= 1 << v
             nb[v] |= 1 << u
             children.setdefault(u, []).append(v)
-        swept = kahn_sweep(children, pa, range(n))
+        swept = kahn_sweep(children, n, range(n))
         if swept is None:
             raise CycleError("edge set contains a directed cycle")
         order, anc = swept
@@ -259,17 +264,30 @@ class Dag:
         if (self._nb_bits[u] >> v) & 1:
             return False
         anc, cache = self._anc, self._dsep_cache
-        zu, zv = z_bits & anc[u], z_bits & anc[v]
-        if zu | zv == z_bits:
-            ru, du = cache.get((u, zu)) or self._component(u, zu)
-            if not (du >> v) & 1:
-                return True
-            rv, dv = cache.get((v, zv)) or self._component(v, zv)
-            if not (dv >> u) & 1:
-                return True
-            if ru & rv:
-                return False
+        zu = z_bits & anc[u]
+        if zu | (z_bits & anc[v]) == z_bits:
+            return self._separated_side(u, zu, cache.get((u, zu)) or self._component(u, zu),
+                                        1 << v, z_bits)
         return not self._connected_bits(u, 1 << v, z_bits)
+
+    def _separated_side(self, u: int, zu: int, ucomp: tuple, vs: int, candidates: int) -> bool:
+        """Whether u is d-separated from each member v of the bitset vs, none
+        adjacent to u, by zu | zv with zv = candidates & An(v), where zu =
+        candidates & An(u) and ucomp = (R_u, D_u), `_component(u, zu)`: the
+        steps of `_d_separated_bits` after u's part, so a side shares one
+        read of u's component. Members outside D_u are separated."""
+        anc, cache = self._anc, self._dsep_cache
+        ru, du = ucomp
+        todo = vs & du
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
+            zv = candidates & anc[v]
+            rv, dv = cache.get((v, zv)) or self._component(v, zv)
+            if (dv >> u) & 1 and (ru & rv or self._connected_bits(u, low, zu | zv)):
+                return False
+        return True
 
     def _component(self, u: int, z_bits: int) -> tuple:
         """(R_u, D_u) for z_bits within An(u): u's component in the moral

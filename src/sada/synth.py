@@ -138,13 +138,20 @@ def cpt_states_ok(num_states) -> bool:
     return is_count(num_states, 2) and CPT_FLOOR * num_states < 1
 
 
+def check_cpt_states(x, error) -> int:
+    """x as an int; raise `error` unless `cpt_states_ok(x)`: the one wording
+    of the CPT state refusal, so a numpy state count is stored as an int."""
+    if not cpt_states_ok(x):
+        raise error(f"num_states must be an integer >= 2 that CPT_FLOOR={CPT_FLOOR} "
+                    f"leaves mass for, got {x!r}")
+    return int(x)
+
+
 def draw_random_cpts(g: Dag, num_states: int, rng) -> dict:
     """One table per variable: rows indexed by the parent configuration
     (ascending parent ids, first parent is the least significant digit),
     each row uniform on the simplex then pushed away from zero by CPT_FLOOR."""
-    if not cpt_states_ok(num_states):
-        raise SynthError(f"num_states must be an integer >= 2 that CPT_FLOOR={CPT_FLOOR} "
-                         f"leaves mass for, got {num_states!r}")
+    num_states = check_cpt_states(num_states, SynthError)
     cpts = {}
     for v in range(g.n):
         rows = num_states ** len(g.parents(v))

@@ -507,3 +507,122 @@ def checked_ids_reference(u, v, z, n, error) -> tuple:
     if u in zt or v in zt:
         raise error("conditioning set must exclude the queried pair")
     return u, v, zt
+
+
+# The exact-mode steps below are kept as they were before the one-read side
+# test, the search gate's fast path, the edge-sized Kahn sweep and the
+# bitset oracle solver, so that each rewrite is checked against the code it
+# replaced, answer for answer.
+
+
+def d_separated_bits_reference(graph, u: int, v: int, z_bits: int) -> bool:
+    """`Dag._d_separated_bits` with u's part and v's part in one body."""
+    if (graph._nb_bits[u] >> v) & 1:
+        return False
+    anc, cache = graph._anc, graph._dsep_cache
+    zu, zv = z_bits & anc[u], z_bits & anc[v]
+    if zu | zv == z_bits:
+        ru, du = cache.get((u, zu)) or graph._component(u, zu)
+        if not (du >> v) & 1:
+            return True
+        rv, dv = cache.get((v, zv)) or graph._component(v, zv)
+        if not (dv >> u) & 1:
+            return True
+        if ru & rv:
+            return False
+    return not graph._connected_bits(u, 1 << v, z_bits)
+
+
+def per_member_exact_oracle(g):
+    """An ExactCiOracle over g whose `_separable` checks each member of the
+    side on its own, through `d_separated_bits_reference`."""
+    from sada.citest import ExactCiOracle
+    from sada.graph import bit_ids
+
+    class PerMemberExactOracle(ExactCiOracle):
+        def _separable(self, u, vs, candidates, max_cond) -> bool:
+            graph, anc = self.graph, self.graph._anc
+            zu = candidates & anc[u]
+            below = graph._component(u, zu)[1]
+            todo = vs & below if max_cond is None else vs
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                v = low.bit_length() - 1
+                zstar = zu | (candidates & anc[v])
+                over = max_cond is not None and zstar.bit_count() > max_cond
+                if (below & low or over) and not (
+                        d_separated_bits_reference(graph, u, v, zstar)
+                        and (not over or self._scan(u, v, bit_ids(zstar), max_cond) is not None)):
+                    return False
+            return True
+
+    return PerMemberExactOracle(g)
+
+
+def checked_search_reference(n: int, u, side, candidates, max_cond, pair: bool) -> tuple:
+    """The search gate's full rule, with no shortcut: (u, side, max_cond) as
+    ints, where side is the id v of a pair search and the bitset vs
+    otherwise, {v} for a pair. In this order: max_cond is None or a count
+    >= 0, v is a variable id, vs and candidates are bitsets over 0..n-1
+    (non-negative ints, not bools), u is a variable id, vs does not hold u
+    and the candidates hold neither u nor a member of vs."""
+    from sada.citest import CiError
+    from sada.graph import check_cap, check_id
+
+    if max_cond is not None and not (type(max_cond) is int and max_cond >= 0):
+        max_cond = check_cap(max_cond, CiError)
+    if pair:
+        if type(side) is not int or not 0 <= side < n:
+            side = check_id(side, n, CiError)
+        vs = 1 << side
+    else:
+        vs = side
+    for name, bits in (("vs", vs), ("candidates", candidates)):
+        if type(bits) is not int or bits < 0:
+            got = bits if type(bits) is int else type(bits).__name__
+            raise CiError(f"{name} must be a bitset (a non-negative int), got {got}")
+        if bits >> n:
+            raise CiError(f"{name} holds variable id {bits.bit_length() - 1}, out of range for n={n}")
+    if type(u) is not int or not 0 <= u < n:
+        u = check_id(u, n, CiError)
+    if (vs >> u) & 1:
+        raise CiError(f"need two distinct variables, but vs holds u={u}")
+    if candidates & (vs | (1 << u)):
+        raise CiError("conditioning set must exclude the queried pair")
+    return u, side, max_cond
+
+
+def kahn_sweep_reference(children, parents, nodes):
+    """Kahn's algorithm with indegrees counted from `parents[x]`, x's parent
+    bitset, over every id: (order, anc) or None, as `kahn_sweep` returns."""
+    import heapq
+
+    indegree = [bits.bit_count() for bits in parents]
+    anc = [0] * len(parents)
+    ready = [x for x in nodes if not indegree[x]]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        x = heapq.heappop(ready)
+        order.append(x)
+        up = anc[x] | (1 << x)
+        for y in children.get(x, ()):
+            anc[y] |= up
+            indegree[y] -= 1
+            if not indegree[y]:
+                heapq.heappush(ready, y)
+    return None if any(indegree) else (order, anc)
+
+
+def oracle_solver_reference(g_true, variables):
+    """The edges of g_true induced on the variable set, at significance 1.0,
+    from a scan of every true edge."""
+    from sada.solvers import EdgeSet, _checked_vars
+
+    vs = set(_checked_vars(g_true.n, variables))
+    result = EdgeSet()
+    for u, v in g_true.edges:
+        if u in vs and v in vs:
+            result.add(u, v, 1.0)
+    return result

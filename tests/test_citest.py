@@ -34,9 +34,11 @@ from sada.citest import (
 from conftest import TableOracle, bits, random_small_dags, relabelled, value_id
 from oracles import (
     checked_ids_reference,
+    checked_search_reference,
     exists_separator_brute,
     g2_from_tables_reference,
     partial_corr_reference,
+    per_member_exact_oracle,
 )
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -807,6 +809,68 @@ class TestSeparableSide:
         assert outcomes[True] and outcomes[False]
 
 
+def _spread(g, rng, factor=4):
+    """g with its ids mapped at random into 0..factor*n-1; the ids left out
+    are isolated variables."""
+    ids = [int(x) for x in rng.choice(factor * g.n, g.n, replace=False)]
+    return Dag(factor * g.n, [(ids[a], ids[b]) for a, b in g.edges]), ids
+
+
+class TestOneReadSideTest:
+    """The exact oracle's side test reads u's cached component once: it
+    answers as the per-member check it replaced, and a side that holds a
+    neighbour of u or a member of u's component R_u is refused from that
+    component alone."""
+
+    def test_matches_the_per_member_check(self):
+        # plain, relabelled and spread ids; random sides and pools; every
+        # cap; a fresh graph per call (cold component cache) and one graph
+        # for all calls (warm)
+        rng = np.random.default_rng(2030)
+        outcomes = {True: 0, False: 0}
+        for seed in range(6):
+            base = generate_random_dag(int(rng.integers(12, 40)), 1.0 + 0.25 * (seed % 4), seed=seed)
+            for shape in ("plain", "relabelled", "spread"):
+                if shape == "plain":
+                    g, used = base, list(range(base.n))
+                elif shape == "relabelled":
+                    g, used = relabelled(base, rng), list(range(base.n))
+                else:
+                    g, used = _spread(base, rng)
+                warm, ref = ExactCiOracle(g), per_member_exact_oracle(Dag(g.n, g.edges))
+                for _ in range(25):
+                    perm = [used[i] for i in rng.permutation(len(used))]
+                    u, k = perm[0], int(rng.integers(1, 8))
+                    vs = bits(perm[1:1 + k])
+                    pool = bits(w for w in perm[1 + k:] if rng.random() < 0.5)
+                    for cap in (None, 0, 1, 2, 3):
+                        want = ref.separable(u, vs, pool, cap)
+                        cold = ExactCiOracle(Dag(g.n, g.edges))
+                        assert cold.separable(u, vs, pool, cap) == want, (shape, u, vs, pool, cap)
+                        assert warm.separable(u, vs, pool, cap) == want, (shape, u, vs, pool, cap)
+                        outcomes[want] += 1
+        assert min(outcomes.values()) > 100, outcomes
+
+    # (edges, u, vs, pool): a side whose lowest member is a child of u, a
+    # parent of u, an ancestor of u joined to it outside the pool, or the
+    # other parent of a pool member that is a parent of u
+    REFUSED = [
+        ([(0, 1), (2, 3)], 0, [1, 3], 0),
+        ([(1, 0), (2, 3)], 0, [1, 3], 0),
+        ([(1, 0), (2, 0), (3, 1)], 0, [3, 4], bits([2])),
+        ([(1, 3), (2, 3), (3, 0), (1, 0)], 0, [2], bits([3])),
+    ]
+
+    @pytest.mark.parametrize("edges, u, vs, pool", REFUSED)
+    @pytest.mark.parametrize("cap", [None, 0, 3])
+    def test_whole_side_refusal_reads_only_u(self, edges, u, vs, pool, cap):
+        g = Dag(5, edges)
+        o = ExactCiOracle(g)
+        assert ExactCiOracle(Dag(5, edges)).find_separator(u, min(vs), pool, None) is None
+        assert o.separable(u, bits(vs), pool, cap) is False
+        assert list(g._dsep_cache) == [(u, pool & g._anc[u])] and not o._cache
+
+
 class TestFindSeparatorDispatch:
     def test_statistical_chain(self):
         sm = generate_linear_nongaussian(CHAIN, m=2000, seed=21)
@@ -1150,6 +1214,80 @@ class TestCapRule:
         assert o.find_separator(0, 2, bits({1, 3}), cap) == want
         assert o.separable(0, bits([2]), bits({1, 3}), cap) == (want is not None)
         assert TableOracle(n=4).separable(0, bits([2]), bits({1, 3}), cap) is False
+
+
+class TestSearchGateFastPath:
+    """`_checked_search` returns Python ints that pass its rule as they are
+    and takes the full rule for anything else: value and types, or error
+    class and message, it answers as the full rule alone does."""
+
+    N = 6
+    IDS = (0, 1, 2, 5, 6, 7, -1, True, False, np.int64(2), np.int32(4), 2.0, "1", None)
+    BITSETS = (0, 1 << 6, 1 << 7, -1, -6, True, False, np.int64(6), {1}, [2], 6.0, None,
+               (1 << 6) - 1)
+    CAPS = (None, None, 0, 1, 3, 7, -1, True, np.int64(2), 2.0, "3", Cap.TWO, Cap.BELOW)
+
+    def _outcome(self, check, args):
+        try:
+            got = check(self.N, *args)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return got, [type(x) for x in got]
+
+    def _cases(self, rng, count):
+        n = self.N
+
+        def pick(common, odd, p):
+            return common() if rng.random() < p else odd[rng.integers(len(odd))]
+
+        for _ in range(count):
+            pair = bool(rng.random() < 0.5)
+            u = pick(lambda: int(rng.integers(n)), self.IDS, 0.8)
+            side = (pick(lambda: int(rng.integers(n)), self.IDS, 0.8) if pair else
+                    pick(lambda: int(rng.integers(1 << n)), self.BITSETS, 0.8))
+            candidates = pick(lambda: int(rng.integers(1 << n)), self.BITSETS, 0.8)
+            if rng.random() < 0.7 and type(u) is int and 0 <= u < n and type(candidates) is int:
+                # mostly well-formed: the fast path's own ground
+                vs = (1 << side if type(side) is int and 0 <= side < n else 0) if pair else side
+                if type(vs) is int and vs >= 0:
+                    if not pair:
+                        side = vs = vs & ~(1 << u)
+                    candidates &= ~(vs | 1 << u)
+            max_cond = pick(lambda: self.CAPS[rng.integers(6)], self.CAPS, 0.8)
+            yield u, side, candidates, max_cond, pair
+
+    ADVERSARIAL = [
+        (0, 1, 0, None, True), (0, 1, 0b111100, 3, True), (5, 0, 0b11110, 0, True),
+        (0, 0, 0, None, True), (0, 6, 0, None, True), (0, -1, 0, None, True),
+        (6, 1, 0, None, True), (-1, 1, 0, None, True), (0, 1, 1 << 6, None, True),
+        (0, 1, 0b1, None, True), (0, 1, 0b10, None, True), (0, 1, -4, None, True),
+        (0, 1, 0, -1, True), (0, True, 0, None, True), (True, 1, 0, None, True),
+        (0, np.int64(1), 0, None, True), (np.int64(0), 1, 0, None, True),
+        (0, 1, np.int64(4), None, True), (0, 1, 0, np.int64(2), True), (0, 1, 0, Cap.TWO, True),
+        (0, 1.0, 0, None, True), (0, 1, 0, 2.0, True),
+        (0, 0b10, 0b100, None, False), (0, 0b111110, 0, 3, False), (0, 0b11, 0, None, False),
+        (0, 1 << 6, 0, None, False), (0, 0b10, 1 << 6, None, False), (0, -2, 0, None, False),
+        (0, 0b10, -1, None, False), (0, 0b110, 0b100, None, False), (0, 0b10, 0b1, None, False),
+        (6, 0b10, 0, None, False), (-1, 0b10, 0, None, False), (0, 0, 0, None, False),
+        (0, 0, 1 << 6, None, False), (0, True, 0, None, False), (0, 0b10, False, None, False),
+        (0, np.int64(2), 0, None, False), (0, {1}, 0, None, False), (0, 0b10, 0, -1, False),
+        (0, 0b10, 0, True, False), (np.int32(0), 0b10, 0, 0, False), (0.0, 0b10, 0, 0, False),
+        (0, 1 << 100, 0, None, False), (100, 0b10, 0, None, False), (0, 100, 0, None, True),
+        (0, 1 << 70, 0, None, True), (1 << 70, 0b10, 0, None, False), (1 << 70, 1, 0, None, True),
+    ]
+
+    def test_adversarial_arguments_match_the_full_rule(self):
+        for args in self.ADVERSARIAL:
+            want = self._outcome(checked_search_reference, args)
+            assert self._outcome(sada.citest._checked_search, args) == want, args
+
+    def test_random_arguments_match_the_full_rule(self):
+        outcomes = set()
+        for args in self._cases(np.random.default_rng(30), 4000):
+            want = self._outcome(checked_search_reference, args)
+            assert self._outcome(sada.citest._checked_search, args) == want, args
+            outcomes.add(want[0] if isinstance(want[0], type) else "passed")
+        assert outcomes == {CiError, "passed"}
 
 
 class InverseFisherZ:

@@ -14,8 +14,8 @@ from sada.citest import ExactCiOracle, PartialCorrelationOracle
 from sada.framework import FrameworkError, SadaConfig, run_sada
 from sada.graph import Dag, GraphError, generate_random_dag
 from sada.solvers import EdgeSet, SolverError, make_oracle_solver
-from sada.synth import (SampleMatrix, SynthError, draw_random_cpts, generate_linear_nongaussian,
-                        sample_from_cpts)
+from sada.synth import (CPT_FLOOR, SampleMatrix, SynthError, draw_random_cpts,
+                        generate_linear_nongaussian, sample_from_cpts)
 
 from conftest import value_id
 
@@ -126,3 +126,29 @@ class TestCountRule:
         _, summary = run_experiment(ExperimentGrid(**{**TINY_GRID, "replicates": np.int64(1)}),
                                     SadaConfig(theta=2), seed=np.int64(0))
         assert json.loads(json.dumps(summary))["replicates"] == 1
+
+
+class TestCptStateRule:
+    """The CPT state rule, once across ExperimentGrid and draw_random_cpts:
+    one refusal text, and a numpy state count stored as a Python int."""
+
+    @pytest.mark.parametrize("bad", [1, 20, np.int64(20), 2.0, True, "3", None], ids=value_id)
+    def test_bad_state_count_is_refused_in_one_wording(self, bad):
+        want = (f"num_states must be an integer >= 2 that CPT_FLOOR={CPT_FLOOR} "
+                f"leaves mass for, got {bad!r}")
+        for error, call in ((BenchError, lambda: ExperimentGrid(model="discrete", num_states=bad)),
+                            (SynthError, lambda: draw_random_cpts(CHAIN, bad,
+                                                                  np.random.default_rng(0)))):
+            with pytest.raises(error) as refused:
+                call()
+            assert type(refused.value) is error and str(refused.value) == want
+
+    def test_numpy_state_count_is_stored_as_an_int(self):
+        grid = ExperimentGrid(model="discrete", num_states=np.int64(3))
+        assert type(grid.num_states) is int and grid.num_states == 3
+        cpts = draw_random_cpts(CHAIN, np.uint8(3), np.random.default_rng(0))
+        assert all(table.shape[1] == 3 for table in cpts.values())
+
+    def test_grid_with_a_numpy_state_count_serializes_to_json(self):
+        grid = ExperimentGrid(model="discrete", num_states=np.int64(3))
+        assert json.loads(json.dumps(dataclasses.asdict(grid)))["num_states"] == 3

@@ -10,6 +10,7 @@ from sada.graph import (
     EdgeListParseError,
     GraphError,
     generate_random_dag,
+    kahn_sweep,
     load_dag,
     save_dag,
 )
@@ -21,6 +22,7 @@ from oracles import (
     closure_by_squaring,
     descendants,
     expected_edge_count,
+    kahn_sweep_reference,
     moral_d_separated,
     moral_reached,
 )
@@ -154,6 +156,58 @@ def smallest_ready_order(n, edges):
         order.append(v)
         placed.add(v)
     return order
+
+
+class TestKahnSweep:
+    """`kahn_sweep` counts indegrees from its children map and returns what
+    the sweep over every id's parent bitset returns: the same order and
+    closure, or None for a cycle."""
+
+    def _case(self, rng, cyclic):
+        """(edges, size): a random edge set over a few ids spread below a
+        high size, acyclic along a random order unless `cyclic` adds back
+        edges."""
+        size = int(rng.integers(1, 600))
+        ids = [int(x) for x in rng.choice(size, int(rng.integers(1, min(size, 30) + 1)),
+                                          replace=False)]
+        p = float(rng.uniform(0.05, 0.4))
+        edges = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < p]
+        if cyclic:
+            edges += [(b, a) for a, b in edges if rng.random() < 0.1]
+        rng.shuffle(edges)
+        return edges, size
+
+    @pytest.mark.parametrize("kind", ["dag", "cleanup"])
+    def test_matches_the_sweep_over_every_id(self, kind):
+        rng = np.random.default_rng([2032, kind == "dag"])
+        outcomes = set()
+        for case in range(300):
+            edges, size = self._case(rng, cyclic=case % 2 == 1)
+            children, parents = {}, [0] * size
+            for a, b in edges:
+                if kind == "dag":
+                    # as Dag builds them: child lists in edge order
+                    children.setdefault(a, []).append(b)
+                else:
+                    # as the merge cleanup builds them: child sets
+                    children.setdefault(a, set()).add(b)
+                parents[b] |= 1 << a
+            nodes = range(size) if kind == "dag" else children
+            want = kahn_sweep_reference(children, parents, nodes)
+            assert kahn_sweep(children, size, nodes) == want, (case, edges, size)
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_orders_every_dag_as_before(self):
+        rng = np.random.default_rng(2033)
+        for g in random_small_dags(count=30, max_n=12):
+            g = relabelled(g, rng)
+            children, parents = {}, [0] * g.n
+            for a, b in sorted(g.edges):
+                children.setdefault(a, []).append(b)
+                parents[b] |= 1 << a
+            order, anc = kahn_sweep_reference(children, parents, range(g.n))
+            assert g.topological_order() == order and g._anc == anc
 
 
 class TestBuiltFacts:

@@ -33,8 +33,10 @@ import numpy as np
 
 import sada.framework
 from sada.citest import ExactCiOracle, GSquaredOracle, PartialCorrelationOracle
-from sada.graph import CausalCut, Dag
-from sada.synth import SampleMatrix
+from sada.framework import SadaConfig, run_sada
+from sada.graph import CausalCut, Dag, generate_random_dag
+from sada.solvers import make_oracle_solver, solve_lingam
+from sada.synth import SampleMatrix, generate_linear_nongaussian
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -98,6 +100,42 @@ def test_names_the_benchmark_reads():
         assert params(oracle.find_separator) == ["u", "v", "candidates", "max_cond"]
         assert params(oracle.separable) == ["u", "vs", "candidates", "max_cond"]
     assert CausalCut(frozenset({0}), frozenset(), frozenset({1, 2})).min_side == 1
+
+
+def test_every_search_hook_runs_under_the_traced_entry_points():
+    # the tracer times an oracle's searches by replacing the instance's
+    # `separable` and `find_separator`; a run whose cut search or merge
+    # reached a search hook some other way would escape what it measures
+    g = generate_random_dag(40, 1.25, seed=3)
+    data = generate_linear_nongaussian(g, 80, seed=4)
+    for oracle, samples, solver, cap in ((ExactCiOracle(g), None, make_oracle_solver(g), None),
+                                         (PartialCorrelationOracle(data), data, solve_lingam, 3)):
+        depth = [0]
+        # hook name: [calls under a wrapper, calls around them]
+        hooks = {"_separable": [0, 0], "_pool": [0, 0]}
+
+        def outermost(search):
+            def traced(u, v, candidates, max_cond=3):
+                depth[0] += 1
+                try:
+                    return search(u, v, candidates, max_cond)
+                finally:
+                    depth[0] -= 1
+            return traced
+
+        def counted(name, hook):
+            def wrapped(*args):
+                hooks[name][0 if depth[0] else 1] += 1
+                return hook(*args)
+            return wrapped
+
+        oracle.find_separator = outermost(oracle.find_separator)
+        oracle.separable = outermost(oracle.separable)
+        for name in hooks:
+            setattr(oracle, name, counted(name, getattr(oracle, name)))
+        run_sada(samples, range(g.n), SadaConfig(max_cond=cap), solver, oracle,
+                 rng=np.random.default_rng(2026))
+        assert all(through > 0 and around == 0 for through, around in hooks.values()), hooks
 
 
 def test_benchmark_selftest_passes():

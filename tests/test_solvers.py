@@ -19,8 +19,8 @@ from sada.solvers import (
     solve_lingam,
 )
 
-from conftest import NINE_NODE_EDGES, value_id
-from oracles import discrete_anm_four_pass, exogeneity_order_reference
+from conftest import NINE_NODE_EDGES, relabelled, value_id
+from oracles import discrete_anm_four_pass, exogeneity_order_reference, oracle_solver_reference
 
 PAIR = Dag(2, [(0, 1)])
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -391,3 +391,25 @@ class TestOracleSolver:
         g = Dag(3, [(0, 1), (1, 2)])
         solver = make_oracle_solver(g)
         assert solver(None, {0, 1}).pairs() == {(0, 1)}
+
+    def test_matches_the_edge_scan(self):
+        # random leaves, as ids of several iterable kinds, of relabelled
+        # graphs: the same edges as a scan of every true edge, and the same
+        # refusal for a bad id
+        rng = np.random.default_rng(2031)
+        for seed in range(12):
+            g = relabelled(generate_random_dag(int(rng.integers(2, 60)), 0.75 + 0.25 * (seed % 5),
+                                               seed=seed), rng)
+            for _ in range(20):
+                leaf = [int(w) for w in rng.choice(g.n, int(rng.integers(1, g.n + 1)), replace=False)]
+                for shape in (set, list, tuple, lambda ids: [np.int64(w) for w in ids]):
+                    want = oracle_solver_reference(g, shape(leaf))
+                    got = oracle_solver(g, shape(leaf))
+                    assert got == want and list(got) == list(want), (g, leaf)
+            for bad in (g.n, -1, 1.0, True, "0"):
+                outcomes = []
+                for solve in (oracle_solver_reference, oracle_solver):
+                    with pytest.raises(SolverError) as refused:
+                        solve(g, [0, bad])
+                    outcomes.append(str(refused.value))
+                assert outcomes[0] == outcomes[1], bad
