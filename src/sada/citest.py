@@ -566,9 +566,8 @@ class ExactCiOracle(CiOracle):
     through the three hooks behind the base class's gate. Some Z within a
     pool R separates u and v exactly when the pool's restriction to
     ancestors of {u, v} does, so the scan's pool is that ancestor part, and
-    nothing when even all of it does not separate. Those decisions come
-    from the graph's cached moral components, so `_separable` checks a side
-    against one component of u, and `_pool` is its uncapped test of {v}."""
+    nothing when even all of it does not separate. `Dag._separated_side`
+    decides that for a whole side; `_pool` asks it about {v}."""
 
     def __init__(self, g: Dag):
         super().__init__(g.n)
@@ -581,30 +580,23 @@ class ExactCiOracle(CiOracle):
 
     def _pool(self, u, v, candidates):
         # any separating subset shrinks to its ancestor part without getting
-        # bigger or later in the scan order, so the first hit lives in it;
-        # that part separates exactly when the uncapped side test passes {v}
-        if not self._separable(u, 1 << v, candidates, None):
+        # bigger or later in the scan order, so the first hit lives in it
+        if not self.graph._separated_side(u, 1 << v, candidates):
             return None
         anc = self.graph._anc
         return bit_ids(candidates & (anc[u] | anc[v]))
 
     def _separable(self, u, vs, candidates, max_cond) -> bool:
-        # u's part of every member's ancestor pool zstar is zu = candidates &
-        # An(u), so one cached component (R_u, D_u) serves the whole side. A
-        # member adjacent to u or in R_u stays connected to u given all of
-        # zstar, so no subset of the candidates separates it, cap or not: one
-        # bitset test refuses the side. Otherwise zstar must separate each
-        # member, and under a cap a member whose zstar exceeds it needs a
-        # subset scan too, lowest first, up to the first that fails.
-        graph, anc = self.graph, self.graph._anc
-        zu = candidates & anc[u]
-        ucomp = graph._dsep_cache.get((u, zu)) or graph._component(u, zu)
-        if vs & (graph._nb_bits[u] | ucomp[0]) or not graph._separated_side(
-                u, zu, ucomp, vs, candidates):
+        # each member's whole ancestor pool zstar must separate it, and a
+        # member it leaves connected has no separating subset, cap or not;
+        # under a cap a member whose zstar exceeds it needs a subset scan
+        # too, lowest first, up to the first that fails
+        if not self.graph._separated_side(u, vs, candidates):
             return False
         if max_cond is not None:
+            anc = self.graph._anc
             for v in bit_ids(vs):
-                zstar = zu | (candidates & anc[v])
+                zstar = candidates & (anc[u] | anc[v])
                 if zstar.bit_count() > max_cond and self._scan(u, v, bit_ids(zstar),
                                                                max_cond) is None:
                     return False

@@ -193,7 +193,7 @@ class Dag:
     bitsets. The topological order and the ancestor and descendant closures
     are built once, in the constructor, and shared by every query on the
     instance. The one cache, `_dsep_cache`, maps (u, z & An(u)) to u's
-    moral component there and its descendants (see `_d_separated_bits`).
+    moral component there and its descendants (see `_separated_side`).
     """
 
     __slots__ = ("n", "edges", "_order", "_pa_bits", "_nb_bits", "_anc", "_desc",
@@ -243,41 +243,38 @@ class Dag:
     def d_separated(self, u: int, v: int, z) -> bool:
         """Lauritzen's moral-graph criterion: u and v are d-separated by z
         exactly when they are disconnected in the moral graph of the
-        ancestral set An({u, v} | z) once z is removed. The search runs on
-        bitset frontiers confined to that set, so a query costs time in its
-        size rather than in n. The ids pass `checked_ids` first.
+        ancestral set An({u, v} | z) once z is removed. The ids pass
+        `checked_ids` first. A z within An(u) | An(v) is the side test of
+        {v}; any other z takes one search on bitset frontiers confined to
+        that set, so a query costs time in its size rather than in n.
         """
         u, v, zt = checked_ids(u, v, z, self.n, GraphError)
-        return self._d_separated_bits(u, v, sum(1 << w for w in zt))
+        z_bits = sum(1 << w for w in zt)
+        if z_bits & ~(self._anc[u] | self._anc[v]):
+            return not self._connected_bits(u, 1 << v, z_bits)
+        return self._separated_side(u, 1 << v, z_bits)
 
-    def _d_separated_bits(self, u: int, v: int, z_bits: int) -> bool:
-        """d-separation of u and v by z_bits, a bitset holding neither.
+    def _separated_side(self, u: int, vs: int, candidates: int) -> bool:
+        """Whether u is d-separated from every member v of the bitset vs by
+        zu | zv, zu = candidates & An(u) and zv = candidates & An(v); vs and
+        candidates are disjoint and hold no u.
 
-        With An*(x) for x and its ancestors and z within An*(u) | An*(v), the
-        moral graph of that set is the union of those of An*(u) and An*(v):
-        each edge and marriage lies in its child's ancestral set. R_u is u's
-        component in the first without z, D_u is R_u and its descendants. A
-        u-v path leaves R_u by an edge of the second, from a node of An*(v);
-        so v outside D_u (or u outside D_v) means separated, and R_u meeting
-        R_v means connected. Anything else takes one search from u to v.
+        With An*(x) for x and its ancestors, the moral graph of An*(u) |
+        An*(v) is the union of those of An*(u) and An*(v): each edge and
+        marriage lies in its child's ancestral set. R_u is u's component in
+        the first without zu, D_u is R_u and its descendants, one cached
+        read for the whole side. A member adjacent to u or in R_u is
+        connected, so one bitset test refuses the side from u's part alone.
+        A u-v path leaves R_u by an edge of the second, from a node of
+        An*(v); so v outside D_u (or u outside D_v) means separated, and R_u
+        meeting R_v means connected. Anything else takes one search from u
+        to v.
         """
-        if (self._nb_bits[u] >> v) & 1:
+        anc, cache = self._anc, self._dsep_cache
+        zu = candidates & anc[u]
+        ru, du = cache.get((u, zu)) or self._component(u, zu)
+        if vs & (self._nb_bits[u] | ru):
             return False
-        anc, cache = self._anc, self._dsep_cache
-        zu = z_bits & anc[u]
-        if zu | (z_bits & anc[v]) == z_bits:
-            return self._separated_side(u, zu, cache.get((u, zu)) or self._component(u, zu),
-                                        1 << v, z_bits)
-        return not self._connected_bits(u, 1 << v, z_bits)
-
-    def _separated_side(self, u: int, zu: int, ucomp: tuple, vs: int, candidates: int) -> bool:
-        """Whether u is d-separated from each member v of the bitset vs, none
-        adjacent to u, by zu | zv with zv = candidates & An(v), where zu =
-        candidates & An(u) and ucomp = (R_u, D_u), `_component(u, zu)`: the
-        steps of `_d_separated_bits` after u's part, so a side shares one
-        read of u's component. Members outside D_u are separated."""
-        anc, cache = self._anc, self._dsep_cache
-        ru, du = ucomp
         todo = vs & du
         while todo:
             low = todo & -todo

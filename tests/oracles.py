@@ -516,7 +516,9 @@ def checked_ids_reference(u, v, z, n, error) -> tuple:
 
 
 def d_separated_bits_reference(graph, u: int, v: int, z_bits: int) -> bool:
-    """`Dag._d_separated_bits` with u's part and v's part in one body."""
+    """d-separation of u and v by z_bits, a bitset within or beyond An(u) |
+    An(v), from u's and v's cached components one pair at a time: the pair
+    test the side test replaced, with u's part and v's part in one body."""
     if (graph._nb_bits[u] >> v) & 1:
         return False
     anc, cache = graph._anc, graph._dsep_cache

@@ -690,6 +690,18 @@ class TestRunSada:
                        rng=np.random.default_rng(302))
         assert out.pairs() == frozenset(g.edges)
 
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_capped_exact_oracle_recovery_relabelled_n300(self, cap):
+        # under a cap a side test runs the subset scans of members whose
+        # ancestor pool exceeds it; the run still cuts and recovers the truth
+        g = relabelled(generate_random_dag(300, 1.25, seed=300), np.random.default_rng(301))
+        cuts = []
+        out = run_sada(None, range(300), SadaConfig(theta=10, max_cond=cap),
+                       make_oracle_solver(g), ExactCiOracle(g),
+                       rng=np.random.default_rng(302), trace=cuts)
+        assert out.pairs() == frozenset(g.edges)
+        assert cuts
+
     def test_exact_oracle_recovery_relabelled_n1000(self):
         g = relabelled(generate_random_dag(1000, 1.25, seed=1000), np.random.default_rng(1001))
         assert g.topological_order() != list(range(1000))

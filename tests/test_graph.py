@@ -9,6 +9,7 @@ from sada.graph import (
     Dag,
     EdgeListParseError,
     GraphError,
+    bit_ids,
     generate_random_dag,
     kahn_sweep,
     load_dag,
@@ -435,15 +436,18 @@ def _component_reference(g, u, z):
 
 
 class TestComponentDSeparation:
-    """`_d_separated_bits` decides from cached moral components of u and v
-    in their own ancestral sets, and falls back to one pair search."""
+    """`d_separated` decides a z within An(u) | An(v) by `_separated_side`,
+    from cached moral components of u and v in their own ancestral sets,
+    and any other z by one pair search."""
 
     @pytest.mark.parametrize("n", [30, 120])
     def test_matches_moral_graph_reference(self, n):
         # z from An(u) | An(v), from anywhere, and for adjacent pairs; each
-        # query within the ancestors is classed by the reference components
+        # query within the ancestors is classed by the reference components,
+        # and pinned to the cache entries it adds
         rng = np.random.default_rng(2026 + n)
-        outcomes = dict.fromkeys(("u side", "v side", "shared", "pair search"), 0)
+        outcomes = dict.fromkeys(("outside", "adjacent", "in R_u", "u side", "v side",
+                                  "shared", "pair search"), 0)
         for d in (1.25, 2.0):
             g = relabelled(generate_random_dag(n, d, seed=rng), rng)
             anc = g._anc
@@ -457,18 +461,27 @@ class TestComponentDSeparation:
                 k = int(rng.integers(0, len(pool) + 1)) if pool else 0
                 z = [int(x) for x in rng.choice(pool, k, replace=False)] if k else []
                 z_bits = sum(1 << w for w in z)
-                got = g._d_separated_bits(u, v, z_bits)
+                before = set(g._dsep_cache)
+                got = g.d_separated(u, v, z)
                 assert got == moral_d_separated(g, u, v, z), (n, d, u, v, z)
-                if (u, v) in g.edges or (v, u) in g.edges or z_bits & ~(anc[u] | anc[v]):
+                added = set(g._dsep_cache) - before
+                if z_bits & ~(anc[u] | anc[v]):
+                    outcomes["outside"] += 1
+                    assert not added
                     continue
+                ku, kv = (u, z_bits & anc[u]), (v, z_bits & anc[v])
                 ru, du = _component_reference(g, u, {w for w in z if anc[u] >> w & 1})
                 rv, dv = _component_reference(g, v, {w for w in z if anc[v] >> w & 1})
-                assert g._dsep_cache[u, z_bits & anc[u]] == (ru, du)
+                assert g._dsep_cache[ku] == (ru, du) and added <= {ku, kv}
+                if (u, v) in g.edges or (v, u) in g.edges or ru >> v & 1:
+                    outcomes["in R_u" if ru >> v & 1 else "adjacent"] += 1
+                    assert not got and kv not in added
+                    continue
                 if not du >> v & 1:
                     outcomes["u side"] += 1
-                    assert got
+                    assert got and kv not in added
                     continue
-                assert g._dsep_cache[v, z_bits & anc[v]] == (rv, dv)
+                assert g._dsep_cache[kv] == (rv, dv)
                 if not dv >> u & 1:
                     outcomes["v side"] += 1
                     assert got
@@ -478,6 +491,55 @@ class TestComponentDSeparation:
                 else:
                     outcomes["pair search"] += 1
         assert all(outcomes.values()), outcomes
+
+    @pytest.mark.parametrize("n", [30, 120])
+    def test_side_matches_per_member_reference(self, n):
+        # a side is separated exactly when every member is, each by zu | zv;
+        # sides mix neighbours of u, members of R_u, members inside D_u and
+        # members outside it, on cold and warm caches. A neighbour or a
+        # member of R_u refuses the side from u's component alone.
+        rng = np.random.default_rng(1990 + n)
+        kinds = dict.fromkeys(("neighbour", "in R_u", "in D_u", "outside D_u"), 0)
+        verdicts = {True: 0, False: 0}
+        for d in (1.25, 2.0):
+            g = relabelled(generate_random_dag(n, d, seed=rng), rng)
+            anc, nb = g._anc, g._nb_bits
+            for _ in range(300):
+                perm = [int(x) for x in rng.permutation(n)]
+                u, k = perm[0], int(rng.integers(2, 6))
+                members = perm[1:1 + k]
+                if rng.random() < 0.5:
+                    # a neighbour or an ancestor of u, so both refusals occur
+                    near = [w for w in range(n) if (nb[u] | anc[u]) >> w & 1
+                            and w not in members]
+                    members += [int(x) for x in rng.choice(near, min(2, len(near)),
+                                                           replace=False)] if near else []
+                vs = sum(1 << w for w in members)
+                candidates = sum(1 << w for w in range(n)
+                                 if w != u and not vs >> w & 1 and rng.random() < 0.5)
+                want, refused = True, False
+                zu = candidates & anc[u]
+                ru, du = _component_reference(g, u, set(bit_ids(zu)))
+                for v in members:
+                    zv = candidates & anc[v]
+                    sep = moral_d_separated(g, u, v, bit_ids(zu | zv))
+                    want = want and sep
+                    kind = ("neighbour" if (u, v) in g.edges or (v, u) in g.edges
+                            else "in R_u" if ru >> v & 1
+                            else "in D_u" if du >> v & 1 else "outside D_u")
+                    kinds[kind] += 1
+                    if kind in ("neighbour", "in R_u"):
+                        refused = True
+                        assert not sep, (u, v)
+                    elif kind == "outside D_u":
+                        assert sep, (u, v)
+                cold = Dag(g.n, g.edges)
+                assert cold._separated_side(u, vs, candidates) == want, (n, d, u, members)
+                if refused:
+                    assert list(cold._dsep_cache) == [(u, zu)], (n, d, u, members)
+                assert g._separated_side(u, vs, candidates) == want, (n, d, u, members)
+                verdicts[want] += 1
+        assert min(kinds.values()) > 50 and min(verdicts.values()) > 50, (kinds, verdicts)
 
     def test_cache_keys_and_repeated_sides(self):
         # every key is (u, z & An(u)), and asking the same sides again adds

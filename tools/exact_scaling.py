@@ -1,16 +1,18 @@
 """Exact-oracle scaling record: `run_sada` with the exact d-separation oracle
-on the benchmark's seed-2026 oracle instances, one size per fresh process.
+on the benchmark's seed-2026 oracle instances, each size in fresh processes.
 
     python3 tools/exact_scaling.py [--sizes 300 1000 2000] [--out BENCH_exact.json]
 
 Size n is replicate 0 of grid point 0 of an oracle workload of size n, built
 by `perfbench/workloads.build_instance` (d = 1.25, theta = 10, k = 1, no
-conditioning cap). Each size runs in its own subprocess, so its peak RSS is
-its own. The record gives, per size, the wall time of the solve, the peak
-RSS, the number of `Dag._dsep_cache` entries, the edge-set digest and
-whether the result equals the truth; then the exponent of the wall time
-between adjacent sizes, and the machine facts. Exits 1 when some size is
-not exact.
+conditioning cap). The sizes must be strictly increasing, or nothing runs.
+Each size is solved in RUNS subprocesses of its own, one after another, so
+each run's peak RSS is its own. The record gives, per size, each run's wall
+time of the solve, the median, min and max of the wall times and of the
+peak RSS, the number of `Dag._dsep_cache` entries, the edge-set digest and
+whether the result equals the truth; then the exponent of the median wall
+time between adjacent sizes, and the machine facts. Exits 1 when some size
+is not exact, or when a size's runs disagree on anything but time and RSS.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import json
 import math
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -27,6 +30,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 SEED = 2026
+# fresh processes per size, since one run's wall time is too noisy to
+# compare sizes by
+RUNS = 3
 
 
 def measure(n: int) -> dict:
@@ -52,19 +58,34 @@ def measure(n: int) -> dict:
             "exact": error is None, "error": error, "machine": bootstrap.machine_facts()}
 
 
+def spread(values: list) -> dict:
+    """The median, min and max of a size's runs."""
+    return {"median": statistics.median(values), "min": min(values), "max": max(values)}
+
+
 def run(sizes: list) -> dict:
-    """One fresh process per size, then the exponents between neighbours."""
+    """RUNS fresh processes per size, then the exponents between neighbours'
+    median wall times."""
     rows = []
     for n in sizes:
-        out = subprocess.run([sys.executable, __file__, "--one", str(n)],
-                             capture_output=True, text=True, check=True).stdout
-        rows.append(json.loads(out.strip().splitlines()[-1]))
+        runs = []
+        for _ in range(RUNS):
+            out = subprocess.run([sys.executable, __file__, "--one", str(n)],
+                                 capture_output=True, text=True, check=True).stdout
+            runs.append(json.loads(out.strip().splitlines()[-1]))
+        walls = [r.pop("wall_s") for r in runs]
+        rss = [r.pop("peak_rss_mb") for r in runs]
+        if any(r != runs[0] for r in runs):
+            raise SystemExit(f"n={n}: the runs disagree: {runs}")
+        rows.append({"n": n, "wall_s_runs": walls, "wall_s": spread(walls),
+                     "peak_rss_mb": spread(rss), **runs[0]})
         print(json.dumps(rows[-1]), flush=True)
     machine = [row.pop("machine") for row in rows][0]
     exponents = [{"from": a["n"], "to": b["n"],
-                  "exponent": round(math.log(b["wall_s"] / a["wall_s"]) / math.log(b["n"] / a["n"]), 2)}
+                  "exponent": round(math.log(b["wall_s"]["median"] / a["wall_s"]["median"])
+                                    / math.log(b["n"] / a["n"]), 2)}
                  for a, b in zip(rows, rows[1:])]
-    return {"seed": SEED, "point": 0, "replicate": 0, "machine": machine,
+    return {"seed": SEED, "point": 0, "replicate": 0, "runs": RUNS, "machine": machine,
             "sizes": rows, "exponents": exponents}
 
 
@@ -77,6 +98,8 @@ def main(argv=None) -> int:
     if args.one is not None:
         print(json.dumps(measure(args.one)))
         return 0
+    if any(b <= a for a, b in zip(args.sizes, args.sizes[1:])):
+        p.error(f"--sizes must be strictly increasing, got {args.sizes}")
     record = run(args.sizes)
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     for e in record["exponents"]:
