@@ -139,15 +139,8 @@ def _checked_search(n: int, u, side, candidates, max_cond, pair: bool) -> tuple:
     In this order: max_cond is None or a count >= 0, v is a variable id, vs
     and candidates are bitsets over 0..n-1 (non-negative ints, not bools),
     u is a variable id, vs does not hold u and the candidates hold neither
-    u nor a member of vs. Python ints that pass all of it, as the framework
-    builds them, are returned as they are: the full rule would give the same
-    value."""
-    if (type(u) is int and type(side) is int and type(candidates) is int
-            and (max_cond is None or type(max_cond) is int and max_cond >= 0) and 0 <= u < n):
-        vs = (1 << side if 0 <= side < n else -1) if pair else side
-        if (vs >= 0 and candidates >= 0 and not (vs | candidates) >> n and not (vs >> u) & 1
-                and not candidates & (vs | (1 << u))):
-            return u, side, max_cond
+    u nor a member of vs. Each check tests the plain ints the framework
+    builds first and words a refusal only when that test fails."""
     if max_cond is not None and not (type(max_cond) is int and max_cond >= 0):
         max_cond = check_cap(max_cond, CiError)
     if pair:
@@ -156,12 +149,15 @@ def _checked_search(n: int, u, side, candidates, max_cond, pair: bool) -> tuple:
         vs = 1 << side
     else:
         vs = side
-    for name, bits in (("vs", vs), ("candidates", candidates)):
-        if type(bits) is not int or bits < 0:
-            got = bits if type(bits) is int else type(bits).__name__
-            raise CiError(f"{name} must be a bitset (a non-negative int), got {got}")
-        if bits >> n:
-            raise CiError(f"{name} holds variable id {bits.bit_length() - 1}, out of range for n={n}")
+    if not (type(vs) is int and type(candidates) is int and vs >= 0 and candidates >= 0
+            and not (vs | candidates) >> n):
+        for name, bits in (("vs", vs), ("candidates", candidates)):
+            if type(bits) is not int or bits < 0:
+                got = bits if type(bits) is int else type(bits).__name__
+                raise CiError(f"{name} must be a bitset (a non-negative int), got {got}")
+            if bits >> n:
+                raise CiError(f"{name} holds variable id {bits.bit_length() - 1}, "
+                              f"out of range for n={n}")
     if type(u) is not int or not 0 <= u < n:
         u = check_id(u, n, CiError)
     if (vs >> u) & 1:
@@ -423,6 +419,10 @@ def _chi2_sf_block(x, dof: int) -> np.ndarray:
 # cost over many tables while peak memory stays bounded whatever n and m are.
 G2_BLOCK_CODES = 1 << 14
 
+# The G2 test's reliability floor: a test of nominal dof (k - 1)^2 * k^|z|
+# needs at least this many samples per degree of freedom, or it is refused.
+G2_SAMPLES_PER_DOF = 10
+
 
 class G2Kernel:
     """G2 and its degrees of freedom over stacked (stratum, k, k) count tables
@@ -533,10 +533,10 @@ class GSquaredOracle(CiOracle):
 
     def _p_value(self, u, v, zt) -> float:
         k = self._k
-        nominal_dof = (k - 1) ** 2 * k ** len(zt)
-        if self._m < 10 * nominal_dof:
+        need = G2_SAMPLES_PER_DOF * (k - 1) ** 2 * k ** len(zt)
+        if self._m < need:
             raise UnreliableTestError(
-                f"m={self._m} below 10*dof={10 * nominal_dof} for |z|={len(zt)}")
+                f"m={self._m} below G2_SAMPLES_PER_DOF*dof={need} for |z|={len(zt)}")
         if not zt:
             # row u of the pairs starts at u * (2n - 1 - u) / 2
             n = self._n

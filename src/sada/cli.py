@@ -12,7 +12,7 @@ import numpy as np
 
 from .bench import ExperimentGrid, methods, run_experiment, score, write_rows_csv
 from .bounds import ErrorModel, bounds_report
-from .citest import ExactCiOracle
+from .citest import G2_SAMPLES_PER_DOF, ExactCiOracle
 from .framework import FrameworkError, SadaConfig, discover
 from .graph import Dag, generate_random_dag, load_dag, save_dag
 from .solvers import make_oracle_solver
@@ -193,6 +193,14 @@ def _cmd_discover(args):
     if args.oracle_solver and truth is None:
         raise CliError("--oracle-solver answers subproblems from the true graph; "
                        "it needs --truth")
+
+    if data.kind == "discrete" and not (args.oracle_ci and args.oracle_solver):
+        # m below the G2 floor at |z| = 0 leaves every G2 test undecidable, and
+        # the G2Kernel that the oracle and the ANM leaves build grows as k^4
+        need = G2_SAMPLES_PER_DOF * (data.num_states - 1) ** 2
+        if data.m < need:
+            raise CliError(f"discrete data with k={data.num_states} states needs m >= {need} "
+                           f"samples for a G-squared test to decide, got m={data.m}")
 
     cfg = _config(args)
     oracle_name, oracle_cls, solver_name, solver = methods(data.kind)

@@ -35,10 +35,8 @@ class Edge(NamedTuple):
 def _edge_ids(parent, child) -> tuple:
     """(parent, child) as ints, once both are counts of at least 0; a
     float, even a whole one, or a bool raises SolverError, not truncated."""
-    if not (type(parent) is int and type(child) is int and parent >= 0 and child >= 0):
-        parent = check_count(parent, 0, "variable id", SolverError)
-        child = check_count(child, 0, "variable id", SolverError)
-    return parent, child
+    return (check_count(parent, 0, "variable id", SolverError),
+            check_count(child, 0, "variable id", SolverError))
 
 
 class EdgeSet:

@@ -563,7 +563,8 @@ def per_member_exact_oracle(g):
 
 
 def checked_search_reference(n: int, u, side, candidates, max_cond, pair: bool) -> tuple:
-    """The search gate's full rule, with no shortcut: (u, side, max_cond) as
+    """The search gate's full rule as it stood before the gate had any fast
+    path, which `_checked_search`'s one rule must match: (u, side, max_cond) as
     ints, where side is the id v of a pair search and the bitset vs
     otherwise, {v} for a pair. In this order: max_cond is None or a count
     >= 0, v is a variable id, vs and candidates are bitsets over 0..n-1

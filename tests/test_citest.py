@@ -1217,9 +1217,10 @@ class TestCapRule:
 
 
 class TestSearchGateFastPath:
-    """`_checked_search` returns Python ints that pass its rule as they are
-    and takes the full rule for anything else: value and types, or error
-    class and message, it answers as the full rule alone does."""
+    """`_checked_search` is one rule that tests the plain ints the framework
+    builds before it words a refusal. Value and types, or error class and
+    message, it answers as `checked_search_reference`, the full rule the gate
+    wrote out before it had any fast path, does."""
 
     N = 6
     IDS = (0, 1, 2, 5, 6, 7, -1, True, False, np.int64(2), np.int32(4), 2.0, "1", None)

@@ -274,6 +274,21 @@ class TestDiscover:
         assert report["oracle"] == "g2"
         load_dag(tmp_path / "found.edges")  # Dag constructor rejects cycles
 
+    def test_discrete_data_below_the_g2_floor_is_refused(self, tmp_path, truth_file, capsys):
+        # a marginal G2 test of 3-state data needs m >= 10 * (3 - 1)^2 = 40
+        d = tmp_path / "d.csv"
+        values = np.random.default_rng(3).integers(0, 3, size=(20, 9))
+        values[0] = 2
+        save_samples(SampleMatrix(values, "discrete", num_states=3), d)
+        assert run("discover", "--data", d, "--seed", 1) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: discrete data with k=3 states needs m >= 40 samples for a "
+            "G-squared test to decide, got m=20"]
+        # the exact oracle and true-subgraph leaves build no G2 kernel
+        assert run("discover", "--data", d, "--truth", truth_file, "--oracle-ci",
+                   "--oracle-solver", "--seed", 1) == 0
+        assert json.loads(capsys.readouterr().out)["metrics"]["f1"] == 1.0
+
 
 class TestBounds:
     def test_report_fields(self, tmp_path, capsys):
