@@ -39,6 +39,12 @@ class CiVerdict:
     p_value: float
 
 
+# `query` fills each verdict through its slot descriptors, at about 60% of
+# the cost of the frozen __init__'s two object.__setattr__ calls
+_new_verdict, _set_independent, _set_p_value = (
+    object.__new__, CiVerdict.independent.__set__, CiVerdict.p_value.__set__)
+
+
 class CiOracle:
     """Interface consumed by the cut search and merge. Its public entry
     points, `query`, `find_separator` and `separable`, check their arguments
@@ -70,7 +76,9 @@ class CiOracle:
         if hit is not None:
             return hit
         p = self._p_value(u, v, zt)
-        verdict = self._cache[key] = CiVerdict(p > self.alpha_level, p)
+        verdict = self._cache[key] = _new_verdict(CiVerdict)
+        _set_independent(verdict, p > self.alpha_level)
+        _set_p_value(verdict, p)
         return verdict
 
     def _p_value(self, u: int, v: int, zt: tuple) -> float:
@@ -209,14 +217,16 @@ class PartialCorrelationOracle(CiOracle):
             if held != key:
                 state = _eliminate(self._corr, u, v, key[2])
                 self._prefix = (key, state)
-            r = _partial_corr(_push(self._corr, state, zt[-1]))
+            uu, uv, vv, tol, _ = _push(self._corr, state, zt[-1])
+            if not (uu > tol and uu * vv - uv * uv > tol * uu):
+                raise SingularConditioningError("conditioning covariance is singular")
+            r = uv / math.sqrt(uu * vv)
         else:
             r = self._corr[u][v]
         if not math.isfinite(r) or abs(r) > 1 + 1e-6:
             raise SingularConditioningError("partial correlation is not identifiable")
         r = min(max(r, -1 + 1e-15), 1 - 1e-15)
-        stat = math.sqrt(eff) * math.atanh(r)
-        return two_sided_normal_sf(stat)
+        return two_sided_normal_sf(math.sqrt(eff) * math.atanh(r))
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -227,38 +237,38 @@ def two_sided_normal_sf(stat: float) -> float:
     return math.erfc(abs(stat) * _SQRT_HALF)
 
 
-# The partial correlation of u and v given a nonempty zt, from the nested
-# correlation lists c, is `_partial_corr(_eliminate(c, u, v, zt))`. The
-# conditioning variables are eliminated one at a time, in the order zt,
-# each as a Schur complement scaled by its pivot, so nothing is divided
-# before the end. Each pair of ids is read from the row of the one earlier
-# in the order u, v, zt: np.corrcoef is not symmetric to the last bit, and
-# this order fixes every result. Every entry goes through the same float
-# operations in the same order whichever prefix is held. A pivot, the
-# variance of u given zt or that of v given zt and u not above PIVOT_TOL
-# times its diagonal entry (1 in a correlation matrix) raises
-# SingularConditioningError: the set is collinear, or the pair is given it,
-# up to rounding.
+# Fisher-z reads the partial correlation of u and v given a nonempty zt off
+# `_push(c, _eliminate(c, u, v, zt[:-1]), zt[-1])`, c being the nested
+# correlation lists, so the last id builds no state. The conditioning
+# variables are eliminated one at a time, in the order zt, each as a Schur
+# complement scaled by its pivot, so nothing is divided before the end.
+# Each pair of ids is read from the row of the one earlier in the order u,
+# v, zt: np.corrcoef is not symmetric to the last bit, and this order fixes
+# every result. Every entry goes through the same float operations in the
+# same order whichever prefix is held. A pivot, the variance of u given zt
+# or that of v given zt and u not above PIVOT_TOL times its diagonal entry
+# (1 in a correlation matrix) raises SingularConditioningError: the set is
+# collinear, or the pair is given it, up to rounding.
 
 
 def _eliminate(c, u, v, head) -> tuple:
-    """The state after eliminating the ids of `head`, in order, from the
-    entries of u and v."""
+    """The state once the ids of `head` are eliminated, in order."""
     cu, cv = c[u], c[v]
     state = (cu, cv, cu[u], cu[v], cv[v], PIVOT_TOL, (), ())
     for w in head:
-        state = _push(c, state, w)
+        uu, uv, vv, tol, step = _push(c, state, w)
+        state = (cu, cv, uu, uv, vv, tol, state[6] + (c[w],), state[7] + (step,))
     return state
 
 
 def _push(c, state, w) -> tuple:
-    """The state after eliminating w, an id after every id eliminated in
-    `state`, as well. A state is (c[u], c[v], uu, uv, vv, tol, the rows c[x]
-    of the ids eliminated, steps), with one step (pivot, scale, su, sv,
+    """(uu, uv, vv, tol, step) once w, an id after every id eliminated in
+    `state`, is eliminated too. A state is (c[u], c[v], uu, uv, vv, tol, the
+    rows c[x] of the ids eliminated, steps), one step (pivot, scale, su, sv,
     scaled) per id x, scaled[t] being x's entry with the t-th id, once the
-    steps before t have gone through it, times step t's scale. w's entries with those ids, u, v and itself go through each held
-    step in turn; the entries are scaled by the product of the pivots so
-    far, and so is tol."""
+    steps before t have gone through it, times step t's scale. w's entries
+    with those ids, u, v and itself go through each held step in turn; the
+    entries are scaled by the product of the pivots so far, and so is tol."""
     cu, cv, uu, uv, vv, tol, rows, steps = state
     wu, wv, ww = cu[w], cv[w], c[w][w]
     # done[t]: step t's pivot and w's entry with the id of step t once the
@@ -283,17 +293,8 @@ def _push(c, state, w) -> tuple:
     piv, e = math.frexp(ww)
     scale = math.ldexp(1.0, -e)
     su, sv = wu * scale, wv * scale
-    return (cu, cv, uu * piv - su * wu, uv * piv - su * wv, vv * piv - sv * wv,
-            tol * piv, rows + (c[w],), steps + ((piv, scale, su, sv, scaled),))
-
-
-def _partial_corr(state) -> float:
-    """The partial correlation of u and v given the ids eliminated in
-    `state`."""
-    uu, uv, vv, tol = state[2:6]
-    if not (uu > tol and uu * vv - uv * uv > tol * uu):
-        raise SingularConditioningError("conditioning covariance is singular")
-    return uv / math.sqrt(uu * vv)
+    return (uu * piv - su * wu, uv * piv - su * wv, vv * piv - sv * wv, tol * piv,
+            (piv, scale, su, sv, scaled))
 
 
 # x / 2 is clamped into [_H_MIN, _H_MAX] before the series: x = 0 then

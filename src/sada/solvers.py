@@ -59,10 +59,8 @@ class EdgeSet:
             raise SolverError(f"significance must be a finite real number >= 0, "
                               f"got {significance!r}")
         sig = float(significance)
-        key = (parent, child)
-        old = self._sig.get(key)
-        if old is None or sig > old:
-            self._sig[key] = sig
+        if sig > self._sig.get((parent, child), -1.0):
+            self._sig[parent, child] = sig
 
     def _items(self):
         """((parent, child), significance) for each edge, in no set order."""
@@ -115,12 +113,18 @@ def _checked_vars(n: int, variables) -> list:
     return sorted({check_id(v, n, SolverError) for v in variables})
 
 
-# Candidates of one pick are scored a block at a time. Each of the three
-# stacked (m, block, k) temporaries holds about this many floats, though a
-# block never takes fewer than two candidates: that spreads numpy's per-call
-# cost over several candidates, while the temporaries stay in cache and peak
-# memory stays near the one-candidate loop's.
+# Candidates of one pick are scored a block of at least two at a time, in two
+# stacked (m, 2 * block, k) temporaries of about twice this many floats each:
+# that spreads numpy's per-call cost over several candidates, while the
+# temporaries stay in cache and peak memory stays near the one-candidate loop's.
 _SCORE_BLOCK_FLOATS = 1 << 14
+
+
+def _centred(a: np.ndarray) -> tuple:
+    """a less its column means, and its column standard deviations, by the
+    steps and so with the bits of `np.mean` and `np.std`, not their wrappers."""
+    dev = a - np.add.reduce(a, axis=0) / len(a)
+    return dev, np.sqrt(np.add.reduce(dev * dev, axis=0) / len(a))
 
 
 def _abs_corr(x: np.ndarray, cols: np.ndarray, prod: np.ndarray) -> np.ndarray:
@@ -131,13 +135,13 @@ def _abs_corr(x: np.ndarray, cols: np.ndarray, prod: np.ndarray) -> np.ndarray:
     as the one-vector, one-matrix form."""
     m, b, k = cols.shape
     flat, flat_prod = cols.reshape(m, b * k), prod.reshape(m, b * k)
-    xc = x - x.mean(axis=1, keepdims=True)
-    flat -= flat.mean(axis=0)
-    sx = np.sqrt((xc * xc).mean(axis=1))
+    xc = x - np.add.reduce(x, axis=1, keepdims=True) / m
+    flat -= np.add.reduce(flat, axis=0) / m
+    sx = np.sqrt(np.add.reduce(xc * xc, axis=1) / m)
     np.multiply(flat, flat, out=flat_prod)
-    sc = np.sqrt(flat_prod.mean(axis=0)).reshape(b, k)
+    sc = np.sqrt(np.add.reduce(flat_prod, axis=0) / m).reshape(b, k)
     np.multiply(xc.T[:, :, None], cols, out=prod)
-    num = flat_prod.mean(axis=0).reshape(b, k)
+    num = (np.add.reduce(flat_prod, axis=0) / m).reshape(b, k)
     denom = sx[:, None] * sc
     out = np.zeros_like(num)
     np.divide(num, denom, out=out, where=denom > 1e-12)
@@ -148,33 +152,38 @@ def _pick_scores(work: np.ndarray, bufs: np.ndarray) -> np.ndarray:
     """The dependence left between each candidate column and the other
     columns' residuals once they are regressed on it; lower means more
     exogenous. Each candidate's coefficients come from its own matrix-vector
-    product, as a single matrix product would round differently. bufs, the
-    three stacked temporaries, comes from `_score_bufs` for at least work's
-    column count."""
+    product, as a single matrix product would round differently. One
+    `_abs_corr` scores a block: its candidates against the tanh of their
+    residuals, then their tanh against the residuals, in the two stacked
+    temporaries bufs that `_score_bufs` gives for work's shape or wider."""
     m, k = work.shape
     block = min(k, max(2, _SCORE_BLOCK_FLOATS // (m * k)))
     scores = np.empty(k)
+    beta = np.empty((block, k))
     for lo in range(0, k, block):
-        hi = min(lo + block, k)
-        resid, th, prod = bufs[:, :m * (hi - lo) * k].reshape(3, m, hi - lo, k)
-        xs = work[:, lo:hi].T.copy()
-        beta = np.stack([work.T @ work[:, i] for i in range(lo, hi)]) / m
-        np.multiply(work[:, lo:hi, None], beta, out=resid)
+        b = min(block, k - lo)
+        cols, prod = bufs[:, :2 * m * b * k].reshape(2, m, 2 * b, k)
+        xs = np.empty((2 * b, m))
+        xs[:b] = work[:, lo:lo + b].T
+        np.tanh(xs[:b], out=xs[b:])
+        for j in range(b):
+            np.matmul(work.T, work[:, lo + j], out=beta[j])
+        resid = cols[:, b:]
+        np.multiply(work[:, lo:lo + b, None], beta[:b] / m, out=resid)
         np.subtract(work[:, None, :], resid, out=resid)
-        # candidate b's own column, (b, lo + b), sits every k + 1 flat columns
-        resid.reshape(m, -1)[:, lo::k + 1] = 0.0
-        c1 = _abs_corr(xs, np.tanh(resid, out=th), prod)
-        c2 = _abs_corr(np.tanh(xs), resid, prod)
-        scores[lo:hi] = c1.sum(axis=1) + c2.sum(axis=1)
+        # candidate j's own residual, (b + j, lo + j), is every k + 1th from b * k + lo
+        cols.reshape(m, -1)[:, b * k + lo::k + 1] = 0.0
+        np.tanh(resid, out=cols[:, :b])
+        total = np.add.reduce(_abs_corr(xs, cols, prod), axis=1)
+        scores[lo:lo + b] = total[:b] + total[b:]
     return scores
 
 
 def _score_bufs(m: int, k: int) -> np.ndarray:
     """Scratch for every `_pick_scores` over m rows and at most k columns:
-    a block's temporary holds its candidates' m * k floats each, and so at
-    most all k candidates, or _SCORE_BLOCK_FLOATS floats, or two candidates
-    when even that overruns it."""
-    return np.empty((3, min(m * k * k, max(_SCORE_BLOCK_FLOATS, 2 * m * k))))
+    each temporary holds two m * k floats per candidate of a block, of at
+    most all k, or _SCORE_BLOCK_FLOATS // (m * k), or else two candidates."""
+    return np.empty((2, 2 * min(m * k * k, max(_SCORE_BLOCK_FLOATS, 2 * m * k))))
 
 
 def _exogeneity_order(x: np.ndarray) -> list:
@@ -182,27 +191,21 @@ def _exogeneity_order(x: np.ndarray) -> list:
     between itself and the other variables' regression residuals (the first
     one on a tie), deflating the rest onto it after each pick."""
     m, k = x.shape
-    work = (x - x.mean(axis=0)) / x.std(axis=0)
-    # one allocation for every pick: scratch this size churns the heap when
-    # it comes and goes with each one
+    work = np.divide(*_centred(x))
+    # one allocation for every pick: scratch this size churns the heap otherwise
     bufs = _score_bufs(m, k)
     remaining = list(range(k))
     order = []
     while len(remaining) > 1:
         best = int(np.argmin(_pick_scores(work, bufs)))
-        order.append(remaining[best])
+        order.append(remaining.pop(best))
         xi = work[:, best]
-        beta = work.T @ xi / m
-        work = work - np.outer(xi, beta)
-        work = np.delete(work, best, axis=1)
-        sd = work.std(axis=0)
-        if np.any(sd <= 1e-12):
-            # a deflated column collapsing to a constant pins its order slot
-            sd = np.where(sd <= 1e-12, 1.0, sd)
-        work = (work - work.mean(axis=0)) / sd
-        del remaining[best]
-    order.extend(remaining)
-    return order
+        work = work - np.outer(xi, work.T @ xi / m)
+        dev, sd = _centred(np.delete(work, best, axis=1))
+        # a deflated column collapsing to a constant pins its order slot
+        sd[sd <= 1e-12] = 1.0
+        work = dev / sd
+    return order + remaining
 
 
 def solve_lingam(data: SampleMatrix, variables) -> EdgeSet:
@@ -219,15 +222,12 @@ def solve_lingam(data: SampleMatrix, variables) -> EdgeSet:
         raise RankDeficientError(f"m={m} too small for {len(vs)} variables")
     if data.constant[vs].any():
         raise SolverError("constant column in continuous data")
-    x = data.values[:, vs]
-    x = (x - x.mean(axis=0)) / x.std(axis=0)
+    x = np.divide(*_centred(data.values[:, vs]))
     order = _exogeneity_order(x)
     result = EdgeSet()
     for step in range(1, len(order)):
-        child = order[step]
-        preds = order[:step]
-        design = x[:, preds]
-        y = x[:, child]
+        child, preds = order[step], order[:step]
+        design, y = x[:, preds], x[:, child]
         gram = design.T @ design
         try:
             gram_inv = np.linalg.inv(gram)
@@ -236,16 +236,15 @@ def solve_lingam(data: SampleMatrix, variables) -> EdgeSet:
         # 1 / d[j] is predecessor j's 1 - R^2 on the others; at or below
         # PIVOT_TOL the design is collinear up to rounding. The threshold is
         # Fisher-z's, but Fisher-z applies it to each elimination pivot
-        d = np.diag(gram_inv) * np.diag(gram)
+        d = gram_inv.diagonal() * gram.diagonal()
         if not (d.min() > 0 and d.max() * PIVOT_TOL < 1):
             raise RankDeficientError("collinear predecessors in regression")
         beta = gram_inv @ design.T @ y
         resid = y - design @ beta
-        dof = m - len(preds)
-        s2 = float(resid @ resid) / dof
-        var = s2 * np.diag(gram_inv)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            wald = np.where(var > 0, beta * beta / var, np.inf)
+        var = float(resid @ resid) / (m - step) * gram_inv.diagonal()
+        # a zero variance (an exact fit) is infinitely significant
+        wald = np.full(step, np.inf)
+        np.divide(beta * beta, var, out=wald, where=var > 0)
         p = chi2_sf(wald, 1)
         for j, pred in enumerate(preds):
             if p[j] < LEAF_ALPHA:

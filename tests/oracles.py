@@ -432,6 +432,46 @@ def exogeneity_order_reference(x):
     return order, picks
 
 
+def lingam_regression_reference(x, order, vs):
+    """The regression half of `solve_lingam` as it was written before its
+    diagonals became views and its Wald statistics a masked divide: each
+    variable of `order` regressed on its predecessors in the standardised
+    samples x, as (parent, child, 1 - p) triples of the ids vs, for the
+    coefficients whose Wald test rejects zero at LEAF_ALPHA."""
+    import numpy as np
+
+    from sada.citest import PIVOT_TOL, chi2_sf
+    from sada.solvers import LEAF_ALPHA, RankDeficientError
+
+    m = len(x)
+    edges = []
+    for step in range(1, len(order)):
+        child = order[step]
+        preds = order[:step]
+        design = x[:, preds]
+        y = x[:, child]
+        gram = design.T @ design
+        try:
+            gram_inv = np.linalg.inv(gram)
+        except np.linalg.LinAlgError:
+            raise RankDeficientError("collinear predecessors in regression") from None
+        d = np.diag(gram_inv) * np.diag(gram)
+        if not (d.min() > 0 and d.max() * PIVOT_TOL < 1):
+            raise RankDeficientError("collinear predecessors in regression")
+        beta = gram_inv @ design.T @ y
+        resid = y - design @ beta
+        dof = m - len(preds)
+        s2 = float(resid @ resid) / dof
+        var = s2 * np.diag(gram_inv)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            wald = np.where(var > 0, beta * beta / var, np.inf)
+        p = chi2_sf(wald, 1)
+        for j, pred in enumerate(preds):
+            if p[j] < LEAF_ALPHA:
+                edges.append((vs[pred], vs[child], 1.0 - float(p[j])))
+    return edges
+
+
 def partial_corr_reference(c, u, v, zt) -> float:
     """Partial correlation of u and v given a nonempty zt, from the nested
     correlation lists c. The conditioning variables are eliminated one at a

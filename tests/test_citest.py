@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import enum
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +191,29 @@ class TestPartialCorrelation:
         assert v == CiVerdict(True, 0.5) and v != CiVerdict(False, 0.5)
         assert hash(v) == hash(CiVerdict(True, 0.5))
         assert len({v, CiVerdict(True, 0.5), CiVerdict(True, 0.25)}) == 2
+
+    def test_queried_verdict_keeps_the_dataclass_contract(self):
+        # `query` fills its verdicts through the slot descriptors, not
+        # through __init__; each one must still act as a CiVerdict(...) does
+        o = PartialCorrelationOracle(generate_linear_nongaussian(Dag(3, [(0, 1)]), m=100, seed=1))
+        for v in (o.query(0, 1), o.query(0, 2), o.query(0, 2, (1,))):
+            built = CiVerdict(v.independent, v.p_value)
+            assert type(v) is CiVerdict and type(v.independent) is bool
+            assert v == built and hash(v) == hash(built) and not hasattr(v, "__dict__")
+            assert repr(v) == repr(built) == (f"CiVerdict(independent={v.independent!r}, "
+                                              f"p_value={v.p_value!r})")
+            assert dataclasses.asdict(v) == {"independent": v.independent, "p_value": v.p_value}
+            flipped = dataclasses.replace(v, independent=not v.independent)
+            assert flipped == CiVerdict(not v.independent, v.p_value) and v == built
+            clones = [copy.copy(v), copy.deepcopy(v)]
+            clones += [pickle.loads(pickle.dumps(v, protocol))
+                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for clone in clones:
+                assert type(clone) is CiVerdict and clone == v
+                assert clone.p_value.hex() == v.p_value.hex()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                v.independent = not v.independent
+        assert {o.query(0, 1).independent, o.query(0, 2).independent} == {False, True}
 
     def test_validation(self):
         data = SampleMatrix(np.random.default_rng(0).random((50, 3)), "continuous")

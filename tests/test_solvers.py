@@ -20,7 +20,12 @@ from sada.solvers import (
 )
 
 from conftest import NINE_NODE_EDGES, relabelled, value_id
-from oracles import discrete_anm_four_pass, exogeneity_order_reference, oracle_solver_reference
+from oracles import (
+    discrete_anm_four_pass,
+    exogeneity_order_reference,
+    lingam_regression_reference,
+    oracle_solver_reference,
+)
 
 PAIR = Dag(2, [(0, 1)])
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -275,6 +280,78 @@ class TestExogeneityOrder:
             reference = solve_lingam(sm, vs)
             assert batched == reference
             assert len(reference) > 0
+
+
+class TestLingamRegression:
+    """The regression half of `solve_lingam` against the loop in
+    tests/oracles.py, on the standardised samples and the order the solver
+    itself computes: the same pairs and significances to the last bit, or
+    the same refusal."""
+
+    @staticmethod
+    def outcomes(monkeypatch, data, variables):
+        """(solver, reference) for one leaf: its edges as (parent, child,
+        significance.hex()) in pair order, or the type and message of the
+        refusal."""
+        seen = []
+        order_of = solvers._exogeneity_order
+
+        def recording(x):
+            seen.append((x, order_of(x)))
+            return seen[-1][1]
+
+        def solver():
+            return [tuple(e) for e in solve_lingam(data, variables)]
+
+        def reference():
+            return sorted(lingam_regression_reference(*seen[-1], sorted(variables)))
+
+        outcomes = []
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_exogeneity_order", recording)
+            for solve in (solver, reference):
+                try:
+                    outcomes.append([(p, c, sig.hex()) for p, c, sig in solve()])
+                except RankDeficientError as exc:
+                    outcomes.append((RankDeficientError, str(exc)))
+        return outcomes
+
+    def test_seeded_leaves(self, monkeypatch):
+        # leaves of 2 to 30 of 40 variables, relabelled, at m = 60 and m = 200
+        rng = np.random.default_rng(8)
+        edges = 0
+        for k in range(2, 31):
+            g = generate_random_dag(40, 1.25, seed=k)
+            for m in (60, 200):
+                data = generate_linear_nongaussian(g, m=m, seed=1000 * k + m)
+                variables = rng.choice(40, size=k, replace=False).tolist()
+                got, want = self.outcomes(monkeypatch, data, variables)
+                assert got == want, (k, m)
+                edges += len(got)
+        assert edges > 100
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_fit_has_an_infinite_wald(self, monkeypatch):
+        # a balanced +-1 column and its copy at m = 64 standardise to
+        # themselves, and 1 / 64 is exact: the child's residual, and so its
+        # variance estimate, is exactly 0, which divides nothing and warns of
+        # nothing
+        x = np.repeat([1.0, -1.0], 32)[np.random.default_rng(3).permutation(64)]
+        data = SampleMatrix(np.column_stack([x, x]), "continuous")
+        walds = []
+        tail = solvers.chi2_sf
+        monkeypatch.setattr(solvers, "chi2_sf", lambda w, dof: walds.append(w) or tail(w, dof))
+        got, want = self.outcomes(monkeypatch, data, [0, 1])
+        assert got == want and len(got) == 1 and got[0][2] == (1.0).hex()
+        assert len(walds) == 1 and np.isinf(walds[0]).all()
+
+    @pytest.mark.parametrize("copy", [lambda c: c, lambda c: 2.0 * c + 1.0],
+                             ids=["duplicate", "affine"])
+    def test_collinear_refusal(self, monkeypatch, copy):
+        x = np.random.default_rng(0).laplace(size=(60, 5))
+        x[:, 3] = copy(x[:, 0])
+        got, want = self.outcomes(monkeypatch, SampleMatrix(x, "continuous"), range(5))
+        assert got == want == (RankDeficientError, "collinear predecessors in regression")
 
 
 class TestDiscreteAnm:
